@@ -33,7 +33,6 @@ from .grid_field import (
 )
 from .nonlocal_op import NonlocalP, p_sup, prefix_integral
 from .scheme import (
-    RhsBreakdown,
     SchemeConfig,
     cfl_dt,
     godunov_flux,
@@ -77,7 +76,6 @@ __all__ = [
     "NonlocalP",
     "p_sup",
     "prefix_integral",
-    "RhsBreakdown",
     "SchemeConfig",
     "cfl_dt",
     "godunov_flux",

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .grid_field import _PRESET_PARAMS, InitialDataSpec, build_grid
+from .grid_field import PRESET_DEFAULTS, InitialDataSpec, build_grid
 from .scheme import FLUXES, SchemeConfig
 from .solver import DiagnosticsSeries, RunConfig, RunResult, Snapshot, run_simulation
 from .verifiers import (
@@ -45,19 +45,10 @@ from .verifiers import (
 )
 
 CSV_HEADER = "t,x,v,u,P"
-SWEEP_WORKERS = 4
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % (float(x),)
-
-
-def _fmt_list(values) -> str:
-    return ",".join(_fmt(v) for v in values)
-
-
-def _fmt_bool(flag: bool) -> str:
-    return "true" if flag else "false"
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +67,6 @@ _SCALAR_KEYS = {
     "run.T": float,
     "run.snapshots": "float_list",
     "diag.alphas": "float_list",
-    "seed": int,
 }
 _REQUIRED_KEYS = ("grid.x_min", "grid.x_max", "grid.n_cells", "init.preset", "run.T")
 
@@ -122,12 +112,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {key!r}")
 
     preset_raw, preset_line = pairs["init.preset"]
-    if preset_raw not in _PRESET_PARAMS:
+    if preset_raw not in PRESET_DEFAULTS:
         raise ConfigError(
-            f"unknown preset {preset_raw!r}; expected one of {sorted(_PRESET_PARAMS)}",
+            f"unknown preset {preset_raw!r}; expected one of {sorted(PRESET_DEFAULTS)}",
             preset_line,
         )
-    init_keys = {f"init.{name}" for name in _PRESET_PARAMS[preset_raw]}
+    init_keys = {f"init.{name}" for name in PRESET_DEFAULTS[preset_raw]}
 
     for key, (_, line_no) in pairs.items():
         if key not in _SCALAR_KEYS and key not in init_keys:
@@ -147,7 +137,7 @@ def parse_config(text: str) -> RunConfig:
         )
     init_params = {
         name: _parse_scalar(float, f"init.{name}", *pairs[f"init.{name}"])
-        for name in _PRESET_PARAMS[preset_raw]
+        for name in PRESET_DEFAULTS[preset_raw]
         if f"init.{name}" in pairs
     }
     grid = build_grid(
@@ -166,7 +156,6 @@ def parse_config(text: str) -> RunConfig:
         final_time=get("run.T", None),
         snapshot_times=get("run.snapshots", ()),
         diagnostic_alphas=get("diag.alphas", (0.0, 1.0, 2.0)),
-        seed=get("seed", 0),
     )
 
 
@@ -249,149 +238,72 @@ def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
 # report emission: comment block + deterministic key=value section
 # ---------------------------------------------------------------------------
 
-def _balance_items(r: BalanceReport) -> tuple[str, list]:
-    items = [
-        ("balance.alpha", _fmt(r.alpha)),
-        ("balance.initial_norm", _fmt(r.initial_norm)),
-        ("balance.terminal_residual", _fmt(r.terminal_residual)),
-        ("balance.max_residual", _fmt(r.max_residual)),
-        ("balance.relative_terminal", _fmt(r.relative_terminal)),
-    ]
-    if r.order is not None:
-        items.append(("balance.order", _fmt(r.order)))
-        items.append(("balance.level_cells", ",".join(str(n) for n in r.level_cells)))
-        items.append(("balance.level_terminals", _fmt_list(r.level_terminals)))
-    items.append(("balance.pass", _fmt_bool(r.passed)))
-    return f"power balance, alpha = {r.alpha:g}", items
+# report class -> (namespace, title, keys). A key reads the attribute of the
+# same name, or the second member of a (key, attribute) pair. Keys ending in
+# "_" expand to one numbered key per entry; None values are left out.
+_REPORT_FORMATS = {
+    BalanceReport: ("balance", "power balance, alpha = {r.alpha:g}", (
+        "alpha", "initial_norm", "terminal_residual", "max_residual",
+        "relative_terminal", "order", "level_cells", "level_terminals",
+        ("pass", "passed"),
+    )),
+    MassBalanceReport: ("mass_balance", "mass balance with integration-by-parts closure", (
+        "initial_mass", "terminal_residual", "max_residual", "relative_max", "order",
+        "level_cells", "level_maxima", ("pass", "passed"),
+    )),
+    SupMonitorReport: ("sup_monitor", "running maximum of u against its initial value", (
+        "sup_u0", "max_sup_u", "worst_excess", "tol", "violated",
+        "first_violation_time", "violation_location",
+    )),
+    EntropyReport: ("entropy", "Kruzhkov weak-form certificate", (
+        "family", "n_phi", "dx", "tolerance", "min_value", "margin_ratio", "levels",
+        "min_by_level", ("pass", "passed"),
+    )),
+    StabilityReport: ("stability", "L1 stability of u against the Gronwall envelope", (
+        "R", "T", ("C0", "c0"), ("CT", "c_of_t"), "sup_u0", "sup_w0", "max_measured",
+        "min_margin", "wide_window_clipped", ("times", "sample_times"), "measured",
+        "bound", "bound_wide", "margins", ("pass", "passed"),
+    )),
+    ConvergenceReport: ("convergence", "{r.kind} ladder in L1 at final time", (
+        "kind", "params", ("distance_", "distances"), ("cauchy_", "cauchy"), "order",
+        "monotone", ("pass", "monotone"),
+    )),
+    RiemannCheck: ("burgers", "source-free Riemann sanity against exact solutions", (
+        "n_cells", "dx", "shock_position_error", "shock_tol", "rarefaction_l1_error",
+        "rarefaction_tol", ("pass", "passed"),
+    )),
+    MmsReport: ("mms", "manufactured-solution L1 order", (
+        ("cells", "n_ladder"), "errors", "pair_orders", "order", ("pass", "passed"),
+    )),
+}
 
 
-def _mass_items(r: MassBalanceReport) -> tuple[str, list]:
-    items = [
-        ("mass_balance.initial_mass", _fmt(r.initial_mass)),
-        ("mass_balance.terminal_residual", _fmt(r.terminal_residual)),
-        ("mass_balance.max_residual", _fmt(r.max_residual)),
-        ("mass_balance.relative_max", _fmt(r.relative_max)),
-    ]
-    if r.order is not None:
-        items.append(("mass_balance.order", _fmt(r.order)))
-        items.append(("mass_balance.level_cells", ",".join(str(n) for n in r.level_cells)))
-        items.append(("mass_balance.level_maxima", _fmt_list(r.level_maxima)))
-    items.append(("mass_balance.pass", _fmt_bool(r.passed)))
-    return "mass balance with integration-by-parts closure", items
-
-
-def _sup_items(r: SupMonitorReport) -> tuple[str, list]:
-    items = [
-        ("sup_monitor.sup_u0", _fmt(r.sup_u0)),
-        ("sup_monitor.max_sup_u", _fmt(r.max_sup_u)),
-        ("sup_monitor.worst_excess", _fmt(r.worst_excess)),
-        ("sup_monitor.tol", _fmt(r.tol)),
-        ("sup_monitor.violated", _fmt_bool(r.violated)),
-    ]
-    if r.violated:
-        items.append(("sup_monitor.first_violation_time", _fmt(r.first_violation_time)))
-        items.append(("sup_monitor.violation_location", _fmt(r.violation_location)))
-    return "running maximum of u against its initial value", items
-
-
-def _entropy_items(r: EntropyReport) -> tuple[str, list]:
-    items = [
-        ("entropy.family", r.family),
-        ("entropy.n_phi", str(r.n_phi)),
-        ("entropy.dx", _fmt(r.dx)),
-        ("entropy.tolerance", _fmt(r.tolerance)),
-        ("entropy.min_value", _fmt(r.min_value)),
-        ("entropy.margin_ratio", _fmt(r.margin_ratio)),
-        ("entropy.levels", _fmt_list(r.levels)),
-        ("entropy.min_by_level", _fmt_list(r.min_by_level)),
-        ("entropy.pass", _fmt_bool(r.passed)),
-    ]
-    return "Kruzhkov weak-form certificate", items
-
-
-def _stability_items(r: StabilityReport) -> tuple[str, list]:
-    items = [
-        ("stability.R", _fmt(r.R)),
-        ("stability.T", _fmt(r.T)),
-        ("stability.C0", _fmt(r.c0)),
-        ("stability.CT", _fmt(r.c_of_t)),
-        ("stability.sup_u0", _fmt(r.sup_u0)),
-        ("stability.sup_w0", _fmt(r.sup_w0)),
-        ("stability.max_measured", _fmt(r.max_measured)),
-        ("stability.min_margin", _fmt(r.min_margin)),
-        ("stability.wide_window_clipped", _fmt_bool(r.wide_window_clipped)),
-        ("stability.times", _fmt_list(r.sample_times)),
-        ("stability.measured", _fmt_list(r.measured)),
-        ("stability.bound", _fmt_list(r.bound)),
-        ("stability.bound_wide", _fmt_list(r.bound_wide)),
-        ("stability.margins", _fmt_list(r.margins)),
-        ("stability.pass", _fmt_bool(r.passed)),
-    ]
-    return "L1 stability of u against the Gronwall envelope", items
-
-
-def _convergence_items(r: ConvergenceReport) -> tuple[str, list]:
-    items = [
-        ("convergence.kind", r.kind),
-        ("convergence.params", _fmt_list(r.params)),
-    ]
-    for i, d in enumerate(r.distances, start=1):
-        items.append((f"convergence.distance_{i}", _fmt(d)))
-    if r.cauchy is not None:
-        for i, d in enumerate(r.cauchy, start=1):
-            items.append((f"convergence.cauchy_{i}", _fmt(d)))
-    if r.order is not None:
-        items.append(("convergence.order", _fmt(r.order)))
-    items.append(("convergence.monotone", _fmt_bool(r.monotone)))
-    items.append(("convergence.pass", _fmt_bool(r.monotone)))
-    return f"{r.kind} ladder in L1 at final time", items
-
-
-def _riemann_items(r: RiemannCheck) -> tuple[str, list]:
-    items = [
-        ("burgers.n_cells", str(r.n_cells)),
-        ("burgers.dx", _fmt(r.dx)),
-        ("burgers.shock_position_error", _fmt(r.shock_position_error)),
-        ("burgers.shock_tol", _fmt(r.shock_tol)),
-        ("burgers.rarefaction_l1_error", _fmt(r.rarefaction_l1_error)),
-        ("burgers.rarefaction_tol", _fmt(r.rarefaction_tol)),
-        ("burgers.pass", _fmt_bool(r.passed)),
-    ]
-    return "source-free Riemann sanity against exact solutions", items
-
-
-def _mms_items(r: MmsReport) -> tuple[str, list]:
-    items = [
-        ("mms.cells", ",".join(str(n) for n in r.n_ladder)),
-        ("mms.errors", _fmt_list(r.errors)),
-        ("mms.pair_orders", _fmt_list(r.pair_orders)),
-        ("mms.order", _fmt(r.order)),
-        ("mms.pass", _fmt_bool(r.passed)),
-    ]
-    return "manufactured-solution L1 order", items
-
-
-_REPORT_DISPATCH = (
-    (BalanceReport, _balance_items),
-    (MassBalanceReport, _mass_items),
-    (SupMonitorReport, _sup_items),
-    (EntropyReport, _entropy_items),
-    (StabilityReport, _stability_items),
-    (ConvergenceReport, _convergence_items),
-    (RiemannCheck, _riemann_items),
-    (MmsReport, _mms_items),
-)
+def _fmt_value(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (tuple, list)):
+        return ",".join(_fmt(v) for v in value)
+    return _fmt(value)
 
 
 def report_text(report) -> str:
     """Render a verifier report as a comment header plus key=value lines."""
-    for cls, renderer in _REPORT_DISPATCH:
-        if isinstance(report, cls):
-            title, items = renderer(report)
-            lines = [f"# {title}"]
-            lines += [f"{key}={value}" for key, value in items]
-            return "\n".join(lines) + "\n"
-    raise TypeError(f"no report format for {type(report).__name__}")
+    if type(report) not in _REPORT_FORMATS:
+        raise TypeError(f"no report format for {type(report).__name__}")
+    namespace, title, keys = _REPORT_FORMATS[type(report)]
+    lines = [f"# {title.format(r=report)}"]
+    for entry in keys:
+        key, attr = entry if isinstance(entry, tuple) else (entry, entry)
+        value = getattr(report, attr)
+        if value is None:
+            continue
+        if key.endswith("_"):
+            lines += [f"{namespace}.{key}{i}={_fmt(v)}" for i, v in enumerate(value, start=1)]
+        else:
+            lines.append(f"{namespace}.{key}={_fmt_value(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def write_report(report, path) -> None:
@@ -471,7 +383,7 @@ def _cmd_verify_balance(args) -> int:
     ok = True
     if args.ladder:
         ns = _parse_int_ladder(args.ladder)
-        runs = run_ladder(cfg, ns, max_workers=SWEEP_WORKERS)
+        runs = run_ladder(cfg, ns)
         reports = [lp_balance_ladder(runs, a) for a in cfg.diagnostic_alphas]
         mass_rep = mass_balance_ladder(runs)
     else:
@@ -542,7 +454,7 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args)
     if args.axis == "epsilon":
         ladder = _parse_float_ladder(args.ladder) if args.ladder else EPSILON_LADDER
-        rep = epsilon_convergence(cfg, ladder, max_workers=SWEEP_WORKERS)
+        rep = epsilon_convergence(cfg, ladder)
         rows = ["epsilon,l1_distance_to_limit"]
         rows += [f"{_fmt(e)},{_fmt(d)}" for e, d in zip(rep.params, rep.distances)]
     else:
@@ -551,7 +463,7 @@ def _cmd_sweep(args) -> int:
         else:
             n = cfg.grid.n_cells
             ns = (n, 2 * n, 4 * n)
-        rep = grid_convergence(cfg, ns, max_workers=SWEEP_WORKERS)
+        rep = grid_convergence(cfg, ns)
         rows = ["n_cells_coarse,l1_distance_to_refined"]
         rows += [f"{n},{_fmt(d)}" for n, d in zip(rep.params, rep.distances)]
     write_report(rep, out / f"sweep_{args.axis}.report")

@@ -27,12 +27,7 @@ TAIL_FRACTION_LIMIT = 1e-10
 DEFAULT_V_FLOOR = 1e-12
 EXP_OVERFLOW_LIMIT = 700.0
 
-_PRESET_PARAMS = {
-    "gaussian": ("amplitude", "center", "sigma"),
-    "two-bump": ("amplitude1", "center1", "sigma1", "amplitude2", "center2", "sigma2"),
-    "plateau": ("height", "width", "steepness"),
-}
-
+# preset name -> its parameters, in config order, with their defaults
 PRESET_DEFAULTS = {
     "gaussian": {"amplitude": 0.0, "center": 0.0, "sigma": 1.0},
     "two-bump": {
@@ -197,15 +192,14 @@ class InitialDataSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.preset not in _PRESET_PARAMS:
+        if self.preset not in PRESET_DEFAULTS:
             raise ValueError(
                 f"unknown preset {self.preset!r}; expected one of "
-                f"{sorted(_PRESET_PARAMS)}"
+                f"{sorted(PRESET_DEFAULTS)}"
             )
-        allowed = _PRESET_PARAMS[self.preset]
         merged = dict(PRESET_DEFAULTS[self.preset])
         for name, value in self.params.items():
-            if name not in allowed:
+            if name not in merged:
                 raise ValueError(
                     f"parameter {name!r} is not valid for preset {self.preset!r}"
                 )

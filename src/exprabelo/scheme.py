@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import BlowUpError, ShapeError, StateError
-from .grid_field import FieldV, GridSpec, _readonly
+from .grid_field import FieldV, GridSpec
 from .nonlocal_op import NonlocalP, _prefix_arrays, p_sup
 
 FLUXES = ("godunov", "rusanov")
@@ -49,7 +48,6 @@ class SchemeConfig:
     v_floor: float = 1e-12
     integrator: str = "ssp-rk2"
     reconstruction: str = "minmod"
-    boundary: str = "dirichlet-zero"
     source_enabled: bool = True
     forcing: ForcingFn | None = None
 
@@ -65,8 +63,6 @@ class SchemeConfig:
                 f"reconstruction must be one of {RECONSTRUCTIONS}, "
                 f"got {self.reconstruction!r}"
             )
-        if self.boundary != "dirichlet-zero":
-            raise ValueError(f"unsupported boundary {self.boundary!r}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not (0.0 < self.cfl <= 1.0):
@@ -90,24 +86,6 @@ def rusanov_flux(a, b):
 
 
 _FLUX_FN = {"godunov": godunov_flux, "rusanov": rusanov_flux}
-
-
-@dataclass(frozen=True)
-class RhsBreakdown:
-    """Right-hand side split by mechanism; ``total`` is what the integrator uses."""
-
-    flux_divergence: np.ndarray
-    source: np.ndarray
-    viscous: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "flux_divergence", _readonly(self.flux_divergence))
-        object.__setattr__(self, "source", _readonly(self.source))
-        object.__setattr__(self, "viscous", _readonly(self.viscous))
-
-    @cached_property
-    def total(self) -> np.ndarray:
-        return _readonly(self.flux_divergence + self.source + self.viscous)
 
 
 def _half_minmod_slopes(v: np.ndarray) -> np.ndarray:
@@ -199,8 +177,9 @@ def _rhs_parts(
 
 def semi_discrete_rhs(
     grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig
-) -> RhsBreakdown:
-    """Spatial operator split into flux divergence, source, and viscous parts."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spatial operator split into (flux divergence, source, viscous) parts;
+    the viscous part is zeros when epsilon is zero."""
     if fv.values.shape != (grid.n_cells,):
         raise ShapeError(
             f"field has {fv.values.shape[0]} cells, grid has {grid.n_cells}"
@@ -212,7 +191,7 @@ def semi_discrete_rhs(
     )
     if viscous is None:
         viscous = np.zeros_like(flux_div)
-    return RhsBreakdown(flux_div, source, viscous)
+    return flux_div, source, viscous
 
 
 def cfl_dt(grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig) -> float:

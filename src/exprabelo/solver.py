@@ -29,7 +29,6 @@ class RunConfig:
     final_time: float = 1.0
     snapshot_times: tuple = ()
     diagnostic_alphas: tuple = DEFAULT_ALPHAS
-    seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.final_time) and self.final_time >= 0.0):
@@ -48,7 +47,6 @@ class RunConfig:
             if not (math.isfinite(a) and a >= 0.0):
                 raise ValueError(f"diagnostic alpha must be nonnegative, got {a}")
         object.__setattr__(self, "diagnostic_alphas", alphas)
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 @dataclass(frozen=True)
@@ -225,10 +223,8 @@ class RunResult:
 
     grid: GridSpec
     scheme: SchemeConfig
-    alphas: tuple
     snapshots: tuple
     diagnostics: DiagnosticsSeries
-    config: RunConfig | None = None
 
     def snapshot_at(self, t: float, rtol: float = 1e-12) -> Snapshot:
         for snap in self.snapshots:
@@ -313,7 +309,6 @@ def evolve(
     return RunResult(
         grid=grid,
         scheme=cfg,
-        alphas=tuple(alphas),
         snapshots=tuple(snaps),
         diagnostics=DiagnosticsSeries.from_rows(rows, tuple(alphas)),
     )
@@ -322,7 +317,7 @@ def evolve(
 def run_simulation(cfg: RunConfig) -> RunResult:
     """Build the grid and initial data from a RunConfig and evolve it."""
     v0 = init_field(cfg.grid, cfg.init)
-    result = evolve(
+    return evolve(
         cfg.grid,
         v0,
         cfg.scheme,
@@ -330,4 +325,3 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         cfg.snapshot_times,
         cfg.diagnostic_alphas,
     )
-    return replace(result, config=cfg)

@@ -7,7 +7,6 @@ and exact Riemann oracles for the source-free (pure Burgers) limit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -47,35 +46,34 @@ def dense_snapshot_times(grid: GridSpec, final_time: float) -> tuple:
     return tuple(np.linspace(0.0, final_time, m + 1))
 
 
-def _run_many(configs: Sequence[RunConfig], max_workers: int | None) -> list[RunResult]:
-    """Run a batch of configurations, optionally on a bounded thread pool.
+def _mean_log2_order(values: Sequence[float]) -> float:
+    """Mean log2 ratio of successive entries of a refinement ladder."""
+    ratios = [values[i] / max(values[i + 1], 1e-300) for i in range(len(values) - 1)]
+    return float(np.mean([math.log2(r) for r in ratios]))
 
-    Results come back in input order either way, so ladders built on top are
-    deterministic.
+
+def _run_many(configs: Sequence[RunConfig]) -> list[RunResult]:
+    """Run a batch of configurations one after another, in input order.
+
+    The runs are small-array loops that hold the interpreter lock, so threads
+    would only add contention.
     """
-    if max_workers is None or max_workers <= 1 or len(configs) <= 1:
-        return [run_simulation(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_simulation, configs))
+    return [run_simulation(c) for c in configs]
 
 
-def run_ladder(
-    base: RunConfig,
-    n_ladder: Sequence[int],
-    max_workers: int | None = None,
-) -> list[RunResult]:
+def run_ladder(base: RunConfig, n_ladder: Sequence[int]) -> list[RunResult]:
     """Rerun one configuration across grid resolutions (same domain)."""
     configs = [
         replace(base, grid=build_grid(base.grid.x_min, base.grid.x_max, int(n)))
         for n in n_ladder
     ]
-    return _run_many(configs, max_workers)
+    return _run_many(configs)
 
 
 def cancelling_forcing(grid: GridSpec, v0: FieldV, cfg: SchemeConfig):
     """Forcing that freezes v0: g = -(flux divergence + source + viscous)(v0)."""
-    rhs = semi_discrete_rhs(grid, v0, prefix_integral(grid, v0), cfg)
-    g = -rhs.total
+    flux_div, source, viscous = semi_discrete_rhs(grid, v0, prefix_integral(grid, v0), cfg)
+    g = -(flux_div + source + viscous)
 
     def forcing(t: float, x: np.ndarray) -> np.ndarray:
         return g
@@ -139,11 +137,9 @@ def lp_balance_ladder(runs: Sequence[RunResult], alpha: float) -> BalanceReport:
         raise ValueError("a ladder needs at least two runs")
     reports = [lp_balance_residual(r, alpha) for r in runs]
     terminals = [r.terminal_residual for r in reports]
-    ratios = [terminals[i] / max(terminals[i + 1], 1e-300) for i in range(len(terminals) - 1)]
-    order = float(np.mean([math.log2(r) for r in ratios]))
     return replace(
         reports[-1],
-        order=order,
+        order=_mean_log2_order(terminals),
         level_cells=tuple(r.grid.n_cells for r in runs),
         level_terminals=tuple(terminals),
     )
@@ -210,11 +206,9 @@ def mass_balance_ladder(runs: Sequence[RunResult]) -> MassBalanceReport:
         raise ValueError("a ladder needs at least two runs")
     reports = [mass_balance_identity(r) for r in runs]
     maxima = [r.max_residual for r in reports]
-    ratios = [maxima[i] / max(maxima[i + 1], 1e-300) for i in range(len(maxima) - 1)]
-    order = float(np.mean([math.log2(r) for r in ratios]))
     return replace(
         reports[-1],
-        order=order,
+        order=_mean_log2_order(maxima),
         level_cells=tuple(r.grid.n_cells for r in runs),
         level_maxima=tuple(maxima),
     )
@@ -242,25 +236,15 @@ def sup_principle_monitor(run: RunResult, tol: float = SUP_MONITOR_TOL) -> SupMo
     excess = diag.sup_u - s0
     worst = float(np.max(excess))
     hits = np.nonzero(excess > tol)[0]
-    if hits.size:
-        first = int(hits[0])
-        return SupMonitorReport(
-            sup_u0=s0,
-            max_sup_u=float(np.max(diag.sup_u)),
-            worst_excess=worst,
-            tol=tol,
-            violated=True,
-            first_violation_time=float(diag.times[first]),
-            violation_location=float(diag.sup_u_x[first]),
-        )
+    first = int(hits[0]) if hits.size else None
     return SupMonitorReport(
         sup_u0=s0,
         max_sup_u=float(np.max(diag.sup_u)),
         worst_excess=worst,
         tol=tol,
-        violated=False,
-        first_violation_time=None,
-        violation_location=None,
+        violated=first is not None,
+        first_violation_time=None if first is None else float(diag.times[first]),
+        violation_location=None if first is None else float(diag.sup_u_x[first]),
     )
 
 
@@ -605,25 +589,18 @@ class ConvergenceReport:
     cauchy: tuple | None = None
 
 
-def grid_convergence(
-    base: RunConfig,
-    n_ladder: Sequence[int],
-    max_workers: int | None = None,
-) -> ConvergenceReport:
+def grid_convergence(base: RunConfig, n_ladder: Sequence[int]) -> ConvergenceReport:
     """Self-convergence of final-time v across nested grids (coarsest first)."""
     ns = [int(n) for n in n_ladder]
     if len(ns) < 2 or any(b % a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"grid ladder must be nested, got {ns}")
-    runs = run_ladder(base, ns, max_workers)
+    runs = run_ladder(base, ns)
     dists = []
     for coarse, fine in zip(runs, runs[1:]):
         factor = fine.grid.n_cells // coarse.grid.n_cells
         restricted = restrict_to_coarse(fine.final_state.values, factor)
         dists.append(l1_distance(coarse.grid.dx, restricted, coarse.final_state.values))
-    order = None
-    if len(dists) >= 2:
-        ratios = [dists[i] / max(dists[i + 1], 1e-300) for i in range(len(dists) - 1)]
-        order = float(np.mean([math.log2(r) for r in ratios]))
+    order = _mean_log2_order(dists) if len(dists) >= 2 else None
     monotone = all(a > b for a, b in zip(dists, dists[1:]))
     return ConvergenceReport(
         kind="grid",
@@ -638,7 +615,6 @@ def epsilon_convergence(
     base: RunConfig,
     ladder: Sequence[float] = EPSILON_LADDER,
     min_cells: int = 2048,
-    max_workers: int | None = None,
 ) -> ConvergenceReport:
     """Distances at final time between viscous runs and the inviscid run.
 
@@ -655,7 +631,7 @@ def epsilon_convergence(
             f"got {base.grid.n_cells}"
         )
     configs = [replace(base, scheme=replace(base.scheme, epsilon=e)) for e in (0.0, *eps)]
-    runs = _run_many(configs, max_workers)
+    runs = _run_many(configs)
     limit, viscous = runs[0], runs[1:]
     dx = base.grid.dx
     finals = [r.final_state.values for r in viscous]

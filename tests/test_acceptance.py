@@ -260,7 +260,7 @@ def test_criterion_09_vanishing_viscosity_ladder():
     decreases strictly along the five-rung viscosity ladder."""
     with _Clock(300.0):
         base = stock_config(n_cells=2048)
-        rep = epsilon_convergence(base, EPSILON_LADDER, max_workers=4)
+        rep = epsilon_convergence(base, EPSILON_LADDER)
         pairs = ", ".join(
             f"{e:g}:{d:.3e}" for e, d in zip(rep.params, rep.distances)
         )

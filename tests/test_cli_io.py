@@ -10,6 +10,8 @@ byte-identical.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,14 @@ from exprabelo.cli_io import (
     write_snapshot_csv,
 )
 from exprabelo.verifiers import (
+    BalanceReport,
+    ConvergenceReport,
+    EntropyReport,
+    MassBalanceReport,
+    MmsReport,
+    RiemannCheck,
+    StabilityReport,
+    SupMonitorReport,
     cancelling_forcing,
     grid_convergence,
     l1_stability_check,
@@ -69,7 +79,6 @@ scheme.v_floor = 1e-10
 run.T = 0.5
 run.snapshots = 0, 0.25, 0.5
 diag.alphas = 0, 1
-seed = 3
 """
 
 
@@ -88,7 +97,6 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.final_time == 0.25
     assert cfg.snapshot_times == ()
     assert cfg.diagnostic_alphas == (0.0, 1.0, 2.0)
-    assert cfg.seed == 0
 
 
 def test_parse_full_config():
@@ -99,7 +107,6 @@ def test_parse_full_config():
     assert cfg.scheme.epsilon == 1e-2
     assert cfg.snapshot_times == (0.0, 0.25, 0.5)
     assert cfg.diagnostic_alphas == (0.0, 1.0)
-    assert cfg.seed == 3
 
 
 @pytest.mark.parametrize(
@@ -108,6 +115,7 @@ def test_parse_full_config():
         ("just some words", "key = value"),
         ("grid.n_cells = 64", "duplicate"),
         ("grid.rotation = 7", "unknown key"),
+        ("seed = 3", "unknown key"),
         ("scheme.flux = upwindish", "unknown flux"),
         ("run.snapshots = 0, banana", "banana"),
         ("scheme.epsilon = nan", "nan"),
@@ -259,6 +267,216 @@ def test_grid_convergence_report_key_inventory():
 def test_report_text_rejects_unknown_objects():
     with pytest.raises(TypeError):
         report_text({"not": "a report"})
+
+
+def test_report_text_golden_for_every_report_class():
+    # fixed instances of all eight report classes, covering both sides of
+    # every optional block (ladder order, sup-monitor violation, cauchy)
+    t, r = np.array([0.0, 0.5]), np.array([0.0, 1e-5])
+    balance = BalanceReport(
+        alpha=2.0,
+        times=t,
+        residuals=r,
+        terminal_residual=1e-5,
+        max_residual=2e-5,
+        initial_norm=1 / 3,
+        relative_terminal=3e-5,
+    )
+    mass = MassBalanceReport(
+        times=t,
+        residuals=r,
+        terminal_residual=1e-6,
+        max_residual=2e-6,
+        initial_mass=1.7724538509055159,
+        relative_max=1.1e-6,
+    )
+    cases = [
+        (
+            balance,
+            "# power balance, alpha = 2\n"
+            "balance.alpha=2\n"
+            "balance.initial_norm=0.33333333333333331\n"
+            "balance.terminal_residual=1.0000000000000001e-05\n"
+            "balance.max_residual=2.0000000000000002e-05\n"
+            "balance.relative_terminal=3.0000000000000001e-05\n"
+            "balance.pass=true\n",
+        ),
+        (
+            replace(
+                balance,
+                relative_terminal=0.5,
+                order=1.9876,
+                level_cells=(256, 512),
+                level_terminals=(4e-5, 1e-5),
+            ),
+            "# power balance, alpha = 2\n"
+            "balance.alpha=2\n"
+            "balance.initial_norm=0.33333333333333331\n"
+            "balance.terminal_residual=1.0000000000000001e-05\n"
+            "balance.max_residual=2.0000000000000002e-05\n"
+            "balance.relative_terminal=0.5\n"
+            "balance.order=1.9876\n"
+            "balance.level_cells=256,512\n"
+            "balance.level_terminals=4.0000000000000003e-05,1.0000000000000001e-05\n"
+            "balance.pass=false\n",
+        ),
+        (
+            mass,
+            "# mass balance with integration-by-parts closure\n"
+            "mass_balance.initial_mass=1.7724538509055159\n"
+            "mass_balance.terminal_residual=9.9999999999999995e-07\n"
+            "mass_balance.max_residual=1.9999999999999999e-06\n"
+            "mass_balance.relative_max=1.1000000000000001e-06\n"
+            "mass_balance.pass=true\n",
+        ),
+        (
+            replace(
+                mass,
+                relative_max=0.02,
+                order=2.0,
+                level_cells=(256, 512),
+                level_maxima=(8e-6, 2e-6),
+            ),
+            "# mass balance with integration-by-parts closure\n"
+            "mass_balance.initial_mass=1.7724538509055159\n"
+            "mass_balance.terminal_residual=9.9999999999999995e-07\n"
+            "mass_balance.max_residual=1.9999999999999999e-06\n"
+            "mass_balance.relative_max=0.02\n"
+            "mass_balance.order=2\n"
+            "mass_balance.level_cells=256,512\n"
+            "mass_balance.level_maxima=7.9999999999999996e-06,1.9999999999999999e-06\n"
+            "mass_balance.pass=false\n",
+        ),
+        (
+            SupMonitorReport(0.0, 0.0, 0.0, 1e-10, False, None, None),
+            "# running maximum of u against its initial value\n"
+            "sup_monitor.sup_u0=0\n"
+            "sup_monitor.max_sup_u=0\n"
+            "sup_monitor.worst_excess=0\n"
+            "sup_monitor.tol=1e-10\n"
+            "sup_monitor.violated=false\n",
+        ),
+        (
+            SupMonitorReport(0.0, 0.25, 0.25, 1e-10, True, 0.125, -2.0625),
+            "# running maximum of u against its initial value\n"
+            "sup_monitor.sup_u0=0\n"
+            "sup_monitor.max_sup_u=0.25\n"
+            "sup_monitor.worst_excess=0.25\n"
+            "sup_monitor.tol=1e-10\n"
+            "sup_monitor.violated=true\n"
+            "sup_monitor.first_violation_time=0.125\n"
+            "sup_monitor.violation_location=-2.0625\n",
+        ),
+        (
+            EntropyReport(
+                levels=(-1.0, 0.5),
+                family="tensor-hats-8x8",
+                n_phi=64,
+                dx=0.03125,
+                tolerance=1e-3,
+                min_value=-4e-3,
+                min_by_level=(-4e-3, 2e-3),
+                passed=False,
+            ),
+            "# Kruzhkov weak-form certificate\n"
+            "entropy.family=tensor-hats-8x8\n"
+            "entropy.n_phi=64\n"
+            "entropy.dx=0.03125\n"
+            "entropy.tolerance=0.001\n"
+            "entropy.min_value=-0.0040000000000000001\n"
+            "entropy.margin_ratio=4\n"
+            "entropy.levels=-1,0.5\n"
+            "entropy.min_by_level=-0.0040000000000000001,0.002\n"
+            "entropy.pass=false\n",
+        ),
+        (
+            StabilityReport(
+                R=2.0,
+                T=0.25,
+                c0=2.0,
+                c_of_t=5.0,
+                sup_u0=0.0,
+                sup_w0=-0.5,
+                sample_times=(0.125, 0.25),
+                measured=(1e-3, 2e-3),
+                bound=(0.01, 0.02),
+                bound_wide=(0.02, 0.04),
+                margins=(9e-3, 0.018),
+                passed=True,
+                wide_window_clipped=True,
+            ),
+            "# L1 stability of u against the Gronwall envelope\n"
+            "stability.R=2\n"
+            "stability.T=0.25\n"
+            "stability.C0=2\n"
+            "stability.CT=5\n"
+            "stability.sup_u0=0\n"
+            "stability.sup_w0=-0.5\n"
+            "stability.max_measured=0.002\n"
+            "stability.min_margin=0.0089999999999999993\n"
+            "stability.wide_window_clipped=true\n"
+            "stability.times=0.125,0.25\n"
+            "stability.measured=0.001,0.002\n"
+            "stability.bound=0.01,0.02\n"
+            "stability.bound_wide=0.02,0.040000000000000001\n"
+            "stability.margins=0.0089999999999999993,0.017999999999999999\n"
+            "stability.pass=true\n",
+        ),
+        (
+            ConvergenceReport("grid", (32, 64, 128), (0.04, 0.01), True, order=2.0),
+            "# grid ladder in L1 at final time\n"
+            "convergence.kind=grid\n"
+            "convergence.params=32,64,128\n"
+            "convergence.distance_1=0.040000000000000001\n"
+            "convergence.distance_2=0.01\n"
+            "convergence.order=2\n"
+            "convergence.monotone=true\n"
+            "convergence.pass=true\n",
+        ),
+        (
+            ConvergenceReport("grid", (32, 64), (0.04,), True),
+            "# grid ladder in L1 at final time\n"
+            "convergence.kind=grid\n"
+            "convergence.params=32,64\n"
+            "convergence.distance_1=0.040000000000000001\n"
+            "convergence.monotone=true\n"
+            "convergence.pass=true\n",
+        ),
+        (
+            ConvergenceReport("epsilon", (0.1, 0.01), (0.02, 0.03), False, cauchy=(0.015,)),
+            "# epsilon ladder in L1 at final time\n"
+            "convergence.kind=epsilon\n"
+            "convergence.params=0.10000000000000001,0.01\n"
+            "convergence.distance_1=0.02\n"
+            "convergence.distance_2=0.029999999999999999\n"
+            "convergence.cauchy_1=0.014999999999999999\n"
+            "convergence.monotone=false\n"
+            "convergence.pass=false\n",
+        ),
+        (
+            # a failing numpy shock error makes ``passed`` a numpy bool
+            RiemannCheck(1024, 0.015625, np.float64(0.05), 0.02),
+            "# source-free Riemann sanity against exact solutions\n"
+            "burgers.n_cells=1024\n"
+            "burgers.dx=0.015625\n"
+            "burgers.shock_position_error=0.050000000000000003\n"
+            "burgers.shock_tol=0.03125\n"
+            "burgers.rarefaction_l1_error=0.02\n"
+            "burgers.rarefaction_tol=0.078125\n"
+            "burgers.pass=false\n",
+        ),
+        (
+            MmsReport((256, 512, 1024), (1.89e-3, 4.87e-4, 1.23e-4), (1.95, 1.98), 1.97),
+            "# manufactured-solution L1 order\n"
+            "mms.cells=256,512,1024\n"
+            "mms.errors=0.00189,0.00048700000000000002,0.00012300000000000001\n"
+            "mms.pair_orders=1.95,1.98\n"
+            "mms.order=1.97\n"
+            "mms.pass=true\n",
+        ),
+    ]
+    for report, expected in cases:
+        assert report_text(report) == expected
 
 
 def test_read_report_inverts_write_report(tmp_path):

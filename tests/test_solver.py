@@ -200,11 +200,10 @@ def test_cancelling_forcing_freezes_field_exactly():
     assert report.terminal_residual == 0.0
 
 
-def test_run_simulation_attaches_config_and_alphas():
+def test_run_simulation_normalizes_diagnostic_alphas():
     cfg = stock_config(n_cells=64, final_time=0.25, alphas=(2, 0, 1, 1))
     run = run_simulation(cfg)
-    assert run.config is cfg
-    assert run.alphas == (0.0, 1.0, 2.0)
+    assert run.diagnostics.alphas == (0.0, 1.0, 2.0)
     assert set(run.diagnostics.lp_norms) == {0.0, 1.0, 2.0}
 
 
