@@ -9,7 +9,9 @@ side freezes the field exactly.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from exprabelo.solver import (
 from exprabelo.verifiers import (
     cancelling_forcing,
     lp_balance_residual,
+    mms_forcing,
     riemann_initial,
 )
 
@@ -238,3 +241,63 @@ def test_sup_location_tracks_moving_maximum():
     xs = run.diagnostics.sup_u_x
     assert np.all(np.diff(xs) >= -run.grid.dx * 1.5)
     assert xs[-1] > xs[0]
+
+
+# (epsilon, flux, reconstruction, integrator, source_enabled, forcing) of the
+# runs whose every output bit is pinned below
+GOLDEN_CASES = {
+    "stock": (0.0, "godunov", "minmod", "ssp-rk2", True, False),
+    "viscous": (1e-2, "godunov", "minmod", "ssp-rk2", True, False),
+    "rusanov-none-euler": (0.0, "rusanov", "none", "forward-euler", True, False),
+    "viscous-rusanov-euler-nosource": (1e-2, "rusanov", "minmod", "forward-euler", False, False),
+    "godunov-none-nosource": (0.0, "godunov", "none", "ssp-rk2", False, False),
+    "viscous-rusanov-none": (1e-2, "rusanov", "none", "ssp-rk2", True, False),
+    "viscous-forced": (1e-2, "godunov", "minmod", "ssp-rk2", True, True),
+    "viscous-limited": (1e-1, "godunov", "minmod", "ssp-rk2", True, False),
+}
+
+GOLDEN_DIGESTS = {
+    "godunov-none-nosource": "072a6633368995df749f66b9f4a98e5a7ede35adca185aa6a4ea8681a57a4c21",
+    "rusanov-none-euler": "279abb8dda9867fb5ace4546c8a32cf3210e07e15955b91363d19fcdba118d9c",
+    "stock": "5a9acbf3c8acf59bda247ca7de433827c8aa132ae33a9668e6ae6af500bdf841",
+    "viscous": "fd91c7d458071538a48f64dbb5e158af99775f0e82d82d552c99e0b4cd51541f",
+    "viscous-forced": "a912c276a72483b5b40b8ecf7f14a68c2edc0b3b058646954c4870775af0ae07",
+    "viscous-limited": "0078fa18e1db418c05595a3d7ab2a35aea480131a9f534b39acd69ea1607ae81",
+    "viscous-rusanov-euler-nosource": "ab87f114ed7f99b7aeec1bfd7e68a3fc1b1b68f3bbb6c5f3e4f17b3ec3a8d52a",
+    "viscous-rusanov-none": "fe3debe738cc8c69a6912efacbd8e33cdc3a655387c4b0c24192cdc12b2cf15d",
+}
+
+
+def _output_digest(run) -> str:
+    """sha256 over the final v, all 18 diagnostics columns and every
+    snapshot's u and prefix integral, in a fixed order."""
+    d = run.diagnostics
+    cols = [run.final_state.values, d.times, d.dts, d.sup_u, d.sup_u_x, d.mass,
+            d.boundary_flux, d.p_left, d.p_right, d.clip_counts]
+    for a in d.alphas:
+        cols += [d.lp_norms[a], d.dissipation[a], d.source_integral[a]]
+    for snap in run.snapshots:
+        cols += [snap.field_u.values, snap.p.interface_values, snap.p.cell_values]
+    h = hashlib.sha256()
+    for col in cols:
+        h.update(np.ascontiguousarray(col).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_outputs_are_bitwise_golden(case):
+    # The hot loop may be restructured only through exact IEEE identities,
+    # so every output bit of these small runs must stay as pinned (digests
+    # taken with numpy 2.4 on x86-64).
+    eps, flux, reconstruction, integrator, source, forced = GOLDEN_CASES[case]
+    scheme = SchemeConfig(
+        flux=flux,
+        epsilon=eps,
+        integrator=integrator,
+        reconstruction=reconstruction,
+        source_enabled=source,
+        forcing=mms_forcing(eps) if forced else None,
+    )
+    base = stock_config(256, final_time=0.5, snapshot_times=(0.0, 0.25, 0.5))
+    run = run_simulation(replace(base, scheme=scheme))
+    assert _output_digest(run) == GOLDEN_DIGESTS[case]
