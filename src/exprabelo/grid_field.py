@@ -132,6 +132,17 @@ class FieldV:
         object.__setattr__(self, "values", _readonly(vals))
         object.__setattr__(self, "time", float(self.time))
 
+    @classmethod
+    def _checked(cls, values: np.ndarray, time: float, clip_count: int) -> "FieldV":
+        """Wrap a 1-D float64 array whose producer has already checked that
+        every entry is finite and nonnegative, without scanning it again."""
+        fv = object.__new__(cls)
+        values.setflags(write=False)
+        object.__setattr__(fv, "values", values)
+        object.__setattr__(fv, "time", float(time))
+        object.__setattr__(fv, "clip_count", clip_count)
+        return fv
+
 
 @dataclass(frozen=True)
 class FieldU:
@@ -212,35 +223,18 @@ class InitialDataSpec:
                 raise ValueError(f"parameter {name!r} must be positive")
         object.__setattr__(self, "params", merged)
 
+    # the keyword parameters override the preset's entries in PRESET_DEFAULTS
     @classmethod
-    def gaussian(cls, amplitude: float = 0.0, center: float = 0.0, sigma: float = 1.0):
-        return cls("gaussian", {"amplitude": amplitude, "center": center, "sigma": sigma})
+    def gaussian(cls, **params):
+        return cls("gaussian", params)
 
     @classmethod
-    def two_bump(
-        cls,
-        amplitude1: float = 0.0,
-        center1: float = -2.0,
-        sigma1: float = 1.0,
-        amplitude2: float = 0.0,
-        center2: float = 2.0,
-        sigma2: float = 1.0,
-    ):
-        return cls(
-            "two-bump",
-            {
-                "amplitude1": amplitude1,
-                "center1": center1,
-                "sigma1": sigma1,
-                "amplitude2": amplitude2,
-                "center2": center2,
-                "sigma2": sigma2,
-            },
-        )
+    def two_bump(cls, **params):
+        return cls("two-bump", params)
 
     @classmethod
-    def plateau(cls, height: float = 0.0, width: float = 4.0, steepness: float = 4.0):
-        return cls("plateau", {"height": height, "width": width, "steepness": steepness})
+    def plateau(cls, **params):
+        return cls("plateau", params)
 
     def profile(self, x: np.ndarray) -> np.ndarray:
         """Evaluate v(0, x) pointwise."""

@@ -28,13 +28,18 @@ class NonlocalP:
         object.__setattr__(self, "cell_values", _readonly(self.cell_values))
 
 
-def _prefix_arrays(grid: GridSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    interface = np.empty(grid.n_cells + 1, dtype=np.float64)
+def _prefix_arrays(
+    grid: GridSpec, v: np.ndarray, interface: np.ndarray, cells: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fill the n+1 interface and n cell buffers; ``cells`` first holds the
+    cell masses v dx."""
+    anchor = grid.anchor_index
     interface[0] = 0.0
-    np.cumsum(v * grid.dx, out=interface[1:])
-    interface -= interface[grid.anchor_index]
-    interface[grid.anchor_index] = 0.0  # anchored exactly, independent of rounding
-    cells = 0.5 * (interface[:-1] + interface[1:])
+    np.add.accumulate(np.multiply(v, grid.dx, out=cells), out=interface[1:])
+    interface -= interface[anchor]
+    interface[anchor] = 0.0  # anchored exactly, independent of rounding
+    np.add(interface[:-1], interface[1:], out=cells)
+    cells *= 0.5
     return interface, cells
 
 
@@ -44,8 +49,8 @@ def prefix_integral(grid: GridSpec, fv: FieldV) -> NonlocalP:
         raise ShapeError(
             f"field has {fv.values.shape[0]} cells, grid has {grid.n_cells}"
         )
-    interface, cells = _prefix_arrays(grid, fv.values)
-    return NonlocalP(interface, cells)
+    n = grid.n_cells
+    return NonlocalP(*_prefix_arrays(grid, fv.values, np.empty(n + 1), np.empty(n)))
 
 
 def p_sup(p: NonlocalP) -> float:

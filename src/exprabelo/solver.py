@@ -13,7 +13,7 @@ import numpy as np
 from .errors import BoundaryFluxWarning, DataGapError, StateError
 from .grid_field import FieldU, FieldV, GridSpec, InitialDataSpec, init_field, u_from_v
 from .nonlocal_op import NonlocalP, prefix_integral
-from .scheme import SchemeConfig, cfl_dt, interface_fluxes, step
+from .scheme import SchemeConfig, Workspace, cfl_dt, interface_fluxes, step
 
 BOUNDARY_LEAK_THRESHOLD = 1e-8
 DEFAULT_ALPHAS = (0.0, 1.0, 2.0)
@@ -155,46 +155,47 @@ def record_diagnostics(
     cfg: SchemeConfig,
     dt: float,
     alphas: tuple = DEFAULT_ALPHAS,
+    ws: Workspace | None = None,
 ) -> DiagnosticsRow:
-    """Compute one diagnostics row for the current state."""
+    """Compute one diagnostics row for the current state.
+
+    ``ws`` is the run's workspace (a fresh one when omitted); the interface
+    fluxes computed here for the boundary flux stay in it for the next step.
+    """
+    if ws is None or ws.power_pad.shape[0] != len(alphas):
+        ws = Workspace(grid.n_cells, len(alphas))
     v = fv.values
     dx = grid.dx
-    vmax = float(v.max())
-    sup_u = math.log(max(vmax, cfg.v_floor))
-    sup_u_x = float(grid.centers[int(v.argmax())])
-    mass = float(v.sum() * dx)
+    imax = int(v.argmax())
+    sup_u = math.log(max(float(v[imax]), cfg.v_floor))
+    sup_u_x = float(grid.centers[imax])
+    mass = float(v.sum()) * dx
 
-    # the boundary fluxes depend only on the two cells next to each boundary
-    # (a grid has at least 4 cells), so the fluxes of those four cells give
-    # them bit for bit
-    flux = interface_fluxes(
-        np.concatenate((v[:2], v[-2:])), cfg.flux, cfg.reconstruction
-    )
+    flux = interface_fluxes(v, cfg.flux, cfg.reconstruction, ws)
     boundary = float(abs(flux[0]) + abs(flux[-1]))
 
+    # one zero-padded row per alpha holds v^(a+1); D+ of a padded row is the
+    # forward difference over every interface. Each row reduces on its own.
+    pad = ws.power_pad
+    powers = pad[:, 1:-1]
+    for power, a in zip(powers, alphas):
+        np.power(v, a + 1.0, out=power)
+    lp = [s * dx for s in np.add.reduce(powers, axis=1).tolist()]
     if cfg.epsilon > 0.0:
-        # one zero-padded buffer holds v, then each power; D+ of the padded
-        # array is the forward difference over every interface
-        pad = np.zeros(v.size + 2)
-        pad[1:-1] = v
-        dv = np.subtract(pad[1:], pad[:-1])
-        dw = np.empty_like(dv)
-
-    lp, diss, src = [], [], []
-    for a in alphas:
-        power = v ** (a + 1.0)
-        lp.append(float(power.sum() * dx))
-        if cfg.epsilon > 0.0:
-            pad[1:-1] = power
-            np.subtract(pad[1:], pad[:-1], out=dw)
-            dw *= dv
-            diss.append(float(cfg.epsilon * (a + 1.0) * dw.sum() / dx))
-        else:
-            diss.append(0.0)
-        if cfg.source_enabled:
-            src.append(float((a + 1.0) * (power * p.cell_values).sum() * dx))
-        else:
-            src.append(0.0)
+        ws.v_pad[1:-1] = v
+        dv = np.subtract(ws.v_pad[1:], ws.v_pad[:-1], out=ws.dv)
+        dw = np.subtract(pad[:, 1:], pad[:, :-1], out=ws.dw)
+        dw *= dv
+        sums = np.add.reduce(dw, axis=1).tolist()
+        diss = [cfg.epsilon * (a + 1.0) * s / dx for a, s in zip(alphas, sums)]
+    else:
+        diss = [0.0] * len(alphas)
+    if cfg.source_enabled:
+        weighted = np.multiply(powers, p.cell_values, out=ws.weighted)
+        sums = np.add.reduce(weighted, axis=1).tolist()
+        src = [(a + 1.0) * s * dx for a, s in zip(alphas, sums)]
+    else:
+        src = [0.0] * len(alphas)
 
     row = DiagnosticsRow(
         time=fv.time,
@@ -270,9 +271,10 @@ def evolve(
         if not (0.0 <= t <= final_time):
             raise ValueError(f"snapshot time {t} outside [0, {final_time}]")
 
+    ws = Workspace(grid.n_cells, len(alphas))
     fv = v0
     p = prefix_integral(grid, fv)
-    rows = [record_diagnostics(grid, fv, p, cfg, 0.0, alphas)]
+    rows = [record_diagnostics(grid, fv, p, cfg, 0.0, alphas, ws)]
     snaps = []
     if events[0] == 0.0:
         snaps.append(_make_snapshot(grid, fv, p, cfg))
@@ -288,11 +290,11 @@ def evolve(
         else:
             dt = dt_stable
             landing = False
-        fv = step(grid, fv, cfg, dt, p)
+        fv = step(grid, fv, cfg, dt, p, ws)
         if landing:
             fv = replace(fv, time=target)
         p = prefix_integral(grid, fv)
-        row = record_diagnostics(grid, fv, p, cfg, dt, alphas)
+        row = record_diagnostics(grid, fv, p, cfg, dt, alphas, ws)
         rows.append(row)
         max_boundary = max(max_boundary, row.boundary_flux)
         if landing:

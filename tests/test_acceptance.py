@@ -113,7 +113,6 @@ def test_criterion_02_nonlocal_operator():
         assert order >= 1.8
 
 
-@pytest.mark.filterwarnings("ignore::exprabelo.errors.BoundaryFluxWarning")
 def test_criterion_03_pure_burgers_sanity():
     """With source and viscosity off, the shock lands within 2 dx and the
     rarefaction within 5 dx in L1 at 1024 cells."""

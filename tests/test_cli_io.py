@@ -10,12 +10,13 @@ byte-identical.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from exprabelo.errors import ConfigError, GridAlignmentError
+from exprabelo.errors import BoundaryFluxWarning, ConfigError, GridAlignmentError
 from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig
@@ -611,10 +612,12 @@ def test_sweep_epsilon_ladder(tmp_path):
     assert len(ladder) == 3
 
 
-@pytest.mark.filterwarnings("ignore::exprabelo.errors.BoundaryFluxWarning")
 def test_burgers_sanity_subcommand(tmp_path):
+    # the Riemann fixtures touch the boundary by design and must not warn
     out = tmp_path / "out"
-    assert dispatch(["burgers-sanity", "--out", str(out), "--cells", "256"]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", BoundaryFluxWarning)
+        assert dispatch(["burgers-sanity", "--out", str(out), "--cells", "256"]) == 0
     rep = read_report(out / "burgers.report")
     assert rep["burgers.pass"] == "true"
     assert float(rep["burgers.shock_position_error"]) <= float(rep["burgers.shock_tol"])

@@ -21,6 +21,7 @@ from exprabelo import (
     u_from_v,
     v_from_u,
 )
+from exprabelo.grid_field import PRESET_DEFAULTS
 
 
 def test_basic_grid_geometry():
@@ -131,6 +132,20 @@ def test_unknown_preset_and_bad_param_rejected():
         InitialDataSpec("gaussian", {"centre": 0.0})
     with pytest.raises(ValueError):
         InitialDataSpec.gaussian(sigma=0.0)
+
+
+def test_preset_constructors_take_their_defaults_from_the_one_table():
+    for ctor, name in (
+        (InitialDataSpec.gaussian, "gaussian"),
+        (InitialDataSpec.two_bump, "two-bump"),
+        (InitialDataSpec.plateau, "plateau"),
+    ):
+        assert ctor() == InitialDataSpec(name)
+        assert ctor().params == PRESET_DEFAULTS[name]
+    spec = InitialDataSpec.two_bump(center2=3.0)
+    assert spec.params == {**PRESET_DEFAULTS["two-bump"], "center2": 3.0}
+    with pytest.raises(ValueError):
+        InitialDataSpec.plateau(sigma=1.0)
 
 
 def test_tail_fraction_against_closed_form():

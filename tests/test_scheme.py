@@ -24,7 +24,7 @@ from exprabelo import (
     semi_discrete_rhs,
     step,
 )
-from exprabelo.scheme import face_states
+from exprabelo.scheme import Workspace, face_states
 from exprabelo.solver import record_diagnostics
 
 
@@ -320,6 +320,61 @@ def test_blow_up_reports_first_cell_and_time():
         step(g, fv, cfg, 1e-3)
     assert exc.value.cell_index == 3
     assert exc.value.time == pytest.approx(1e-3)
+
+
+def test_stepped_field_is_checked_in_step_only(monkeypatch):
+    # step clips and checks its output once; the FieldV it returns is not
+    # rescanned by the constructor's validation
+    g = build_grid(-2.0, 2.0, 8)
+    v = np.full(8, 1e-15)
+    v[4] = 1.0
+    fv = FieldV(v, 0.0)
+    cfg = SchemeConfig(epsilon=1e-2)
+    scans = []
+    original = FieldV.__post_init__
+    monkeypatch.setattr(FieldV, "__post_init__", lambda self: scans.append(original(self)))
+    out = step(g, fv, cfg, 1e-3)
+    assert scans == []
+    assert out.clip_count > 0
+    assert out.values.dtype == np.float64 and out.values.shape == (8,)
+    assert np.all(np.isfinite(out.values)) and np.all(out.values >= cfg.v_floor)
+    with pytest.raises(ValueError):
+        out.values[0] = 1.0
+
+    def nan_forcing(t, x):
+        out = np.zeros_like(x)
+        out[5] = np.nan
+        return out
+
+    # the NaN that stage one puts in cell 5 reaches cells 3..7 through the
+    # two-cell reach of the minmod stage-two rate
+    with pytest.raises(BlowUpError) as exc:
+        step(g, fv, SchemeConfig(forcing=nan_forcing), 1e-3)
+    assert exc.value.cell_index == 3
+
+
+@pytest.mark.parametrize("integrator", ["forward-euler", "ssp-rk2"])
+def test_shared_workspace_matches_a_fresh_one_bitwise(integrator):
+    # a run's workspace carries buffers and the fluxes of the last
+    # diagnostics row from call to call; none of that may leak into results
+    rng = np.random.default_rng(83)
+    g = build_grid(-2.0, 2.0, 32)
+    fv = FieldV(rng.uniform(0.5, 1.5, 32), 0.0)
+    p = prefix_integral(g, fv)
+    godunov = SchemeConfig(integrator=integrator, epsilon=1e-2)
+    rusanov = SchemeConfig(integrator=integrator, flux="rusanov")
+    dt = 0.5 * cfl_dt(g, fv, p, godunov)
+    ws = Workspace(g.n_cells)
+    record_diagnostics(g, fv, p, godunov, 0.0, ws=ws)
+    first = step(g, fv, godunov, dt, p, ws)
+    kept = first.values.copy()
+    # the cached godunov fluxes of fv must not serve a rusanov step
+    other = step(g, fv, rusanov, dt, p, ws)
+    second = step(g, first, godunov, dt, None, ws)
+    assert np.array_equal(first.values, kept)
+    assert np.array_equal(first.values, step(g, fv, godunov, dt, p).values)
+    assert np.array_equal(other.values, step(g, fv, rusanov, dt).values)
+    assert np.array_equal(second.values, step(g, first, godunov, dt).values)
 
 
 def test_step_rejects_bad_dt():

@@ -10,8 +10,12 @@ side freezes the field exactly.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import importlib.util
 import math
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,8 @@ from exprabelo.errors import (
 from exprabelo.grid_field import FieldV, GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig, interface_fluxes
+import exprabelo.scheme
+import exprabelo.solver
 from exprabelo.solver import (
     DiagnosticsSeries,
     RunConfig,
@@ -301,3 +307,47 @@ def test_outputs_are_bitwise_golden(case):
     base = stock_config(256, final_time=0.5, snapshot_times=(0.0, 0.25, 0.5))
     run = run_simulation(replace(base, scheme=scheme))
     assert _output_digest(run) == GOLDEN_DIGESTS[case]
+
+
+def _traced_targets():
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_traced_functions_exist_and_evolve_calls_them_through_module_bindings(monkeypatch):
+    # the benchmark's tracer wraps these names at their module bindings; a
+    # missing name breaks the traced run, and a call that bypasses the
+    # binding goes unseen (solver.steps would read 0)
+    for _, module, attr, _ in _traced_targets():
+        assert callable(getattr(importlib.import_module(f"exprabelo.{module}"), attr))
+
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("step", "cfl_dt", "prefix_integral", "record_diagnostics", "interface_fluxes"):
+        count(exprabelo.solver, name)
+    count(exprabelo.scheme, "interface_fluxes")  # the second stage of each step
+    run = run_simulation(stock_config(64, epsilon=1e-2, final_time=0.25, snapshot_times=(0.125,)))
+    rows = run.diagnostics.times.size
+    steps = rows - 1
+    assert steps > 2
+    # one flux evaluation per diagnostics row, reused by the next step's
+    # first stage, and one for each second stage
+    assert calls == {
+        "step": steps,
+        "cfl_dt": steps,
+        "prefix_integral": rows,
+        "record_diagnostics": rows,
+        "interface_fluxes": 2 * steps + 1,
+    }

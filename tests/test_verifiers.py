@@ -402,7 +402,6 @@ def test_riemann_initial_places_the_step():
     np.testing.assert_array_equal(v0.values, [2, 2, 2, 2, 1, 1, 1, 1])
 
 
-@pytest.mark.filterwarnings("ignore::exprabelo.errors.BoundaryFluxWarning")
 def test_burgers_sanity_coarse_grid():
     check = burgers_sanity(n_cells=256)
     assert check.shock_position_error <= check.shock_tol
