@@ -84,11 +84,11 @@ class GridSpec:
                 f"x_max = {sx_max:.17g}"
             )
 
-    @property
+    @cached_property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
 
-    @property
+    @cached_property
     def anchor_index(self) -> int:
         # interface index whose coordinate is exactly 0
         return round(-self.x_min / self.dx)

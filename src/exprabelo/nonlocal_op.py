@@ -55,4 +55,4 @@ def prefix_integral(grid: GridSpec, fv: FieldV) -> NonlocalP:
 
 def p_sup(p: NonlocalP) -> float:
     """Max |P| over cell midpoints; feeds the source branch of the CFL bound."""
-    return float(np.max(np.abs(p.cell_values)))
+    return float(np.abs(p.cell_values).max())

@@ -143,7 +143,9 @@ _FLUX_FN = {"godunov": _godunov, "rusanov": _rusanov}
 
 
 def _pointwise_flux(kernel, a, b):
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64))
+    a, b = np.broadcast_arrays(
+        np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    )
     out = np.empty(a.shape)
     kernel(a.copy(), b.copy(), out, np.empty(a.shape))
     return out[()]
@@ -295,7 +297,7 @@ def cfl_dt(grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig) -> float
     """Stable step size: cfl times the tightest of the convective, viscous,
     and source restrictions."""
     v = fv.values
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise StateError("field is non-finite; cannot size a time step")
     vmax = float(v.max())
     if vmax <= 0.0:

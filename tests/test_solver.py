@@ -60,8 +60,9 @@ def test_source_integral_telescopes_to_boundary_prefix_values(stock_run_256):
 @pytest.mark.parametrize("reconstruction", ["none", "minmod"])
 @pytest.mark.parametrize("flux", ["godunov", "rusanov"])
 def test_boundary_flux_matches_the_full_interface_fluxes(flux, reconstruction):
-    # the diagnostics read the boundary fluxes from the cells next to each
-    # boundary only; that must agree bitwise with the full evaluation
+    # the diagnostics read the boundary fluxes from their own full
+    # evaluation, which the next step's first stage reuses; standalone they
+    # must agree bitwise with a fresh one
     rng = np.random.default_rng(13)
     cfg = SchemeConfig(flux=flux, reconstruction=reconstruction)
     for n in (4, 6, 64):
