@@ -178,9 +178,20 @@ def _half_minmod_slopes(v: np.ndarray, ws: Workspace) -> np.ndarray:
     return np.minimum(lo, hi, out=lo)
 
 
-def _face_states(
-    v: np.ndarray, reconstruction: str, ws: Workspace
+def face_states(
+    v: np.ndarray, reconstruction: str = "minmod", ws: Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """States on the left and right of each of the n+1 interfaces.
+
+    With ``"none"`` interface i+1/2 sees the cell values v_i and v_(i+1).
+    With ``"minmod"`` it sees v_i + s_i and v_(i+1) - s_(i+1), where s is half
+    the minmod-limited slope; each state lies between the two neighbouring
+    cell values, so nonnegative cells give nonnegative states. The ghost
+    cells carry zero value and zero slope. With a workspace the states are
+    ``ws.left`` and ``ws.right``.
+    """
+    if ws is None:
+        ws = Workspace(v.size)
     left, right = ws.left, ws.right
     left[0] = 0.0
     right[-1] = 0.0
@@ -198,20 +209,6 @@ def _face_states(
     return left, right
 
 
-def face_states(
-    v: np.ndarray, reconstruction: str = "minmod"
-) -> tuple[np.ndarray, np.ndarray]:
-    """States on the left and right of each of the n+1 interfaces.
-
-    With ``"none"`` interface i+1/2 sees the cell values v_i and v_(i+1).
-    With ``"minmod"`` it sees v_i + s_i and v_(i+1) - s_(i+1), where s is half
-    the minmod-limited slope; each state lies between the two neighbouring
-    cell values, so nonnegative cells give nonnegative states. The ghost
-    cells carry zero value and zero slope.
-    """
-    return _face_states(v, reconstruction, Workspace(v.size))
-
-
 def interface_fluxes(
     v: np.ndarray,
     flux: str,
@@ -224,7 +221,7 @@ def interface_fluxes(
     if ws is None:
         ws = Workspace(v.size)
     kernel = _FLUX_FN[flux]
-    left, right = _face_states(v, reconstruction, ws)
+    left, right = face_states(v, reconstruction, ws)
     kernel(left, right, ws.flux, ws.flux_tmp)
     ws.flux_of = (v, flux, reconstruction)
     return ws.flux
