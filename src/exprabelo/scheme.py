@@ -112,7 +112,7 @@ class Workspace:
 
 
 # The flux kernels evaluate f(v) = v^2 / 2 as (0.5 v) v into ``out``, using
-# ``a``, ``b`` and ``tmp`` as scratch (their contents are destroyed).
+# ``a``, ``b`` and ``tmp`` as work arrays (their contents are destroyed).
 def _godunov(a, b, out, tmp):
     np.maximum(a, 0.0, out=a)
     np.multiply(a, 0.5, out=out)
@@ -129,13 +129,13 @@ def _rusanov(a, b, out, tmp):
     np.multiply(b, 0.5, out=tmp)
     tmp *= b
     out += tmp
-    out *= 0.5
+    out *= 0.5                      # 0.5 (f(a) + f(b))
     np.abs(a, out=tmp)
-    np.subtract(b, a, out=a)
+    np.subtract(b, a, out=a)        # a now holds b - a
     np.abs(b, out=b)
     np.maximum(tmp, b, out=tmp)
     tmp *= 0.5
-    tmp *= a
+    tmp *= a                        # 0.5 max(|a|, |b|) (b - a)
     return np.subtract(out, tmp, out=out)
 
 
