@@ -250,26 +250,36 @@ def test_sup_location_tracks_moving_maximum():
     assert xs[-1] > xs[0]
 
 
-# (epsilon, flux, reconstruction, integrator, source_enabled, forcing) of the
-# runs whose every output bit is pinned below
+# (n_cells, epsilon, flux, reconstruction, integrator, source_enabled,
+# forcing) of the runs whose every output bit is pinned below. At 256 cells
+# dx is a power of two, which makes scaling by dx exact; the 240-cell runs
+# (dx = 1/15) also pin the order of the operations that involve dx.
 GOLDEN_CASES = {
-    "stock": (0.0, "godunov", "minmod", "ssp-rk2", True, False),
-    "viscous": (1e-2, "godunov", "minmod", "ssp-rk2", True, False),
-    "rusanov-none-euler": (0.0, "rusanov", "none", "forward-euler", True, False),
-    "viscous-rusanov-euler-nosource": (1e-2, "rusanov", "minmod", "forward-euler", False, False),
-    "godunov-none-nosource": (0.0, "godunov", "none", "ssp-rk2", False, False),
-    "viscous-rusanov-none": (1e-2, "rusanov", "none", "ssp-rk2", True, False),
-    "viscous-forced": (1e-2, "godunov", "minmod", "ssp-rk2", True, True),
-    "viscous-limited": (1e-1, "godunov", "minmod", "ssp-rk2", True, False),
+    "stock": (256, 0.0, "godunov", "minmod", "ssp-rk2", True, False),
+    "viscous": (256, 1e-2, "godunov", "minmod", "ssp-rk2", True, False),
+    "rusanov-none-euler": (256, 0.0, "rusanov", "none", "forward-euler", True, False),
+    "viscous-rusanov-euler-nosource": (
+        256, 1e-2, "rusanov", "minmod", "forward-euler", False, False),
+    "godunov-none-nosource": (256, 0.0, "godunov", "none", "ssp-rk2", False, False),
+    "viscous-rusanov-none": (256, 1e-2, "rusanov", "none", "ssp-rk2", True, False),
+    "viscous-forced": (256, 1e-2, "godunov", "minmod", "ssp-rk2", True, True),
+    "viscous-limited": (256, 1e-1, "godunov", "minmod", "ssp-rk2", True, False),
+    "viscous-240": (240, 1e-2, "godunov", "minmod", "ssp-rk2", True, False),
+    "viscous-limited-rusanov-euler-240": (
+        240, 1e-1, "rusanov", "minmod", "forward-euler", True, False),
+    "forced-none-nosource-240": (240, 1e-2, "godunov", "none", "ssp-rk2", False, True),
 }
 
 GOLDEN_DIGESTS = {
+    "forced-none-nosource-240": "c3c011d72f4ddd82a85eb5f7a64b0e97a2a3dff0a5a09ae496e59da35a3beeb8",
     "godunov-none-nosource": "072a6633368995df749f66b9f4a98e5a7ede35adca185aa6a4ea8681a57a4c21",
     "rusanov-none-euler": "279abb8dda9867fb5ace4546c8a32cf3210e07e15955b91363d19fcdba118d9c",
     "stock": "5a9acbf3c8acf59bda247ca7de433827c8aa132ae33a9668e6ae6af500bdf841",
     "viscous": "fd91c7d458071538a48f64dbb5e158af99775f0e82d82d552c99e0b4cd51541f",
+    "viscous-240": "517ed887c81cb4484cd1250461bc1c76699b028589f6244ca7b5361a62185991",
     "viscous-forced": "a912c276a72483b5b40b8ecf7f14a68c2edc0b3b058646954c4870775af0ae07",
     "viscous-limited": "0078fa18e1db418c05595a3d7ab2a35aea480131a9f534b39acd69ea1607ae81",
+    "viscous-limited-rusanov-euler-240": "c0a7056afb0c3bf090ca740648248bba975312d66b924d69282b04321632b37f",
     "viscous-rusanov-euler-nosource": "ab87f114ed7f99b7aeec1bfd7e68a3fc1b1b68f3bbb6c5f3e4f17b3ec3a8d52a",
     "viscous-rusanov-none": "fe3debe738cc8c69a6912efacbd8e33cdc3a655387c4b0c24192cdc12b2cf15d",
 }
@@ -296,7 +306,7 @@ def test_outputs_are_bitwise_golden(case):
     # The hot loop may be restructured only through exact IEEE identities,
     # so every output bit of these small runs must stay as pinned (digests
     # taken with numpy 2.4 on x86-64).
-    eps, flux, reconstruction, integrator, source, forced = GOLDEN_CASES[case]
+    n_cells, eps, flux, reconstruction, integrator, source, forced = GOLDEN_CASES[case]
     scheme = SchemeConfig(
         flux=flux,
         epsilon=eps,
@@ -305,7 +315,7 @@ def test_outputs_are_bitwise_golden(case):
         source_enabled=source,
         forcing=mms_forcing(eps) if forced else None,
     )
-    base = stock_config(256, final_time=0.5, snapshot_times=(0.0, 0.25, 0.5))
+    base = stock_config(n_cells, final_time=0.5, snapshot_times=(0.0, 0.25, 0.5))
     run = run_simulation(replace(base, scheme=scheme))
     assert _output_digest(run) == GOLDEN_DIGESTS[case]
 
