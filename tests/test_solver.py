@@ -20,6 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import exprabelo.scheme
+import exprabelo.solver
 from exprabelo.errors import (
     BoundaryFluxWarning,
     DataGapError,
@@ -28,8 +30,6 @@ from exprabelo.errors import (
 from exprabelo.grid_field import FieldV, GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig, interface_fluxes
-import exprabelo.scheme
-import exprabelo.solver
 from exprabelo.solver import (
     DiagnosticsSeries,
     RunConfig,
