@@ -123,39 +123,29 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SCALAR_KEYS and key not in init_keys:
             raise ConfigError(f"unknown key {key!r}", line_no)
 
-    def get(key: str, default):
-        if key not in pairs:
-            return default
+    def get(key: str):
         raw, line_no = pairs[key]
         return _parse_scalar(_SCALAR_KEYS.get(key, float), key, raw, line_no)
 
-    flux = get("scheme.flux", "godunov")
-    if flux not in FLUXES:
+    def given(keys: dict) -> dict:
+        """{argument: parsed value} for the document keys that are present, so
+        that absent ones take the constructor's own default."""
+        return {arg: get(key) for key, arg in keys.items() if key in pairs}
+
+    scheme = given({f"scheme.{name}": name for name in ("flux", "epsilon", "cfl", "v_floor")})
+    if "flux" in scheme and scheme["flux"] not in FLUXES:
         raise ConfigError(
-            f"unknown flux {flux!r}; expected one of {list(FLUXES)}",
+            f"unknown flux {scheme['flux']!r}; expected one of {list(FLUXES)}",
             pairs["scheme.flux"][1],
         )
-    init_params = {
-        name: _parse_scalar(float, f"init.{name}", *pairs[f"init.{name}"])
-        for name in PRESET_DEFAULTS[preset_raw]
-        if f"init.{name}" in pairs
-    }
-    grid = build_grid(
-        get("grid.x_min", None), get("grid.x_max", None), get("grid.n_cells", None)
-    )
-    scheme = SchemeConfig(
-        flux=flux,
-        epsilon=get("scheme.epsilon", 0.0),
-        cfl=get("scheme.cfl", 0.4),
-        v_floor=get("scheme.v_floor", 1e-12),
-    )
     return RunConfig(
-        grid=grid,
-        init=InitialDataSpec(preset_raw, init_params),
-        scheme=scheme,
-        final_time=get("run.T", None),
-        snapshot_times=get("run.snapshots", ()),
-        diagnostic_alphas=get("diag.alphas", (0.0, 1.0, 2.0)),
+        grid=build_grid(get("grid.x_min"), get("grid.x_max"), get("grid.n_cells")),
+        init=InitialDataSpec(
+            preset_raw, given({f"init.{name}": name for name in PRESET_DEFAULTS[preset_raw]})
+        ),
+        scheme=SchemeConfig(**scheme),
+        final_time=get("run.T"),
+        **given({"run.snapshots": "snapshot_times", "diag.alphas": "diagnostic_alphas"}),
     )
 
 
@@ -196,41 +186,11 @@ def read_snapshot_csv(path) -> tuple:
 
 
 def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
-    """Per-step diagnostics table, one fixed column block per alpha."""
-    header = [
-        "time",
-        "dt",
-        "sup_u",
-        "sup_u_x",
-        "mass",
-        "boundary_flux",
-        "p_left",
-        "p_right",
-        "clip_count",
-    ]
-    for a in series.alphas:
-        tag = "%g" % a
-        header += [f"lp_a{tag}", f"dissipation_a{tag}", f"source_a{tag}"]
-    rows = [",".join(header)]
-    for i in range(series.times.size):
-        cells = [
-            _fmt(series.times[i]),
-            _fmt(series.dts[i]),
-            _fmt(series.sup_u[i]),
-            _fmt(series.sup_u_x[i]),
-            _fmt(series.mass[i]),
-            _fmt(series.boundary_flux[i]),
-            _fmt(series.p_left[i]),
-            _fmt(series.p_right[i]),
-            str(int(series.clip_counts[i])),
-        ]
-        for a in series.alphas:
-            cells += [
-                _fmt(series.lp_norms[a][i]),
-                _fmt(series.dissipation[a][i]),
-                _fmt(series.source_integral[a][i]),
-            ]
-        rows.append(",".join(cells))
+    """Per-step diagnostics table, one CSV column per ``series.columns()``
+    entry; integer columns are written as integers."""
+    names, cols = zip(*series.columns())
+    text = [map(str if col.dtype.kind == "i" else _fmt, col.tolist()) for col in cols]
+    rows = [",".join(names)] + [",".join(cells) for cells in zip(*text)]
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BoundaryFluxWarning, DataGapError, StateError
+from .errors import BoundaryFluxWarning, DataGapError, ShapeError, StateError
 from .grid_field import FieldU, FieldV, GridSpec, InitialDataSpec, init_field, u_from_v
 from .nonlocal_op import NonlocalP, prefix_integral
 from .scheme import SchemeConfig, Workspace, cfl_dt, interface_fluxes, step
@@ -43,9 +43,14 @@ class RunConfig:
         alphas = tuple(sorted({float(a) for a in self.diagnostic_alphas}))
         if not alphas:
             raise ValueError("diagnostic_alphas must be non-empty")
+        tags = {}
         for a in alphas:
             if not (math.isfinite(a) and a >= 0.0):
                 raise ValueError(f"diagnostic alpha must be nonnegative, got {a}")
+            tag = f"{a:g}"  # names the alpha's diagnostics columns and report files
+            if tag in tags:
+                raise ValueError(f"diagnostic alphas {tags[tag]!r} and {a!r} share the tag a{tag}")
+            tags[tag] = a
         object.__setattr__(self, "diagnostic_alphas", alphas)
 
 
@@ -61,20 +66,15 @@ class Snapshot:
     p: NonlocalP
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    time: float
-    dt: float
-    sup_u: float
-    sup_u_x: float
-    mass: float
-    boundary_flux: float
-    p_left: float
-    p_right: float
-    clip_count: int
-    lp_norms: tuple
-    dissipation: tuple
-    source_integral: tuple
+# diagnostics.csv columns in file order, as (csv name, DiagnosticsSeries
+# attribute): the fixed columns, then one block per alpha whose names carry
+# the suffix _a%g and whose attributes are dicts keyed by alpha
+FIXED_COLUMNS = (
+    ("time", "times"), ("dt", "dts"), ("sup_u", "sup_u"), ("sup_u_x", "sup_u_x"),
+    ("mass", "mass"), ("boundary_flux", "boundary_flux"), ("p_left", "p_left"),
+    ("p_right", "p_right"), ("clip_count", "clip_counts"),
+)
+ALPHA_COLUMNS = (("lp", "lp_norms"), ("dissipation", "dissipation"), ("source", "source_integral"))
 
 
 @dataclass(frozen=True)
@@ -115,37 +115,29 @@ class DiagnosticsSeries:
             raise DataGapError("diagnostics series is empty")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise StateError("diagnostic times must be strictly increasing")
-        cols = [self.dts, self.sup_u, self.sup_u_x, self.mass, self.boundary_flux,
-                self.p_left, self.p_right]
-        cols += [self.lp_norms[a] for a in self.alphas]
-        cols += [self.dissipation[a] for a in self.alphas]
-        cols += [self.source_integral[a] for a in self.alphas]
-        for col in cols:
+        for _, col in self.columns():
+            if np.shape(col) != t.shape:  # the CSV writer zips the columns
+                raise ShapeError("every diagnostic column needs one entry per time")
             if not np.all(np.isfinite(col)):
                 raise StateError("non-finite diagnostic entry")
 
+    def columns(self) -> list:
+        """(csv name, column) pairs in diagnostics.csv order."""
+        cols = [(name, getattr(self, attr)) for name, attr in FIXED_COLUMNS]
+        for a in self.alphas:
+            cols += [(f"{name}_a{a:g}", getattr(self, attr)[a]) for name, attr in ALPHA_COLUMNS]
+        return cols
+
     @classmethod
     def from_rows(cls, rows: list, alphas: tuple) -> "DiagnosticsSeries":
-        take = lambda name: np.array([getattr(r, name) for r in rows], dtype=np.float64)
-        per_alpha = lambda name: {
-            a: np.array([getattr(r, name)[j] for r in rows], dtype=np.float64)
-            for j, a in enumerate(alphas)
-        }
-        return cls(
-            alphas=tuple(alphas),
-            times=take("time"),
-            dts=take("dt"),
-            sup_u=take("sup_u"),
-            sup_u_x=take("sup_u_x"),
-            mass=take("mass"),
-            boundary_flux=take("boundary_flux"),
-            p_left=take("p_left"),
-            p_right=take("p_right"),
-            clip_counts=np.array([r.clip_count for r in rows], dtype=np.int64),
-            lp_norms=per_alpha("lp_norms"),
-            dissipation=per_alpha("dissipation"),
-            source_integral=per_alpha("source_integral"),
-        )
+        """Transpose rows laid out like ``columns()`` into a series."""
+        data = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
+        fields = {attr: col for (_, attr), col in zip(FIXED_COLUMNS, data)}
+        fields["clip_counts"] = fields["clip_counts"].astype(np.int64)
+        blocks = data[len(FIXED_COLUMNS):].reshape(len(alphas), len(ALPHA_COLUMNS), -1)
+        for j, (_, attr) in enumerate(ALPHA_COLUMNS):
+            fields[attr] = dict(zip(alphas, blocks[:, j]))
+        return cls(alphas=tuple(alphas), **fields)
 
 
 def record_diagnostics(
@@ -156,8 +148,9 @@ def record_diagnostics(
     dt: float,
     alphas: tuple = DEFAULT_ALPHAS,
     ws: Workspace | None = None,
-) -> DiagnosticsRow:
-    """Compute one diagnostics row for the current state.
+) -> list:
+    """Compute one diagnostics row for the current state, laid out like
+    ``DiagnosticsSeries.columns()``.
 
     ``ws`` is the run's workspace (a fresh one when omitted); the interface
     fluxes computed here for the boundary flux stay in it for the next step.
@@ -197,21 +190,11 @@ def record_diagnostics(
     else:
         src = [0.0] * len(alphas)
 
-    row = DiagnosticsRow(
-        time=fv.time,
-        dt=float(dt),
-        sup_u=sup_u,
-        sup_u_x=sup_u_x,
-        mass=mass,
-        boundary_flux=boundary,
-        p_left=float(p.interface_values[0]),
-        p_right=float(p.interface_values[-1]),
-        clip_count=fv.clip_count,
-        lp_norms=tuple(lp),
-        dissipation=tuple(diss),
-        source_integral=tuple(src),
-    )
-    for val in (row.sup_u, row.mass, row.boundary_flux):
+    row = [fv.time, float(dt), sup_u, sup_u_x, mass, boundary,
+           float(p.interface_values[0]), float(p.interface_values[-1]), fv.clip_count]
+    for block in zip(lp, diss, src):
+        row += block
+    for val in (sup_u, mass, boundary):
         if not math.isfinite(val):
             raise StateError(f"non-finite diagnostic at t = {fv.time:.6g}")
     return row
@@ -280,7 +263,6 @@ def evolve(
         snaps.append(_make_snapshot(grid, fv, p, cfg))
         events.pop(0)
 
-    max_boundary = rows[0].boundary_flux
     while events:
         target = events[0]
         dt_stable = cfl_dt(grid, fv, p, cfg)
@@ -294,13 +276,13 @@ def evolve(
         if landing:
             fv = replace(fv, time=target)
         p = prefix_integral(grid, fv)
-        row = record_diagnostics(grid, fv, p, cfg, dt, alphas, ws)
-        rows.append(row)
-        max_boundary = max(max_boundary, row.boundary_flux)
+        rows.append(record_diagnostics(grid, fv, p, cfg, dt, alphas, ws))
         if landing:
             snaps.append(_make_snapshot(grid, fv, p, cfg))
             events.pop(0)
 
+    series = DiagnosticsSeries.from_rows(rows, tuple(alphas))
+    max_boundary = series.boundary_flux.max()
     if max_boundary > BOUNDARY_LEAK_THRESHOLD:
         warnings.warn(
             f"boundary flux reached {max_boundary:.3e} "
@@ -312,7 +294,7 @@ def evolve(
         grid=grid,
         scheme=cfg,
         snapshots=tuple(snaps),
-        diagnostics=DiagnosticsSeries.from_rows(rows, tuple(alphas)),
+        diagnostics=series,
     )
 
 

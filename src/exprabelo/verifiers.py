@@ -512,6 +512,9 @@ def l1_stability_check(
     C0 = e^(sup u0) + e^(sup w0) and C(T) = 2R + 2 C0 T. The domain must
     contain the widened window (-R - C0 T, R + C0 T).
     """
+    if not (math.isfinite(R) and R > 0.0):
+        # an empty window would certify nothing yet pass
+        raise DomainError(f"stability window radius R must be finite and positive, got {R}")
     if run_u.grid != run_w.grid:
         raise DomainError("stability comparison needs a shared grid")
     grid = run_u.grid

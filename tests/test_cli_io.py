@@ -20,7 +20,7 @@ from exprabelo.errors import BoundaryFluxWarning, ConfigError, GridAlignmentErro
 from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig
-from exprabelo.solver import run_simulation
+from exprabelo.solver import DEFAULT_ALPHAS, run_simulation
 from exprabelo.cli_io import (
     CSV_HEADER,
     dispatch,
@@ -98,6 +98,9 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.final_time == 0.25
     assert cfg.snapshot_times == ()
     assert cfg.diagnostic_alphas == (0.0, 1.0, 2.0)
+    # absent keys take the library's own defaults, not a restated copy
+    assert cfg.scheme == SchemeConfig()
+    assert cfg.diagnostic_alphas == DEFAULT_ALPHAS
 
 
 def test_parse_full_config():
@@ -219,6 +222,29 @@ def test_diagnostics_csv_header_lists_alpha_blocks(tmp_path):
     )
     n_rows = len(path.read_text().splitlines()) - 1
     assert n_rows == run.diagnostics.times.size
+
+    cfg = stock_config(n_cells=64, final_time=0.25, alphas=(0, 0.5, 2))
+    write_diagnostics_csv(run_simulation(cfg).diagnostics, path)
+    assert path.read_text().splitlines()[0].split(",")[9:] == [
+        "lp_a0", "dissipation_a0", "source_a0",
+        "lp_a0.5", "dissipation_a0.5", "source_a0.5",
+        "lp_a2", "dissipation_a2", "source_a2",
+    ]
+
+
+def test_diagnostics_csv_round_trip_is_bitwise(tmp_path):
+    cfg = stock_config(n_cells=64, epsilon=1e-2, final_time=0.25, alphas=(0, 0.5, 2))
+    series = run_simulation(cfg).diagnostics
+    path = tmp_path / "diag.csv"
+    write_diagnostics_csv(series, path)
+    header, *lines = path.read_text().splitlines()
+    texts = zip(*(line.split(",") for line in lines))
+    assert header.split(",") == [name for name, _ in series.columns()]
+    assert series.clip_counts.dtype == np.int64
+    for (name, col), text in zip(series.columns(), texts, strict=True):
+        parse = int if name == "clip_count" else float
+        back = np.array([parse(tok) for tok in text], dtype=col.dtype)
+        assert back.tobytes() == np.ascontiguousarray(col).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +649,15 @@ def test_burgers_sanity_subcommand(tmp_path):
     assert float(rep["burgers.shock_position_error"]) <= float(rep["burgers.shock_tol"])
 
 
+@pytest.mark.parametrize("radius", ["0", "-1", "nan"])
+def test_verify_stability_rejects_an_empty_window(tmp_path, radius):
+    cfg = _write_cfg(tmp_path)
+    out = tmp_path / "out"
+    code = dispatch(["verify", "stability", cfg, "--cfg2", cfg, "--out", str(out), "--R", radius])
+    assert code == 2
+    assert not (out / "stability.report").exists()
+
+
 def test_usage_errors_exit_two(tmp_path):
     out = str(tmp_path / "out")
     cfg = _write_cfg(tmp_path)
@@ -632,6 +667,9 @@ def test_usage_errors_exit_two(tmp_path):
     assert dispatch(["verify", "stability", cfg, "--out", out]) == 2  # missing --cfg2
     bad = _write_cfg(tmp_path, name="bad.cfg", text="grid.x_min = -8\n")
     assert dispatch(["simulate", bad, "--out", out]) == 2
+    # 1 and 1.0000001 would share the columns lp_a1, dissipation_a1, source_a1
+    collide = _write_cfg(tmp_path, name="collide.cfg", text=MINIMAL + "diag.alphas = 1, 1.0000001\n")
+    assert dispatch(["simulate", collide, "--out", out]) == 2
 
 
 def test_viscous_entropy_request_exits_two(tmp_path):

@@ -25,7 +25,7 @@ from exprabelo import (
     step,
 )
 from exprabelo.scheme import Workspace, face_states
-from exprabelo.solver import record_diagnostics
+from exprabelo.solver import DiagnosticsSeries, record_diagnostics
 
 
 def f(v):
@@ -120,12 +120,13 @@ def test_dissipation_column_is_what_the_viscous_term_removes(v, eps):
     cfg = SchemeConfig(epsilon=eps, source_enabled=False)
     _, _, viscous = semi_discrete_rhs(g, fv, p, cfg)
     alphas = (0.0, 0.5, 1.0, 2.0)
-    row = record_diagnostics(g, fv, p, cfg, 0.0, alphas)
-    for a, diss in zip(alphas, row.dissipation):
+    row = DiagnosticsSeries.from_rows([record_diagnostics(g, fv, p, cfg, 0.0, alphas)], alphas)
+    for a in alphas:
+        diss = row.dissipation[a][0]
         terms = (a + 1.0) * v**a * viscous * g.dx
         scale = np.sum(np.abs(terms))
         assert abs(diss + np.sum(terms)) <= 1e-12 * scale + 1e-300
-    assert row.source_integral == (0.0,) * len(alphas)
+    assert [row.source_integral[a][0] for a in alphas] == [0.0] * len(alphas)
 
 
 def test_rhs_parts_add_up_and_constant_state_example():

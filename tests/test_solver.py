@@ -25,12 +25,14 @@ import exprabelo.solver
 from exprabelo.errors import (
     BoundaryFluxWarning,
     DataGapError,
+    ShapeError,
     StateError,
 )
 from exprabelo.grid_field import FieldV, GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig, interface_fluxes
 from exprabelo.solver import (
+    DEFAULT_ALPHAS,
     DiagnosticsSeries,
     RunConfig,
     evolve,
@@ -69,8 +71,9 @@ def test_boundary_flux_matches_the_full_interface_fluxes(flux, reconstruction):
         grid = GridSpec(-1.0, 1.0, n)
         fv = FieldV(rng.uniform(0.0, 2.0, n), 0.0)
         row = record_diagnostics(grid, fv, prefix_integral(grid, fv), cfg, 0.0)
+        series = DiagnosticsSeries.from_rows([row], DEFAULT_ALPHAS)
         full = interface_fluxes(fv.values, flux, reconstruction)
-        assert row.boundary_flux == abs(full[0]) + abs(full[-1])
+        assert series.boundary_flux[0] == abs(full[0]) + abs(full[-1])
 
 
 def test_snapshots_land_bitwise_on_requested_times(stock_run_256):
@@ -181,6 +184,11 @@ def test_diagnostics_series_rejects_bad_rows():
     with pytest.raises(StateError):
         DiagnosticsSeries(**tainted)
 
+    ragged = dict(good)
+    ragged["dissipation"] = {0.0: np.zeros(3)}
+    with pytest.raises(ShapeError):
+        DiagnosticsSeries(**ragged)
+
 
 def test_cancelling_forcing_freezes_field_exactly():
     # With the source switched off, no viscosity, and a forcing equal to
@@ -231,6 +239,9 @@ def test_run_config_normalizes_and_validates():
         RunConfig(grid=grid, init=init, diagnostic_alphas=())
     with pytest.raises(ValueError):
         RunConfig(grid=grid, init=init, diagnostic_alphas=(-1.0,))
+    # 1 and 1.0000001 both print as a1, so their columns and reports collide
+    with pytest.raises(ValueError, match=r"1\.0 and 1\.0000001"):
+        RunConfig(grid=grid, init=init, diagnostic_alphas=(1.0, 1.0000001))
 
 
 def test_clip_counts_are_integer_valued(stock_run_256):
@@ -286,13 +297,9 @@ GOLDEN_DIGESTS = {
 
 
 def _output_digest(run) -> str:
-    """sha256 over the final v, all 18 diagnostics columns and every
-    snapshot's u and prefix integral, in a fixed order."""
-    d = run.diagnostics
-    cols = [run.final_state.values, d.times, d.dts, d.sup_u, d.sup_u_x, d.mass,
-            d.boundary_flux, d.p_left, d.p_right, d.clip_counts]
-    for a in d.alphas:
-        cols += [d.lp_norms[a], d.dissipation[a], d.source_integral[a]]
+    """sha256 over the final v, every diagnostics column in file order and
+    every snapshot's u and prefix integral."""
+    cols = [run.final_state.values] + [col for _, col in run.diagnostics.columns()]
     for snap in run.snapshots:
         cols += [snap.field_u.values, snap.p.interface_values, snap.p.cell_values]
     h = hashlib.sha256()

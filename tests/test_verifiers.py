@@ -317,6 +317,16 @@ def test_stability_rejects_window_leaving_domain():
         l1_stability_check(run_a, run_b, R=100.0, T=0.25, sample_times=(0.25,))
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
+def test_stability_rejects_an_empty_or_undefined_window(R):
+    # the window |x| < R is empty for R <= 0: the certificate would check
+    # nothing and pass
+    cfg = stock_config(n_cells=64, final_time=0.25, snapshot_times=(0.0, 0.25))
+    run = run_simulation(cfg)
+    with pytest.raises(DomainError, match="finite and positive"):
+        l1_stability_check(run, run, R=R, T=0.25, sample_times=(0.25,))
+
+
 # ---------------------------------------------------------------------------
 # convergence ladders
 # ---------------------------------------------------------------------------
