@@ -1,4 +1,4 @@
-"""Semi-discrete finite-volume scheme and explicit time stepping for
+"""Semi-discrete finite-volume scheme and its time stepping for
 
     dv/dt + d/dx (v^2 / 2) = -v * P[v] + epsilon * v * d2v/dx2,
 
@@ -10,6 +10,13 @@ The interface states fed to the flux are either the raw cell values
 (``reconstruction="none"``, a first-order monotone scheme) or a MUSCL
 reconstruction limited by minmod (``"minmod"``, the default; van Leer 1979),
 which is second order on smooth data and TVD under the same CFL rule.
+
+Convection and the source are stepped explicitly. With epsilon > 0 the
+viscous term is linearly implicit: each implicit stage solves a tridiagonal
+M-matrix system (``implicit_viscous_solve``), coupled to the explicit part by
+the IMEX Runge-Kutta scheme ARS(2,2,2) (Ascher, Ruuth and Spiteri 1997), or
+by IMEX Euler under ``integrator="forward-euler"``. The step size then comes
+from the convective and source limits alone.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dgtsv
 
 from .errors import BlowUpError, ShapeError, StateError
 from .grid_field import FieldV, GridSpec
@@ -27,6 +35,10 @@ from .nonlocal_op import NonlocalP, _prefix_arrays, p_sup
 FLUXES = ("godunov", "rusanov")
 INTEGRATORS = ("forward-euler", "ssp-rk2")
 RECONSTRUCTIONS = ("none", "minmod")
+
+# ARS(2,2,2): the implicit diagonal gamma and the explicit weight delta
+GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
 
 ForcingFn = Callable[[float, np.ndarray], np.ndarray]
 
@@ -96,9 +108,11 @@ class Workspace:
         self.flux_of = None  # (v, flux, reconstruction) that ``flux`` belongs to
         self.rate = np.empty(n)
         self.source = np.empty(n)
-        self.lap = np.empty(n)
-        self.viscous = np.empty(n)
         self.stage = np.empty(n)
+        self.implicit = np.empty(n)      # second ARS(2,2,2) stage value
+        self.acc = np.empty(n)           # right-hand side of the last stage
+        self.off = np.empty(n)           # off-diagonals and diagonal of the
+        self.diag = np.empty(n)          # implicit viscous solve
         self.p_interface = np.empty(n + 1)
         self.p_cells = np.empty(n)
         self.mask = np.empty(n, dtype=bool)
@@ -234,9 +248,9 @@ def _rhs_parts(
     p_cells: np.ndarray | None,
     cfg: SchemeConfig,
     ws: Workspace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Flux divergence, source and viscous parts, in workspace buffers; the
-    viscous part is None when epsilon is zero."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flux divergence and source (forcing included), the parts that are
+    stepped explicitly, in workspace buffers."""
     dx = grid.dx
     cached = ws.flux_of
     if cached is not None and cached[0] is v and cached[1:] == (cfg.flux, cfg.reconstruction):
@@ -256,19 +270,7 @@ def _rhs_parts(
         source.fill(0.0)
     if cfg.forcing is not None:
         source += cfg.forcing(t, grid.centers)
-
-    if cfg.epsilon == 0.0:
-        return flux_div, source, None
-    lap = ws.lap
-    np.multiply(v[1:-1], 2.0, out=lap[1:-1])
-    np.subtract(v[2:], lap[1:-1], out=lap[1:-1])
-    lap[1:-1] += v[:-2]
-    lap[0] = v[1] - 2.0 * v[0]           # zero ghost on the left
-    lap[-1] = v[-2] - 2.0 * v[-1]        # zero ghost on the right
-    viscous = np.multiply(v, cfg.epsilon, out=ws.viscous)
-    viscous *= lap
-    viscous /= dx * dx
-    return flux_div, source, viscous
+    return flux_div, source
 
 
 def semi_discrete_rhs(
@@ -282,25 +284,21 @@ def semi_discrete_rhs(
         )
     if p.cell_values.shape != (grid.n_cells,):
         raise ShapeError("nonlocal operator was built on a different grid")
-    flux_div, source, viscous = _rhs_parts(
-        grid, fv.values, fv.time, p.cell_values, cfg, Workspace(grid.n_cells)
-    )
-    if viscous is None:
-        viscous = np.zeros_like(flux_div)
-    return flux_div, source, viscous
+    v = fv.values
+    flux_div, source = _rhs_parts(grid, v, fv.time, p.cell_values, cfg, Workspace(v.size))
+    padded = np.concatenate(([0.0], v, [0.0]))  # zero ghosts
+    lap = padded[:-2] - 2.0 * v + padded[2:]
+    return flux_div, source, cfg.epsilon * v * lap / (grid.dx * grid.dx)
 
 
 def cfl_dt(grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig) -> float:
-    """Stable step size: cfl times the tightest of the convective, viscous,
-    and source restrictions."""
+    """Stable step size: cfl times the tighter of the convective and source
+    restrictions. The viscous term is implicit and sets no limit."""
     vmax = float(fv.values.max())
     if vmax <= 0.0:
         raise StateError("max v must be positive to size a time step")
     dx = grid.dx
-    limit = min(dx / vmax, 1.0 / (p_sup(p) + 1e-30))
-    if cfg.epsilon > 0.0:
-        limit = min(limit, dx * dx / (2.0 * cfg.epsilon * vmax))
-    return cfg.cfl * limit
+    return cfg.cfl * min(dx / vmax, 1.0 / (p_sup(p) + 1e-30))
 
 
 def _rate(
@@ -311,11 +309,91 @@ def _rate(
     cfg: SchemeConfig,
     ws: Workspace,
 ) -> np.ndarray:
-    flux_div, source, viscous = _rhs_parts(grid, v, t, p_cells, cfg, ws)
-    total = np.add(flux_div, source, out=flux_div)
-    if viscous is not None:
-        total += viscous
-    return total
+    """The explicit rate: flux divergence plus source, in ``ws.rate``."""
+    flux_div, source = _rhs_parts(grid, v, t, p_cells, cfg, ws)
+    return np.add(flux_div, source, out=flux_div)
+
+
+def implicit_viscous_solve(
+    w: np.ndarray,
+    rhs: np.ndarray,
+    coef: float,
+    out: np.ndarray | None = None,
+    ws: Workspace | None = None,
+) -> np.ndarray:
+    """Solve (I - coef diag(w) L) x = rhs, L x_i = x_(i-1) - 2 x_i + x_(i+1)
+    with zero ghosts, by LAPACK's tridiagonal ``dgtsv``.
+
+    Row i has diagonal 1 + 2 coef w_i and off-diagonals -coef w_i. For
+    w >= 0 and coef >= 0 that is a strictly diagonally dominant matrix with
+    nonpositive off-diagonals, an M-matrix, whose inverse is nonnegative:
+    rhs >= 0 gives x >= 0. Each row is divided by its diagonal first. Its
+    off-diagonals then lie in [-1/2, 0], so the elimination never swaps rows
+    and only ever adds nonnegative terms, and x >= 0 holds in floating point
+    too. ``out`` may be ``w`` itself, which is read before ``out`` is written.
+    """
+    if ws is None:
+        ws = Workspace(w.size)
+    if out is None:
+        out = np.empty(w.size)
+    off = np.multiply(w, -coef, out=ws.off)
+    diag = np.multiply(off, -2.0, out=ws.diag)
+    diag += 1.0
+    off /= diag
+    np.divide(rhs, diag, out=out)
+    diag.fill(1.0)
+    dgtsv(off[1:], diag, off[:-1], out, overwrite_d=1, overwrite_b=1)
+    return out
+
+
+def _implicit_stage(
+    start: np.ndarray, rhs: np.ndarray, coef: float, out: np.ndarray, ws: Workspace
+) -> np.ndarray:
+    """Solve x - coef x L x = rhs linearly: freeze the coefficient x at the
+    stage's start value, then once more at that first solution. With a single
+    frozen solve the step loses its second order in time."""
+    implicit_viscous_solve(start, rhs, coef, out, ws)
+    return implicit_viscous_solve(out, rhs, coef, out, ws)
+
+
+def _imex_step(
+    grid: GridSpec,
+    v: np.ndarray,
+    t: float,
+    e1: np.ndarray,
+    cfg: SchemeConfig,
+    dt: float,
+    ws: Workspace,
+    out: np.ndarray,
+) -> np.ndarray:
+    """One IMEX step into ``out``, given the explicit rate ``e1`` = E(v).
+
+    Write V(r, c) for the solution x of x - c dt eps x D+D-x = r (see
+    ``_implicit_stage``). IMEX Euler, under ``"forward-euler"``, returns
+    V(v + dt E(v), 1). Otherwise this is ARS(2,2,2), with g = GAMMA and
+    d = DELTA:
+        r2 = v + g dt E(v),                                   V2 = V(r2, g)
+        r3 = v + dt (d E(v) + (1-d) E(V2)) + (1-g) dt K2,    K2 = (V2 - r2) / (g dt)
+    and the new value is V(r3, g), the last stage (stiffly accurate). E(V2)
+    is evaluated at time t + g dt.
+    """
+    coef = cfg.epsilon * dt / (grid.dx * grid.dx)
+    if cfg.integrator == "forward-euler":
+        rhs = np.multiply(e1, dt, out=ws.stage)
+        rhs += v
+        return _implicit_stage(v, rhs, coef, out, ws)
+    acc = np.multiply(e1, DELTA * dt, out=ws.acc)
+    acc += v
+    r2 = np.multiply(e1, GAMMA * dt, out=ws.stage)
+    r2 += v
+    v2 = _implicit_stage(v, r2, GAMMA * coef, ws.implicit, ws)
+    k2 = np.subtract(v2, r2, out=ws.stage)
+    k2 *= (1.0 - GAMMA) / GAMMA                      # (1 - g) dt K2
+    acc += k2
+    e2 = _rate(grid, v2, t + GAMMA * dt, None, cfg, ws)
+    e2 *= (1.0 - DELTA) * dt
+    acc += e2
+    return _implicit_stage(v2, acc, GAMMA * coef, out, ws)
 
 
 def step(
@@ -327,6 +405,10 @@ def step(
     ws: Workspace | None = None,
 ) -> FieldV:
     """Advance one step of size dt; the nonlocal operator is rebuilt per stage.
+
+    With epsilon = 0 this is SSP-RK2 (Heun) or forward Euler. With
+    epsilon > 0 the viscous term is implicit (``_imex_step``): ARS(2,2,2)
+    under ``"ssp-rk2"``, IMEX Euler under ``"forward-euler"``.
 
     ``p``, when given, must be the prefix integral of ``fv``; the first stage
     then reuses it instead of rebuilding it. ``ws`` is the run's workspace
@@ -343,7 +425,9 @@ def step(
     v, t = fv.values, fv.time
     r1 = _rate(grid, v, t, None if p is None else p.cell_values, cfg, ws)
     out = np.empty(v.size)
-    if cfg.integrator == "ssp-rk2":
+    if cfg.epsilon > 0.0:
+        _imex_step(grid, v, t, r1, cfg, dt, ws, out)
+    elif cfg.integrator == "ssp-rk2":
         stage = np.multiply(r1, dt, out=ws.stage)
         stage += v
         r2 = _rate(grid, stage, t + dt, None, cfg, ws)

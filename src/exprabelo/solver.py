@@ -19,6 +19,25 @@ BOUNDARY_LEAK_THRESHOLD = 1e-8
 DEFAULT_ALPHAS = (0.0, 1.0, 2.0)
 
 
+def _normalize_alphas(alphas) -> tuple:
+    """The distinct alphas as sorted floats, which fixes the diagnostics
+    column order. Raises ValueError when there are none, when one is
+    negative or not finite, or when two share a ``%g`` tag, which names
+    their diagnostics columns and report files."""
+    alphas = tuple(sorted({float(a) for a in alphas}))
+    if not alphas:
+        raise ValueError("diagnostic_alphas must be non-empty")
+    tags = {}
+    for a in alphas:
+        if not (math.isfinite(a) and a >= 0.0):
+            raise ValueError(f"diagnostic alpha must be nonnegative, got {a}")
+        tag = f"{a:g}"
+        if tag in tags:
+            raise ValueError(f"diagnostic alphas {tags[tag]!r} and {a!r} share the tag a{tag}")
+        tags[tag] = a
+    return alphas
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A complete run description: grid, initial data, scheme, and outputs."""
@@ -40,18 +59,7 @@ class RunConfig:
                     f"snapshot time {t} outside [0, {self.final_time}]"
                 )
         object.__setattr__(self, "snapshot_times", times)
-        alphas = tuple(sorted({float(a) for a in self.diagnostic_alphas}))
-        if not alphas:
-            raise ValueError("diagnostic_alphas must be non-empty")
-        tags = {}
-        for a in alphas:
-            if not (math.isfinite(a) and a >= 0.0):
-                raise ValueError(f"diagnostic alpha must be nonnegative, got {a}")
-            tag = f"{a:g}"  # names the alpha's diagnostics columns and report files
-            if tag in tags:
-                raise ValueError(f"diagnostic alphas {tags[tag]!r} and {a!r} share the tag a{tag}")
-            tags[tag] = a
-        object.__setattr__(self, "diagnostic_alphas", alphas)
+        object.__setattr__(self, "diagnostic_alphas", _normalize_alphas(self.diagnostic_alphas))
 
 
 @dataclass(frozen=True)
@@ -243,7 +251,8 @@ def evolve(
 
     The CFL-stable step is shortened (never stretched) to hit snapshot times
     and the final time, so snapshot timestamps equal the requests bitwise.
-    A diagnostics row is recorded for the initial state and after every step.
+    A diagnostics row is recorded for the initial state and after every step,
+    with the alphas normalized as in ``_normalize_alphas``.
     """
     if not (math.isfinite(final_time) and final_time >= 0.0):
         raise ValueError(f"final_time must be finite and >= 0, got {final_time}")
@@ -253,6 +262,7 @@ def evolve(
     for t in events:
         if not (0.0 <= t <= final_time):
             raise ValueError(f"snapshot time {t} outside [0, {final_time}]")
+    alphas = _normalize_alphas(alphas)
 
     ws = Workspace(grid.n_cells, len(alphas))
     fv = v0
@@ -281,7 +291,7 @@ def evolve(
             snaps.append(_make_snapshot(grid, fv, p, cfg))
             events.pop(0)
 
-    series = DiagnosticsSeries.from_rows(rows, tuple(alphas))
+    series = DiagnosticsSeries.from_rows(rows, alphas)
     max_boundary = series.boundary_flux.max()
     if max_boundary > BOUNDARY_LEAK_THRESHOLD:
         warnings.warn(

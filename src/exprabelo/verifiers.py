@@ -23,6 +23,7 @@ from .solver import RunConfig, RunResult, evolve, run_simulation
 
 SQRT_PI = math.sqrt(math.pi)
 EPSILON_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+EPSILON_LADDER_MIN_CELLS = 2048  # below this the grid's own dissipation swamps eps = 1e-3
 SUP_MONITOR_TOL = 1e-10
 
 
@@ -618,7 +619,6 @@ def grid_convergence(base: RunConfig, n_ladder: Sequence[int]) -> ConvergenceRep
 def epsilon_convergence(
     base: RunConfig,
     ladder: Sequence[float] = EPSILON_LADDER,
-    min_cells: int = 2048,
 ) -> ConvergenceReport:
     """Distances at final time between viscous runs and the inviscid run.
 
@@ -629,9 +629,9 @@ def epsilon_convergence(
     eps = [float(e) for e in ladder]
     if any(a <= b for a, b in zip(eps, eps[1:])) or any(e <= 0.0 for e in eps):
         raise ValueError(f"epsilon ladder must be positive and decreasing, got {eps}")
-    if base.grid.n_cells < min_cells:
+    if base.grid.n_cells < EPSILON_LADDER_MIN_CELLS:
         raise ValueError(
-            f"epsilon ladder needs a fine grid (>= {min_cells} cells), "
+            f"epsilon ladder needs a fine grid (>= {EPSILON_LADDER_MIN_CELLS} cells), "
             f"got {base.grid.n_cells}"
         )
     configs = [replace(base, scheme=replace(base.scheme, epsilon=e)) for e in (0.0, *eps)]

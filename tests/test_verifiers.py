@@ -22,6 +22,7 @@ from exprabelo.scheme import SchemeConfig, semi_discrete_rhs
 from exprabelo.solver import run_simulation
 from exprabelo.verifiers import (
     EPSILON_LADDER,
+    EPSILON_LADDER_MIN_CELLS,
     _hat_at,
     _hat_integral,
     burgers_riemann_oracle,
@@ -351,17 +352,17 @@ def test_grid_convergence_contracts_on_smooth_data():
 
 def test_epsilon_convergence_validates_inputs():
     base = stock_config(n_cells=256, final_time=0.25)
-    with pytest.raises(ValueError):
-        epsilon_convergence(base, ladder=(1e-3, 1e-2), min_cells=256)
-    with pytest.raises(ValueError):
-        epsilon_convergence(base, ladder=(1e-2, -1e-3), min_cells=256)
-    with pytest.raises(ValueError):
-        epsilon_convergence(base, min_cells=2048)  # grid too coarse
+    with pytest.raises(ValueError, match="positive and decreasing"):
+        epsilon_convergence(base, ladder=(1e-3, 1e-2))
+    with pytest.raises(ValueError, match="positive and decreasing"):
+        epsilon_convergence(base, ladder=(1e-2, -1e-3))
+    with pytest.raises(ValueError, match=r"needs a fine grid \(>= 2048 cells\), got 256"):
+        epsilon_convergence(base)
 
 
 def test_epsilon_convergence_small_ladder():
-    base = stock_config(n_cells=256, final_time=0.25)
-    report = epsilon_convergence(base, ladder=(3e-2, 1e-2), min_cells=256)
+    base = stock_config(n_cells=EPSILON_LADDER_MIN_CELLS, final_time=0.25)
+    report = epsilon_convergence(base, ladder=(3e-2, 1e-2))
     assert report.kind == "epsilon"
     assert len(report.distances) == 2
     assert report.cauchy is not None and len(report.cauchy) == 1
