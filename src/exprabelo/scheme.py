@@ -6,17 +6,16 @@ with P[v] the signed prefix integral anchored at x = 0. The convective flux
 f(v) = v^2 / 2 is convex with its sonic point at v = 0, which is what the
 Godunov formula below encodes. Boundaries are Dirichlet-zero ghost cells.
 
-The interface states fed to the flux are either the raw cell values
-(``reconstruction="none"``, a first-order monotone scheme) or a MUSCL
-reconstruction limited by minmod (``"minmod"``, the default; van Leer 1979),
-which is second order on smooth data and TVD under the same CFL rule.
+The interface states fed to the flux come from a MUSCL reconstruction
+limited by minmod (van Leer 1979), which is second order on smooth data and
+TVD under the CFL rule of ``cfl_dt``.
 
-Convection and the source are stepped explicitly. With epsilon > 0 the
-viscous term is linearly implicit: each implicit stage solves a tridiagonal
-M-matrix system (``implicit_viscous_solve``), coupled to the explicit part by
-the IMEX Runge-Kutta scheme ARS(2,2,2) (Ascher, Ruuth and Spiteri 1997), or
-by IMEX Euler under ``integrator="forward-euler"``. The step size then comes
-from the convective and source limits alone.
+Convection and the source are stepped explicitly, by SSP-RK2 (Heun) when
+epsilon is zero. With epsilon > 0 the viscous term is linearly implicit:
+each implicit stage solves a tridiagonal M-matrix system
+(``implicit_viscous_solve``), coupled to the explicit part by the IMEX
+Runge-Kutta scheme ARS(2,2,2) (Ascher, Ruuth and Spiteri 1997). The step size
+then comes from the convective and source limits alone.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ from .grid_field import FieldV, GridSpec
 from .nonlocal_op import NonlocalP, _prefix_arrays, p_sup
 
 FLUXES = ("godunov", "rusanov")
-INTEGRATORS = ("forward-euler", "ssp-rk2")
-RECONSTRUCTIONS = ("none", "minmod")
 
 # ARS(2,2,2): the implicit diagonal gamma and the explicit weight delta
 GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
@@ -45,10 +42,8 @@ ForcingFn = Callable[[float, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Discretization knobs.
+    """Discretization knobs of the scheme described in the module docstring.
 
-    ``reconstruction`` selects the interface states (see the module
-    docstring); ``"none"`` keeps the first-order monotone scheme.
     ``source_enabled`` switches the nonlocal source off, giving the plain
     conservation law (used by the Riemann sanity checks); ``forcing`` is an
     optional g(t, x) added to the right-hand side for manufactured solutions.
@@ -58,23 +53,12 @@ class SchemeConfig:
     epsilon: float = 0.0
     cfl: float = 0.4
     v_floor: float = 1e-12
-    integrator: str = "ssp-rk2"
-    reconstruction: str = "minmod"
     source_enabled: bool = True
     forcing: ForcingFn | None = None
 
     def __post_init__(self):
         if self.flux not in FLUXES:
             raise ValueError(f"flux must be one of {FLUXES}, got {self.flux!r}")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(
-                f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}"
-            )
-        if self.reconstruction not in RECONSTRUCTIONS:
-            raise ValueError(
-                f"reconstruction must be one of {RECONSTRUCTIONS}, "
-                f"got {self.reconstruction!r}"
-            )
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not (0.0 < self.cfl <= 1.0):
@@ -105,7 +89,7 @@ class Workspace:
         self.right = np.empty(n + 1)
         self.flux = np.empty(n + 1)
         self.flux_tmp = np.empty(n + 1)
-        self.flux_of = None  # (v, flux, reconstruction) that ``flux`` belongs to
+        self.flux_of = None  # (v, flux) that ``flux`` belongs to
         self.rate = np.empty(n)
         self.source = np.empty(n)
         self.stage = np.empty(n)
@@ -192,16 +176,13 @@ def _half_minmod_slopes(v: np.ndarray, ws: Workspace) -> np.ndarray:
     return np.minimum(lo, hi, out=lo)
 
 
-def face_states(
-    v: np.ndarray, reconstruction: str = "minmod", ws: Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def face_states(v: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """States on the left and right of each of the n+1 interfaces.
 
-    With ``"none"`` interface i+1/2 sees the cell values v_i and v_(i+1).
-    With ``"minmod"`` it sees v_i + s_i and v_(i+1) - s_(i+1), where s is half
-    the minmod-limited slope; each state lies between the two neighbouring
-    cell values, so nonnegative cells give nonnegative states. The ghost
-    cells carry zero value and zero slope. With a workspace the states are
+    Interface i+1/2 sees v_i + s_i and v_(i+1) - s_(i+1), where s is half the
+    minmod-limited slope; each state lies between the two neighbouring cell
+    values, so nonnegative cells give nonnegative states. The ghost cells
+    carry zero value and zero slope. With a workspace the states are
     ``ws.left`` and ``ws.right``.
     """
     if ws is None:
@@ -209,35 +190,22 @@ def face_states(
     left, right = ws.left, ws.right
     left[0] = 0.0
     right[-1] = 0.0
-    if reconstruction == "minmod":
-        s = _half_minmod_slopes(v, ws)
-        np.add(v, s, out=left[1:])
-        np.subtract(v, s, out=right[:-1])
-    elif reconstruction == "none":
-        left[1:] = v
-        right[:-1] = v
-    else:
-        raise ValueError(
-            f"reconstruction must be one of {RECONSTRUCTIONS}, got {reconstruction!r}"
-        )
+    s = _half_minmod_slopes(v, ws)
+    np.add(v, s, out=left[1:])
+    np.subtract(v, s, out=right[:-1])
     return left, right
 
 
-def interface_fluxes(
-    v: np.ndarray,
-    flux: str,
-    reconstruction: str = "minmod",
-    ws: Workspace | None = None,
-) -> np.ndarray:
+def interface_fluxes(v: np.ndarray, flux: str, ws: Workspace | None = None) -> np.ndarray:
     """Numerical fluxes on the n+1 interfaces, evaluated on ``face_states``
     (zero ghost states on both sides). With a workspace the result is
     ``ws.flux``, valid until the next evaluation in that workspace."""
     if ws is None:
         ws = Workspace(v.size)
     kernel = _FLUX_FN[flux]
-    left, right = face_states(v, reconstruction, ws)
+    left, right = face_states(v, ws)
     kernel(left, right, ws.flux, ws.flux_tmp)
-    ws.flux_of = (v, flux, reconstruction)
+    ws.flux_of = (v, flux)
     return ws.flux
 
 
@@ -253,10 +221,10 @@ def _rhs_parts(
     stepped explicitly, in workspace buffers."""
     dx = grid.dx
     cached = ws.flux_of
-    if cached is not None and cached[0] is v and cached[1:] == (cfg.flux, cfg.reconstruction):
+    if cached is not None and cached[0] is v and cached[1] == cfg.flux:
         flux = ws.flux
     else:
-        flux = interface_fluxes(v, cfg.flux, cfg.reconstruction, ws)
+        flux = interface_fluxes(v, cfg.flux, ws)
     flux_div = np.subtract(flux[:-1], flux[1:], out=ws.rate)
     flux_div /= dx
 
@@ -366,22 +334,16 @@ def _imex_step(
     ws: Workspace,
     out: np.ndarray,
 ) -> np.ndarray:
-    """One IMEX step into ``out``, given the explicit rate ``e1`` = E(v).
+    """One ARS(2,2,2) step into ``out``, given the explicit rate ``e1`` = E(v).
 
     Write V(r, c) for the solution x of x - c dt eps x D+D-x = r (see
-    ``_implicit_stage``). IMEX Euler, under ``"forward-euler"``, returns
-    V(v + dt E(v), 1). Otherwise this is ARS(2,2,2), with g = GAMMA and
-    d = DELTA:
+    ``_implicit_stage``). With g = GAMMA and d = DELTA:
         r2 = v + g dt E(v),                                   V2 = V(r2, g)
         r3 = v + dt (d E(v) + (1-d) E(V2)) + (1-g) dt K2,    K2 = (V2 - r2) / (g dt)
     and the new value is V(r3, g), the last stage (stiffly accurate). E(V2)
     is evaluated at time t + g dt.
     """
     coef = cfg.epsilon * dt / (grid.dx * grid.dx)
-    if cfg.integrator == "forward-euler":
-        rhs = np.multiply(e1, dt, out=ws.stage)
-        rhs += v
-        return _implicit_stage(v, rhs, coef, out, ws)
     acc = np.multiply(e1, DELTA * dt, out=ws.acc)
     acc += v
     r2 = np.multiply(e1, GAMMA * dt, out=ws.stage)
@@ -406,9 +368,8 @@ def step(
 ) -> FieldV:
     """Advance one step of size dt; the nonlocal operator is rebuilt per stage.
 
-    With epsilon = 0 this is SSP-RK2 (Heun) or forward Euler. With
-    epsilon > 0 the viscous term is implicit (``_imex_step``): ARS(2,2,2)
-    under ``"ssp-rk2"``, IMEX Euler under ``"forward-euler"``.
+    With epsilon = 0 this is SSP-RK2 (Heun). With epsilon > 0 the viscous
+    term is implicit and the step is ARS(2,2,2) (``_imex_step``).
 
     ``p``, when given, must be the prefix integral of ``fv``; the first stage
     then reuses it instead of rebuilding it. ``ws`` is the run's workspace
@@ -427,7 +388,7 @@ def step(
     out = np.empty(v.size)
     if cfg.epsilon > 0.0:
         _imex_step(grid, v, t, r1, cfg, dt, ws, out)
-    elif cfg.integrator == "ssp-rk2":
+    else:
         stage = np.multiply(r1, dt, out=ws.stage)
         stage += v
         r2 = _rate(grid, stage, t + dt, None, cfg, ws)
@@ -436,9 +397,6 @@ def step(
         r2 *= 0.5
         np.multiply(v, 0.5, out=out)
         out += r2                        # 0.5 v + 0.5 (stage + dt r2)
-    else:
-        np.multiply(r1, dt, out=out)
-        out += v
     finite = np.isfinite(out, out=ws.mask)
     if not finite.all():
         raise BlowUpError(int(np.argmin(finite)), fv.time + dt)

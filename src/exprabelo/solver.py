@@ -172,7 +172,7 @@ def record_diagnostics(
     sup_u_x = float(grid.centers[imax])
     mass = float(v.sum()) * dx
 
-    flux = interface_fluxes(v, cfg.flux, cfg.reconstruction, ws)
+    flux = interface_fluxes(v, cfg.flux, ws)
     boundary = float(abs(flux[0]) + abs(flux[-1]))
 
     # one zero-padded row per alpha holds v^(a+1); D+ of a padded row is the

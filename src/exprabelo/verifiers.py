@@ -132,18 +132,27 @@ def lp_balance_residual(run: RunResult, alpha: float) -> BalanceReport:
     )
 
 
-def lp_balance_ladder(runs: Sequence[RunResult], alpha: float) -> BalanceReport:
-    """Balance report on the finest run, annotated with the refinement order
-    observed across a ladder of runs (coarsest first)."""
+def _ladder(runs: Sequence[RunResult], report_of, measure: str, levels: str):
+    """``report_of`` the finest run, annotated with the refinement order of
+    the field ``measure`` across a ladder of runs (coarsest first), whose
+    per-run values go to the field ``levels``."""
     if len(runs) < 2:
         raise ValueError("a ladder needs at least two runs")
-    reports = [lp_balance_residual(r, alpha) for r in runs]
-    terminals = [r.terminal_residual for r in reports]
+    reports = [report_of(r) for r in runs]
+    values = tuple(getattr(r, measure) for r in reports)
     return replace(
         reports[-1],
-        order=_mean_log2_order(terminals),
+        order=_mean_log2_order(values),
         level_cells=tuple(r.grid.n_cells for r in runs),
-        level_terminals=tuple(terminals),
+        **{levels: values},
+    )
+
+
+def lp_balance_ladder(runs: Sequence[RunResult], alpha: float) -> BalanceReport:
+    """Balance report on the finest run, annotated with the refinement order
+    of the terminal residual observed across a ladder of runs."""
+    return _ladder(
+        runs, lambda r: lp_balance_residual(r, alpha), "terminal_residual", "level_terminals"
     )
 
 
@@ -204,16 +213,7 @@ def mass_balance_identity(run: RunResult) -> MassBalanceReport:
 
 
 def mass_balance_ladder(runs: Sequence[RunResult]) -> MassBalanceReport:
-    if len(runs) < 2:
-        raise ValueError("a ladder needs at least two runs")
-    reports = [mass_balance_identity(r) for r in runs]
-    maxima = [r.max_residual for r in reports]
-    return replace(
-        reports[-1],
-        order=_mean_log2_order(maxima),
-        level_cells=tuple(r.grid.n_cells for r in runs),
-        level_maxima=tuple(maxima),
-    )
+    return _ladder(runs, mass_balance_identity, "max_residual", "level_maxima")
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +516,8 @@ def l1_stability_check(
     if not (math.isfinite(R) and R > 0.0):
         # an empty window would certify nothing yet pass
         raise DomainError(f"stability window radius R must be finite and positive, got {R}")
+    if len(sample_times) == 0:
+        raise DomainError("stability comparison needs at least one sample time")
     if run_u.grid != run_w.grid:
         raise DomainError("stability comparison needs a shared grid")
     grid = run_u.grid
@@ -627,8 +629,9 @@ def epsilon_convergence(
     viscous runs should be Cauchy. No rate is claimed.
     """
     eps = [float(e) for e in ladder]
-    if any(a <= b for a, b in zip(eps, eps[1:])) or any(e <= 0.0 for e in eps):
-        raise ValueError(f"epsilon ladder must be positive and decreasing, got {eps}")
+    if not eps or any(a <= b for a, b in zip(eps, eps[1:])) or any(e <= 0.0 for e in eps):
+        # an empty ladder would compare nothing yet pass
+        raise ValueError(f"epsilon ladder must be nonempty, positive and decreasing, got {eps}")
     if base.grid.n_cells < EPSILON_LADDER_MIN_CELLS:
         raise ValueError(
             f"epsilon ladder needs a fine grid (>= {EPSILON_LADDER_MIN_CELLS} cells), "

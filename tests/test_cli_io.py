@@ -266,16 +266,8 @@ def test_identical_run_stability_report_text():
 def test_frozen_field_balance_report_prints_zero_residual():
     grid = GridSpec(x_min=-8.0, x_max=8.0, n_cells=64)
     v0 = init_field(grid, InitialDataSpec.gaussian())
-    base = SchemeConfig(
-        epsilon=0.0, source_enabled=False, integrator="forward-euler", v_floor=1e-300
-    )
-    frozen_cfg = SchemeConfig(
-        epsilon=0.0,
-        source_enabled=False,
-        integrator="forward-euler",
-        v_floor=1e-300,
-        forcing=cancelling_forcing(grid, v0, base),
-    )
+    base = SchemeConfig(epsilon=0.0, source_enabled=False, v_floor=1e-300)
+    frozen_cfg = replace(base, forcing=cancelling_forcing(grid, v0, base))
     result = evolve(grid, v0, frozen_cfg, final_time=0.25)
     rep = lp_balance_residual(result, alpha=0.0)
     assert "balance.terminal_residual=0\n" in report_text(rep)
@@ -670,6 +662,9 @@ def test_usage_errors_exit_two(tmp_path):
     # 1 and 1.0000001 would share the columns lp_a1, dissipation_a1, source_a1
     collide = _write_cfg(tmp_path, name="collide.cfg", text=MINIMAL + "diag.alphas = 1, 1.0000001\n")
     assert dispatch(["simulate", collide, "--out", out]) == 2
+    # an empty viscosity ladder on a grid fine enough to be swept
+    fine = _write_cfg(tmp_path, name="fine.cfg", text=MINIMAL.replace("= 64", "= 2048"))
+    assert dispatch(["sweep", "epsilon", fine, "--out", out, "--ladder", ","]) == 2
 
 
 def test_viscous_entropy_request_exits_two(tmp_path):

@@ -59,20 +59,19 @@ def test_source_integral_telescopes_to_boundary_prefix_values(stock_run_256):
     np.testing.assert_allclose(s0, expected, rtol=1e-12, atol=1e-13)
 
 
-@pytest.mark.parametrize("reconstruction", ["none", "minmod"])
 @pytest.mark.parametrize("flux", ["godunov", "rusanov"])
-def test_boundary_flux_matches_the_full_interface_fluxes(flux, reconstruction):
+def test_boundary_flux_matches_the_full_interface_fluxes(flux):
     # the diagnostics read the boundary fluxes from their own full
     # evaluation, which the next step's first stage reuses; standalone they
     # must agree bitwise with a fresh one
     rng = np.random.default_rng(13)
-    cfg = SchemeConfig(flux=flux, reconstruction=reconstruction)
+    cfg = SchemeConfig(flux=flux)
     for n in (4, 6, 64):
         grid = GridSpec(-1.0, 1.0, n)
         fv = FieldV(rng.uniform(0.0, 2.0, n), 0.0)
         row = record_diagnostics(grid, fv, prefix_integral(grid, fv), cfg, 0.0)
         series = DiagnosticsSeries.from_rows([row], DEFAULT_ALPHAS)
-        full = interface_fluxes(fv.values, flux, reconstruction)
+        full = interface_fluxes(fv.values, flux)
         assert series.boundary_flux[0] == abs(full[0]) + abs(full[-1])
 
 
@@ -193,24 +192,13 @@ def test_diagnostics_series_rejects_bad_rows():
 def test_cancelling_forcing_freezes_field_exactly():
     # With the source switched off, no viscosity, and a forcing equal to
     # minus the full semi-discrete right-hand side of the initial state,
-    # every Euler update adds exactly zero: the field never moves.
+    # both Heun stages add exactly zero: the field never moves.
     grid = GridSpec(x_min=-8.0, x_max=8.0, n_cells=128)
     v0 = init_field(grid, InitialDataSpec.gaussian())
     # v_floor far below the gaussian tails, so the positivity clip is a
     # no-op and the cancellation survives bitwise.
-    base = SchemeConfig(
-        epsilon=0.0,
-        source_enabled=False,
-        integrator="forward-euler",
-        v_floor=1e-300,
-    )
-    frozen = SchemeConfig(
-        epsilon=0.0,
-        source_enabled=False,
-        integrator="forward-euler",
-        v_floor=1e-300,
-        forcing=cancelling_forcing(grid, v0, base),
-    )
+    base = SchemeConfig(epsilon=0.0, source_enabled=False, v_floor=1e-300)
+    frozen = replace(base, forcing=cancelling_forcing(grid, v0, base))
     result = evolve(grid, v0, frozen, final_time=0.5, snapshot_times=(0.5,))
     np.testing.assert_array_equal(result.final_state.values, v0.values)
 
@@ -277,38 +265,36 @@ def test_sup_location_tracks_moving_maximum():
     assert xs[-1] > xs[0]
 
 
-# (n_cells, epsilon, flux, reconstruction, integrator, source_enabled,
-# forcing) of the runs whose every output bit is pinned below. At 256 cells
-# dx is a power of two, which makes scaling by dx exact; the 240-cell runs
-# (dx = 1/15) also pin the order of the operations that involve dx.
+# (n_cells, epsilon, flux, source_enabled, forcing) of the runs whose every
+# output bit is pinned below. At 256 cells dx is a power of two, which makes
+# scaling by dx exact; the 240-cell runs (dx = 1/15) also pin the order of
+# the operations that involve dx.
 GOLDEN_CASES = {
-    "stock": (256, 0.0, "godunov", "minmod", "ssp-rk2", True, False),
-    "viscous": (256, 1e-2, "godunov", "minmod", "ssp-rk2", True, False),
-    "rusanov-none-euler": (256, 0.0, "rusanov", "none", "forward-euler", True, False),
-    "viscous-rusanov-euler-nosource": (
-        256, 1e-2, "rusanov", "minmod", "forward-euler", False, False),
-    "godunov-none-nosource": (256, 0.0, "godunov", "none", "ssp-rk2", False, False),
-    "viscous-rusanov-none": (256, 1e-2, "rusanov", "none", "ssp-rk2", True, False),
-    "viscous-forced": (256, 1e-2, "godunov", "minmod", "ssp-rk2", True, True),
-    "viscous-limited": (256, 1e-1, "godunov", "minmod", "ssp-rk2", True, False),
-    "viscous-240": (240, 1e-2, "godunov", "minmod", "ssp-rk2", True, False),
-    "viscous-limited-rusanov-euler-240": (
-        240, 1e-1, "rusanov", "minmod", "forward-euler", True, False),
-    "forced-none-nosource-240": (240, 1e-2, "godunov", "none", "ssp-rk2", False, True),
+    "stock": (256, 0.0, "godunov", True, False),
+    "viscous": (256, 1e-2, "godunov", True, False),
+    "rusanov": (256, 0.0, "rusanov", True, False),
+    "viscous-rusanov-nosource": (256, 1e-2, "rusanov", False, False),
+    "godunov-nosource": (256, 0.0, "godunov", False, False),
+    "viscous-rusanov": (256, 1e-2, "rusanov", True, False),
+    "viscous-forced": (256, 1e-2, "godunov", True, True),
+    "viscous-limited": (256, 1e-1, "godunov", True, False),
+    "viscous-240": (240, 1e-2, "godunov", True, False),
+    "viscous-limited-rusanov-240": (240, 1e-1, "rusanov", True, False),
+    "forced-nosource-240": (240, 1e-2, "godunov", False, True),
 }
 
 GOLDEN_DIGESTS = {
-    "forced-none-nosource-240": "3a40a3b6495d6379809657df42112b459eb636f5fafb3fd2f4ab861b0a331a29",
-    "godunov-none-nosource": "072a6633368995df749f66b9f4a98e5a7ede35adca185aa6a4ea8681a57a4c21",
-    "rusanov-none-euler": "279abb8dda9867fb5ace4546c8a32cf3210e07e15955b91363d19fcdba118d9c",
+    "forced-nosource-240": "ba667e81240380c296ad56865fabe722a3beb69f736b2f1275acce252bcb4e3b",
+    "godunov-nosource": "ff425041b44882e9bac0708ec0a65f5615f26aa73e96bc36cd949fae42e4f837",
+    "rusanov": "23c59d3da61799d3f45f2eb6dca5f4a2bdc8c00f94528552f9a8e8e144dfe4f1",
     "stock": "5a9acbf3c8acf59bda247ca7de433827c8aa132ae33a9668e6ae6af500bdf841",
     "viscous": "679d76ede2368b6c0078e1399075a404f61eaf8c0c7cbc58be1451b0ce6045be",
     "viscous-240": "d280db5e834c306685dc98c0fe7069c05800eba95b331cc07392b7a1ed52527b",
     "viscous-forced": "fd931dbb4910970459e92dd46529b91418de6b300f4f53cf9b36e73a2af884c1",
     "viscous-limited": "4e95493bc73582427817d33815fd3bd9fe22c1acdc51c09c8a9626eda09d3219",
-    "viscous-limited-rusanov-euler-240": "c9fac4cf575db1e9d2510f0ce703b1f2a07101a5f5fba5025117a715808a9712",
-    "viscous-rusanov-euler-nosource": "433c15f4b861e9a8e18d23b6172c7b749e1c19f3255e5618e0ab52e386c06297",
-    "viscous-rusanov-none": "52488a26294982cfc2b7be3dca8065c2f5f69bd1fe14f42cad944d3ac00393d9",
+    "viscous-limited-rusanov-240": "b9340277a9c17551da6b324014f2642770f56e35d4abc6c4db7cb01e52f712eb",
+    "viscous-rusanov": "2b762647907993050212e6c93c1e653c71ff737869001c0a10c934243d7417ec",
+    "viscous-rusanov-nosource": "a0f1f02e944e4a5465b9212a8814f43f709e8e6a1afd61b79fbbadef42a5242a",
 }
 
 
@@ -330,12 +316,10 @@ def test_outputs_are_bitwise_golden(case):
     # so every output bit of these small runs must stay as pinned (digests
     # taken with numpy 2.4 and scipy 1.17 on x86-64; the eps > 0 runs also
     # go through LAPACK's dgtsv).
-    n_cells, eps, flux, reconstruction, integrator, source, forced = GOLDEN_CASES[case]
+    n_cells, eps, flux, source, forced = GOLDEN_CASES[case]
     scheme = SchemeConfig(
         flux=flux,
         epsilon=eps,
-        integrator=integrator,
-        reconstruction=reconstruction,
         source_enabled=source,
         forcing=mms_forcing(eps) if forced else None,
     )

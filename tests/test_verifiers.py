@@ -328,6 +328,14 @@ def test_stability_rejects_an_empty_or_undefined_window(R):
         l1_stability_check(run, run, R=R, T=0.25, sample_times=(0.25,))
 
 
+def test_stability_rejects_an_empty_sample_set():
+    # with no sample time the certificate would check nothing and pass
+    cfg = stock_config(n_cells=64, final_time=0.25, snapshot_times=(0.0, 0.25))
+    run = run_simulation(cfg)
+    with pytest.raises(DomainError, match="at least one sample time"):
+        l1_stability_check(run, run, R=2.0, T=0.25, sample_times=())
+
+
 # ---------------------------------------------------------------------------
 # convergence ladders
 # ---------------------------------------------------------------------------
@@ -358,6 +366,11 @@ def test_epsilon_convergence_validates_inputs():
         epsilon_convergence(base, ladder=(1e-2, -1e-3))
     with pytest.raises(ValueError, match=r"needs a fine grid \(>= 2048 cells\), got 256"):
         epsilon_convergence(base)
+    # on a fine enough grid an empty ladder would run only eps = 0, compare
+    # nothing and pass
+    fine = stock_config(n_cells=EPSILON_LADDER_MIN_CELLS, final_time=0.01)
+    with pytest.raises(ValueError, match="nonempty"):
+        epsilon_convergence(fine, ladder=())
 
 
 def test_epsilon_convergence_small_ladder():
