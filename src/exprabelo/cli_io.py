@@ -30,7 +30,6 @@ from .verifiers import (
     StabilityReport,
     SupMonitorReport,
     burgers_sanity,
-    dense_snapshot_times,
     epsilon_convergence,
     expansion_shock_field,
     grid_convergence,
@@ -290,6 +289,9 @@ def _status(message: str) -> None:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created on demand. Commands call this once
+    their input has been validated and their results computed, so a
+    rejected command leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -316,8 +318,8 @@ def _run_report_items(run: RunResult) -> str:
 
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args)
     run = run_simulation(cfg)
+    out = _out_dir(args)
     for i, snap in enumerate(run.snapshots):
         write_snapshot_csv(snap, out / f"snapshot_{i:04d}.csv")
     write_diagnostics_csv(run.diagnostics, out / "diagnostics.csv")
@@ -339,7 +341,6 @@ def _parse_float_ladder(raw: str) -> tuple:
 
 def _cmd_verify_balance(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args)
     ok = True
     if args.ladder:
         ns = _parse_int_ladder(args.ladder)
@@ -350,6 +351,7 @@ def _cmd_verify_balance(args) -> int:
         run = run_simulation(cfg)
         reports = [lp_balance_residual(run, a) for a in cfg.diagnostic_alphas]
         mass_rep = mass_balance_identity(run)
+    out = _out_dir(args)
     for rep in reports:
         write_report(rep, out / f"balance_a{rep.alpha:g}.report")
         ok = ok and rep.passed
@@ -367,7 +369,6 @@ def _cmd_verify_balance(args) -> int:
 
 
 def _cmd_verify_entropy(args) -> int:
-    out = _out_dir(args)
     if args.fixture == "expansion-shock":
         grid, times, u_matrix = expansion_shock_field()
         rep = kruzhkov_on_field(grid, times, u_matrix)
@@ -375,12 +376,9 @@ def _cmd_verify_entropy(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("verify entropy needs a config file or --fixture")
-        cfg = load_config(args.config)
-        dense = dense_snapshot_times(cfg.grid, cfg.final_time)
-        run = run_simulation(replace(cfg, snapshot_times=dense))
-        rep = kruzhkov_residual(run)
+        rep = kruzhkov_residual(load_config(args.config))
         label = args.config
-    write_report(rep, out / "entropy.report")
+    write_report(rep, _out_dir(args) / "entropy.report")
     _status(
         f"verify entropy: {label} min weak value {rep.min_value:.3e} vs "
         f"tolerance -{rep.tolerance:.3e} ({'pass' if rep.passed else 'FAIL'})"
@@ -393,7 +391,6 @@ def _cmd_verify_stability(args) -> int:
         raise ConfigError("verify stability needs --cfg2 with the comparison config")
     cfg_u = load_config(args.config)
     cfg_w = load_config(args.cfg2)
-    out = _out_dir(args)
     times = tuple(sorted(set(cfg_u.snapshot_times) | {0.0}))
     sample = tuple(t for t in times if t > 0.0)
     if not sample:
@@ -401,7 +398,7 @@ def _cmd_verify_stability(args) -> int:
     run_u = run_simulation(replace(cfg_u, snapshot_times=times))
     run_w = run_simulation(replace(cfg_w, snapshot_times=times))
     rep = l1_stability_check(run_u, run_w, R=args.R, T=cfg_u.final_time, sample_times=sample)
-    write_report(rep, out / "stability.report")
+    write_report(rep, _out_dir(args) / "stability.report")
     _status(
         f"verify stability: max measured {rep.max_measured:.3e}, min margin "
         f"{rep.min_margin:.3e} ({'pass' if rep.passed else 'FAIL'})"
@@ -411,7 +408,6 @@ def _cmd_verify_stability(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args)
     if args.axis == "epsilon":
         ladder = _parse_float_ladder(args.ladder) if args.ladder else EPSILON_LADDER
         rep = epsilon_convergence(cfg, ladder)
@@ -426,6 +422,7 @@ def _cmd_sweep(args) -> int:
         rep = grid_convergence(cfg, ns)
         rows = ["n_cells_coarse,l1_distance_to_refined"]
         rows += [f"{n},{_fmt(d)}" for n, d in zip(rep.params, rep.distances)]
+    out = _out_dir(args)
     write_report(rep, out / f"sweep_{args.axis}.report")
     (out / "ladder.csv").write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
     _status(
@@ -436,9 +433,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_burgers_sanity(args) -> int:
-    out = _out_dir(args)
     rep = burgers_sanity(args.cells)
-    write_report(rep, out / "burgers.report")
+    write_report(rep, _out_dir(args) / "burgers.report")
     _status(
         f"burgers-sanity: shock error {rep.shock_position_error:.3e} (tol "
         f"{rep.shock_tol:.3e}), rarefaction error {rep.rarefaction_l1_error:.3e} "

@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -246,6 +247,7 @@ def evolve(
     final_time: float,
     snapshot_times: tuple = (),
     alphas: tuple = DEFAULT_ALPHAS,
+    on_snapshot: Callable[[Snapshot], None] | None = None,
 ) -> RunResult:
     """March v0 to final_time, landing exactly on every requested snapshot time.
 
@@ -253,6 +255,10 @@ def evolve(
     and the final time, so snapshot timestamps equal the requests bitwise.
     A diagnostics row is recorded for the initial state and after every step,
     with the alphas normalized as in ``_normalize_alphas``.
+
+    Each snapshot is kept in the result, or, when ``on_snapshot`` is given,
+    handed to it in time order and not kept: the result then holds no
+    snapshots, so their memory does not grow with the number requested.
     """
     if not (math.isfinite(final_time) and final_time >= 0.0):
         raise ValueError(f"final_time must be finite and >= 0, got {final_time}")
@@ -269,8 +275,9 @@ def evolve(
     p = prefix_integral(grid, fv)
     rows = [record_diagnostics(grid, fv, p, cfg, 0.0, alphas, ws)]
     snaps = []
+    take = snaps.append if on_snapshot is None else on_snapshot
     if events[0] == 0.0:
-        snaps.append(_make_snapshot(grid, fv, p, cfg))
+        take(_make_snapshot(grid, fv, p, cfg))
         events.pop(0)
 
     while events:
@@ -288,7 +295,7 @@ def evolve(
         p = prefix_integral(grid, fv)
         rows.append(record_diagnostics(grid, fv, p, cfg, dt, alphas, ws))
         if landing:
-            snaps.append(_make_snapshot(grid, fv, p, cfg))
+            take(_make_snapshot(grid, fv, p, cfg))
             events.pop(0)
 
     series = DiagnosticsSeries.from_rows(rows, alphas)

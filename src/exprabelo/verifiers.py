@@ -16,7 +16,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import erf
 
 from .errors import BoundaryFluxWarning, DataGapError, DomainError, SparseSnapshotsError
-from .grid_field import FieldV, GridSpec, build_grid
+from .grid_field import FieldV, GridSpec, build_grid, init_field, u_from_v
 from .nonlocal_op import prefix_integral
 from .scheme import SchemeConfig, semi_discrete_rhs
 from .solver import RunConfig, RunResult, evolve, run_simulation
@@ -254,18 +254,108 @@ def sup_principle_monitor(run: RunResult, tol: float = SUP_MONITOR_TOL) -> SupMo
 # entropy certificate: weak Kruzhkov inequality tested against tensor hats
 # ---------------------------------------------------------------------------
 
-def _hat_at(x, c: float, w: float):
+def _hat_at(x, c, w: float):
     return np.maximum(0.0, 1.0 - np.abs(np.asarray(x, dtype=np.float64) - c) / w)
 
 
-def _hat_antideriv(x, c: float, w: float):
+def _hat_antideriv(x, c, w: float):
     t1 = np.clip(np.asarray(x, dtype=np.float64) - (c - w), 0.0, w)
     t2 = np.clip(np.asarray(x, dtype=np.float64) - c, 0.0, w)
     return t1 * t1 / (2.0 * w) + t2 - t2 * t2 / (2.0 * w)
 
 
-def _hat_integral(a, b, c: float, w: float):
+def _hat_integral(a, b, c, w: float):
     return _hat_antideriv(b, c, w) - _hat_antideriv(a, c, w)
+
+
+class _HatSums:
+    """Weak-form values of a batch of entropy pairs against an nt-by-nx
+    family of tensor-product hats interior to (t0, t_end) x (x_min, x_max),
+    accumulated one time sample at a time.
+
+    Each value approximates
+
+      int int (eta(u) dphi/dt + q(u) dphi/dx - eta'(u) P phi) dx dt
+      + int eta(u(t0, x)) phi(t0, x) dx
+
+    using cellwise-constant u per slab between samples (endpoint average in
+    time) and exact integration of the piecewise-linear phi. ``pair(u)``
+    returns the (pairs, n) blocks eta(u), q(u) and eta'(u). Each sample is
+    projected onto the x-hats at once and only the previous sample's
+    projections are kept, so memory is O(pairs * n) whatever the number of
+    samples. Nonnegative values are what an entropy solution must produce.
+
+    eta enters relative to the first sample: the time hats telescope, so of
+    eta(u(t0)) only its product with phi(t_end) remains, and cells where u
+    stays put add nothing. Projecting eta itself loses about 1e-10 of the
+    stock 4096-cell values to rounding, since the far field's large
+    |u - k| cancels in the sums.
+    """
+
+    def __init__(self, grid: GridSpec, t0: float, t_end: float, pair, nt: int, nx: int):
+        if not t_end > t0:
+            raise SparseSnapshotsError("sample times must increase")
+        ifc = grid.interfaces
+        self.dx = grid.dx
+        self.pair = pair
+        self.w_t = (t_end - t0) / (nt + 1)
+        self.c_t = t0 + np.arange(1, nt + 1) * self.w_t
+        w_x = float(ifc[-1] - ifc[0]) / (nx + 1)
+        c_x = float(ifc[0]) + np.arange(1, nx + 1) * w_x
+        left, right = ifc[:-1, None], ifc[1:, None]
+        self.ihx = _hat_integral(left, right, c_x, w_x)  # (n, nx)
+        self.dhx = _hat_at(right, c_x, w_x) - _hat_at(left, c_x, w_x)
+        self.phi_mass = self.w_t * w_x
+        self.eta0 = None
+        self.sums = None  # (pairs, nx, nt), without the eta(u(t0)) term
+        self.prev = None  # time, t-hat values and projections of the last sample
+
+    def add(self, time: float, u: np.ndarray, p: np.ndarray | None = None) -> None:
+        """Take the sample u (and P) at ``time``, which must follow the
+        previous sample by at most dx."""
+        eta, q, eta_prime = self.pair(u)
+        f = q @ self.dhx
+        if p is not None:
+            f -= (eta_prime * p) @ self.ihx
+        ht = _hat_at(time, self.c_t, self.w_t)
+        if self.prev is None:
+            self.eta0 = eta
+            e = np.zeros_like(f)
+            self.sums = np.zeros(f.shape + ht.shape)
+        else:
+            t_prev, ht_prev, e_prev, f_prev = self.prev
+            if not time > t_prev:
+                raise SparseSnapshotsError(f"sample time {time:.6g} does not follow {t_prev:.6g}")
+            if time - t_prev > self.dx * (1.0 + 1e-9):
+                raise SparseSnapshotsError(
+                    f"snapshot spacing {time - t_prev:.3e} exceeds dx = {self.dx:.3e}; "
+                    "record denser snapshots"
+                )
+            e = (eta - self.eta0) @ self.ihx
+            iht = _hat_integral(t_prev, time, self.c_t, self.w_t)
+            self.sums += 0.5 * (e_prev + e)[:, :, None] * (ht - ht_prev)
+            self.sums += 0.5 * (f_prev + f)[:, :, None] * iht
+        self.prev = (time, ht, e, f)
+
+    def add_rows(self, times: np.ndarray, u_matrix: np.ndarray, p_matrix) -> None:
+        for i, t in enumerate(times.tolist()):
+            self.add(t, u_matrix[i], None if p_matrix is None else p_matrix[i])
+
+    def values(self) -> np.ndarray:
+        """The (pairs, nx, nt) weak-form values, x-hats outer."""
+        ht_end = self.prev[1]
+        return self.sums + (self.eta0 @ self.ihx)[:, :, None] * ht_end
+
+
+def _samples(grid: GridSpec, times, u_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Times and u as float arrays, checked for one row of u per time."""
+    times = np.asarray(times, dtype=np.float64)
+    u_matrix = np.asarray(u_matrix, dtype=np.float64)
+    if times.ndim != 1 or times.size < 2:
+        raise SparseSnapshotsError("need at least two snapshots in time")
+    if u_matrix.shape != (times.size, grid.n_cells):
+        raise SparseSnapshotsError("u sample shape does not match times x cells")
+    return times, u_matrix
 
 
 def entropy_weak_values(
@@ -279,59 +369,17 @@ def entropy_weak_values(
     nt: int = 8,
     nx: int = 8,
 ) -> tuple[np.ndarray, float]:
-    """Weak-form values of one entropy pair against an nt-by-nx family of
-    tensor-product hats interior to (0, T) x (x_min, x_max).
+    """Weak-form values of one entropy pair on an explicit space-time sample
+    of u (and P), as ``_HatSums`` computes them; the return includes the
+    common integral of phi for tolerance scaling."""
+    times, u_matrix = _samples(grid, times, u_matrix)
 
-    Each value approximates
+    def pair(u):
+        return eta(u)[None], flux_q(u)[None], eta_prime(u)[None]
 
-      int int (eta(u) dphi/dt + q(u) dphi/dx - eta'(u) P phi) dx dt
-      + int eta(u(0, x)) phi(0, x) dx
-
-    using cellwise-constant u per snapshot slab (endpoint average in time)
-    and exact integration of the piecewise-linear phi. Nonnegative values are
-    what an entropy solution must produce; the return includes the common
-    integral of phi for tolerance scaling.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    if times.ndim != 1 or times.size < 2:
-        raise SparseSnapshotsError("need at least two snapshots in time")
-    span_t = float(times[-1] - times[0])
-    ifc = grid.interfaces
-    e_all = eta(u_matrix)
-    q_all = flux_q(u_matrix)
-    if p_matrix is None:
-        s_all = np.zeros_like(e_all)
-    else:
-        s_all = eta_prime(u_matrix) * p_matrix
-    e_avg = 0.5 * (e_all[:-1] + e_all[1:])
-    q_avg = 0.5 * (q_all[:-1] + q_all[1:])
-    s_avg = 0.5 * (s_all[:-1] + s_all[1:])
-
-    w_t = span_t / (nt + 1)
-    w_x = float(ifc[-1] - ifc[0]) / (nx + 1)
-    values = np.empty(nt * nx, dtype=np.float64)
-    idx = 0
-    for k in range(1, nx + 1):
-        c_x = float(ifc[0]) + k * w_x
-        ihx = _hat_integral(ifc[:-1], ifc[1:], c_x, w_x)
-        dhx = _hat_at(ifc[1:], c_x, w_x) - _hat_at(ifc[:-1], c_x, w_x)
-        e_w = e_avg @ ihx
-        q_w = q_avg @ dhx
-        s_w = s_avg @ ihx
-        e_initial = float(e_all[0] @ ihx)
-        for j in range(1, nt + 1):
-            c_t = float(times[0]) + j * w_t
-            ht = _hat_at(times, c_t, w_t)
-            dht = ht[1:] - ht[:-1]
-            iht = _hat_integral(times[:-1], times[1:], c_t, w_t)
-            values[idx] = (
-                dht @ e_w
-                + iht @ q_w
-                - iht @ s_w
-                + float(_hat_at(times[0], c_t, w_t)) * e_initial
-            )
-            idx += 1
-    return values, w_t * w_x
+    sums = _HatSums(grid, float(times[0]), float(times[-1]), pair, nt, nx)
+    sums.add_rows(times, u_matrix, p_matrix)
+    return sums.values()[0].ravel(), sums.phi_mass
 
 
 @dataclass(frozen=True)
@@ -353,6 +401,48 @@ class EntropyReport:
         return max(0.0, -self.min_value) / self.tolerance
 
 
+def _default_levels(u0: np.ndarray) -> tuple:
+    """Seven levels evenly inside the range of the initial u. The sup
+    principle bounds u by max u0 from above; below, u is unbounded, so the
+    initial range is a choice fixed before the run."""
+    lo, hi = float(u0.min()), float(u0.max())
+    if hi - lo < 1e-12:
+        lo, hi = lo - 1.0, hi + 1.0
+    return tuple(lo + (hi - lo) * j / 8.0 for j in range(1, 8))
+
+
+def _kruzhkov_pair(levels: tuple):
+    """The Kruzhkov pairs |u - k|, sign(u - k)(e^u - e^k) and the derivative
+    sign(u - k), one row per level k."""
+    k = np.array(levels)[:, None]
+    ek = np.array([math.exp(c) for c in levels])[:, None]
+
+    def pair(u):
+        d = u - k
+        sgn = np.sign(d)
+        q = np.exp(u) - ek
+        q *= sgn
+        return np.abs(d, out=d), q, sgn
+
+    return pair
+
+
+def _entropy_report(grid: GridSpec, levels: tuple, sums: _HatSums, nt, nx, c_tol) -> EntropyReport:
+    minima = tuple(float(m) for m in sums.values().min(axis=(1, 2)))
+    tol = c_tol * grid.dx * sums.phi_mass
+    min_value = min(minima)
+    return EntropyReport(
+        levels=levels,
+        family=f"tensor-hats-{nt}x{nx}",
+        n_phi=nt * nx,
+        dx=grid.dx,
+        tolerance=tol,
+        min_value=min_value,
+        min_by_level=minima,
+        passed=min_value >= -tol,
+    )
+
+
 def kruzhkov_on_field(
     grid: GridSpec,
     times: np.ndarray,
@@ -363,79 +453,48 @@ def kruzhkov_on_field(
     nx: int = 8,
     c_tol: float = 10.0,
 ) -> EntropyReport:
-    """Kruzhkov certificate on an explicit space-time sample of u (and P)."""
-    times = np.asarray(times, dtype=np.float64)
-    u_matrix = np.asarray(u_matrix, dtype=np.float64)
-    if u_matrix.shape != (times.size, grid.n_cells):
-        raise SparseSnapshotsError("u sample shape does not match times x cells")
-    gaps = np.diff(times)
-    if times.size < 2 or np.max(gaps) > grid.dx * (1.0 + 1e-9):
-        raise SparseSnapshotsError(
-            f"snapshot spacing {np.max(gaps) if times.size > 1 else math.inf:.3e} "
-            f"exceeds dx = {grid.dx:.3e}; record denser snapshots"
-        )
-    if levels is None:
-        lo, hi = float(u_matrix.min()), float(u_matrix.max())
-        if hi - lo < 1e-12:
-            lo, hi = lo - 1.0, hi + 1.0
-        levels = tuple(lo + (hi - lo) * j / 8.0 for j in range(1, 8))
-    else:
-        levels = tuple(float(k) for k in levels)
-
-    minima = []
-    phi_mass = None
-    for k in levels:
-        ek = math.exp(k)
-        vals, phi_mass = entropy_weak_values(
-            grid,
-            times,
-            u_matrix,
-            p_matrix,
-            eta=lambda u, k=k: np.abs(u - k),
-            flux_q=lambda u, k=k, ek=ek: np.sign(u - k) * (np.exp(u) - ek),
-            eta_prime=lambda u, k=k: np.sign(u - k),
-            nt=nt,
-            nx=nx,
-        )
-        minima.append(float(np.min(vals)))
-    tol = c_tol * grid.dx * phi_mass
-    min_value = min(minima)
-    return EntropyReport(
-        levels=levels,
-        family=f"tensor-hats-{nt}x{nx}",
-        n_phi=nt * nx,
-        dx=grid.dx,
-        tolerance=tol,
-        min_value=min_value,
-        min_by_level=tuple(minima),
-        passed=min_value >= -tol,
-    )
+    """Kruzhkov certificate on an explicit space-time sample of u (and P),
+    with times strictly increasing at most dx apart. The default levels
+    come from the first row."""
+    times, u_matrix = _samples(grid, times, u_matrix)
+    levels = _default_levels(u_matrix[0]) if levels is None else tuple(float(k) for k in levels)
+    sums = _HatSums(grid, float(times[0]), float(times[-1]), _kruzhkov_pair(levels), nt, nx)
+    sums.add_rows(times, u_matrix, p_matrix)
+    return _entropy_report(grid, levels, sums, nt, nx, c_tol)
 
 
 def kruzhkov_residual(
-    run: RunResult,
+    cfg: RunConfig,
     levels: Sequence[float] | None = None,
     nt: int = 8,
     nx: int = 8,
     c_tol: float = 10.0,
 ) -> EntropyReport:
-    """Kruzhkov certificate for an inviscid run with dense snapshots.
+    """Kruzhkov certificate for an inviscid configuration.
 
-    The nonlocal term enters with the run's own P when the source was active;
+    Runs ``cfg`` with snapshots at ``dense_snapshot_times`` in place of its
+    own and streams each one into the weak-form sums as it lands, so no
+    snapshot is kept. The default levels come from the initial u. The
+    nonlocal term enters with the run's own P when the source is active;
     source-free runs are certified against the plain conservation law.
     """
-    if run.scheme.epsilon != 0.0:
+    if cfg.scheme.epsilon != 0.0:
         raise ValueError("the entropy certificate applies to epsilon = 0 runs")
-    if not run.snapshots or run.snapshots[0].time != 0.0:
-        raise DataGapError("entropy certificate needs snapshots starting at t = 0")
-    times = np.array([s.time for s in run.snapshots])
-    u_matrix = np.stack([s.field_u.values for s in run.snapshots])
-    p_matrix = (
-        np.stack([s.p.cell_values for s in run.snapshots])
-        if run.scheme.source_enabled
-        else None
+    grid = cfg.grid
+    v0 = init_field(grid, cfg.init)
+    u0 = u_from_v(v0, cfg.scheme.v_floor).values
+    levels = _default_levels(u0) if levels is None else tuple(float(k) for k in levels)
+    sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels), nt, nx)
+    source = cfg.scheme.source_enabled
+
+    def take(snap):
+        sums.add(snap.time, snap.field_u.values, snap.p.cell_values if source else None)
+
+    evolve(
+        grid, v0, cfg.scheme, cfg.final_time,
+        dense_snapshot_times(grid, cfg.final_time), cfg.diagnostic_alphas, on_snapshot=take,
     )
-    return kruzhkov_on_field(run.grid, times, u_matrix, p_matrix, levels, nt, nx, c_tol)
+    return _entropy_report(grid, levels, sums, nt, nx, c_tol)
 
 
 def expansion_shock_field(

@@ -667,6 +667,29 @@ def test_usage_errors_exit_two(tmp_path):
     assert dispatch(["sweep", "epsilon", fine, "--out", out, "--ladder", ","]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "epsilon", "{cfg}", "--ladder", ","],
+        ["sweep", "grid", "{cfg}", "--ladder", "64"],
+        ["verify", "balance", "{cfg}", "--ladder", ","],
+        ["verify", "entropy"],
+        ["verify", "entropy", "{viscous}"],
+        ["burgers-sanity", "--cells", "0"],
+    ],
+    ids=" ".join,
+)
+def test_rejected_command_leaves_no_output_directory(tmp_path, argv):
+    viscous = MINIMAL + "scheme.epsilon = 1e-2\n"
+    paths = {
+        "cfg": _write_cfg(tmp_path),
+        "viscous": _write_cfg(tmp_path, name="viscous.cfg", text=viscous),
+    }
+    out = tmp_path / "d"
+    assert dispatch([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_viscous_entropy_request_exits_two(tmp_path):
     cfg = _write_cfg(
         tmp_path,

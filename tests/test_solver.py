@@ -10,12 +10,9 @@ side freezes the field exactly.
 from __future__ import annotations
 
 import hashlib
-import importlib
-import importlib.util
 import math
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,21 +325,21 @@ def test_outputs_are_bitwise_golden(case):
     assert _output_digest(run) == GOLDEN_DIGESTS[case]
 
 
-def _traced_targets():
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.TARGETS
+def test_snapshot_hook_receives_the_golden_snapshots():
+    # a hook that only records what it is handed must see exactly the
+    # snapshots the stock golden run keeps, and change no other output
+    seen = []
+    base = stock_config(256, final_time=0.5, snapshot_times=(0.0, 0.25, 0.5))
+    run = evolve(base.grid, init_field(base.grid, base.init), base.scheme, base.final_time,
+                 base.snapshot_times, base.diagnostic_alphas, on_snapshot=seen.append)
+    assert run.snapshots == ()
+    assert [snap.time for snap in seen] == [0.0, 0.25, 0.5]
+    assert _output_digest(replace(run, snapshots=tuple(seen))) == GOLDEN_DIGESTS["stock"]
 
 
 def test_traced_functions_exist_and_evolve_calls_them_through_module_bindings(monkeypatch):
-    # the benchmark's tracer wraps these names at their module bindings; a
-    # missing name breaks the traced run, and a call that bypasses the
-    # binding goes unseen (solver.steps would read 0)
-    for _, module, attr, _ in _traced_targets():
-        assert callable(getattr(importlib.import_module(f"exprabelo.{module}"), attr))
-
+    # a call that bypasses the module binding the benchmark's tracer wraps
+    # goes unseen (solver.steps would read 0)
     calls = Counter()
 
     def count(module, name):

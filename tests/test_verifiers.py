@@ -10,11 +10,14 @@ shock fields whose admissibility is known in advance.
 from __future__ import annotations
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import exprabelo.verifiers
 from exprabelo.errors import DataGapError, DomainError, SparseSnapshotsError
 from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
@@ -173,39 +176,97 @@ def test_hat_integral_matches_quadrature():
         assert got == pytest.approx(want, abs=1e-10)
 
 
-def _dense_run(n_cells=256, final_time=0.5, **kw):
-    grid = GridSpec(x_min=-8.0, x_max=8.0, n_cells=n_cells)
-    cfg = stock_config(
-        n_cells=n_cells,
-        final_time=final_time,
-        snapshot_times=dense_snapshot_times(grid, final_time),
-        **kw,
-    )
-    return run_simulation(cfg)
-
-
 def test_kruzhkov_passes_on_smooth_run():
-    report = kruzhkov_residual(_dense_run())
+    report = kruzhkov_residual(stock_config(n_cells=256, final_time=0.5))
     assert report.passed
     assert report.min_value >= -report.tolerance
 
 
-def test_kruzhkov_rejects_viscous_runs():
-    run = _dense_run(n_cells=64, final_time=0.125, epsilon=1e-2)
+def test_kruzhkov_rejects_viscous_runs(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a viscous configuration was run before its rejection")
+
+    monkeypatch.setattr(exprabelo.verifiers, "evolve", no_run)
     with pytest.raises(ValueError):
-        kruzhkov_residual(run)
+        kruzhkov_residual(stock_config(n_cells=64, final_time=0.125, epsilon=1e-2))
 
 
-def test_kruzhkov_needs_initial_snapshot():
-    cfg = stock_config(n_cells=64, final_time=0.25, snapshot_times=(0.125, 0.25))
-    with pytest.raises(DataGapError):
-        kruzhkov_residual(run_simulation(cfg))
+def test_kruzhkov_ignores_the_config_snapshot_times():
+    # the certificate samples the run at its own dense times
+    base = stock_config(n_cells=64, final_time=0.25)
+    want = kruzhkov_residual(base)
+    for times in ((0.125, 0.25), (0.1,), (0.0, 0.03, 0.25)):
+        assert kruzhkov_residual(replace(base, snapshot_times=times)) == want
 
 
 def test_kruzhkov_rejects_sparse_snapshots():
-    cfg = stock_config(n_cells=64, final_time=0.5, snapshot_times=(0.0, 0.5))
+    grid, times, u = expansion_shock_field(n_cells=64)
     with pytest.raises(SparseSnapshotsError):
-        kruzhkov_residual(run_simulation(cfg))
+        kruzhkov_on_field(grid, times[::2], u[::2])
+
+
+@pytest.mark.parametrize("order", ["reversed", "repeated", "swapped"])
+def test_kruzhkov_on_field_rejects_times_that_do_not_increase(order):
+    grid, times, u = expansion_shock_field(n_cells=64)
+    idx = np.arange(times.size)
+    if order == "reversed":
+        idx = idx[::-1]
+    elif order == "repeated":
+        idx = np.insert(idx, 3, 2)
+    else:
+        idx[[2, 3]] = idx[[3, 2]]
+    with pytest.raises(SparseSnapshotsError):
+        kruzhkov_on_field(grid, times[idx], u[idx])
+
+
+def _dense_kruzhkov_minimum(grid, times, u, p, k, nt=8, nx=8):
+    # the dense-matrix quadrature the streamed sums replaced: slab averages
+    # of the (times x cells) sample, projected on each x-hat, then weighted
+    # by each t-hat
+    e = np.abs(u - k)
+    sgn = np.sign(u - k)
+    q = sgn * (np.exp(u) - math.exp(k))
+    e_avg, q_avg, s_avg = (0.5 * (a[:-1] + a[1:]) for a in (e, q, sgn * p))
+    ifc = grid.interfaces
+    w_t = (times[-1] - times[0]) / (nt + 1)
+    w_x = (ifc[-1] - ifc[0]) / (nx + 1)
+    values = []
+    for c_x in ifc[0] + w_x * np.arange(1, nx + 1):
+        ihx = _hat_integral(ifc[:-1], ifc[1:], c_x, w_x)
+        dhx = _hat_at(ifc[1:], c_x, w_x) - _hat_at(ifc[:-1], c_x, w_x)
+        e_w, q_w, s_w = e_avg @ ihx, q_avg @ dhx, s_avg @ ihx
+        for c_t in times[0] + w_t * np.arange(1, nt + 1):
+            ht = _hat_at(times, c_t, w_t)
+            iht = _hat_integral(times[:-1], times[1:], c_t, w_t)
+            values.append((ht[1:] - ht[:-1]) @ e_w + iht @ q_w - iht @ s_w + ht[0] * (e[0] @ ihx))
+    return min(values)
+
+
+def test_streamed_certificate_matches_the_dense_quadrature():
+    cfg = stock_config(n_cells=256)
+    report = kruzhkov_residual(cfg)
+    run = run_simulation(replace(cfg, snapshot_times=dense_snapshot_times(cfg.grid, 1.0)))
+    times = np.array([s.time for s in run.snapshots])
+    u = np.stack([s.field_u.values for s in run.snapshots])
+    p = np.stack([s.p.cell_values for s in run.snapshots])
+    for k, got in zip(report.levels, report.min_by_level):
+        assert got == pytest.approx(_dense_kruzhkov_minimum(cfg.grid, times, u, p, k), rel=1e-10)
+    # the snapshot hook hands the certificate exactly the samples a run keeps
+    assert kruzhkov_on_field(cfg.grid, times, u, p) == report
+
+
+def test_certificate_memory_grows_linearly_in_cells():
+    kruzhkov_residual(stock_config(n_cells=64, final_time=0.5))  # one-time allocations
+    peaks = []
+    for n in (512, 1024):
+        tracemalloc.start()
+        try:
+            kruzhkov_residual(stock_config(n_cells=n, final_time=0.5))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # dense snapshots would need ~4x for twice the cells and twice the samples
+    assert peaks[1] / peaks[0] <= 2.5
 
 
 def test_expansion_shock_certificate_fails_strongly():
