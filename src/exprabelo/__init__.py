@@ -1,14 +1,19 @@
 """Finite-volume laboratory for the exp-Rabelo equation, evolved in v = e^u.
 
-The conservative variable is v = e^u, which turns the anchored form of the
-equation into a Burgers flux plus the nonlocal source -v * int_0^x v dy and
-an optional viscosity. Subpackages: grids and presets (grid_field), the
-prefix integral (nonlocal_op), fluxes and time stepping (scheme), the driver
-(solver), the estimate checkers (verifiers), and the CLI (cli_io).
+Written in v = e^u, the anchored form of the equation is a Burgers flux
+plus the nonlocal source -v * int_0^x v dy and an optional viscosity. The
+scheme conserves v. That matches the paper while the solution is smooth, but
+not past the breaking time: a shock of the scheme moves at (v_l + v_r)/2,
+while the paper's entropy solutions conserve u and move a shock at
+(v_l - v_r)/ln(v_l/v_r). Stock runs stop at T = 1, before the stock gaussian
+breaks.
+
+Modules: grids and presets (grid_field), the prefix integral (nonlocal_op),
+fluxes and time stepping (scheme), the run loop (solver), the estimate
+checkers (verifiers), and the CLI (cli_io).
 """
 
 from .errors import (
-    AmplitudeError,
     BlowUpError,
     BoundaryFluxWarning,
     ConfigError,
@@ -29,7 +34,6 @@ from .grid_field import (
     build_grid,
     init_field,
     u_from_v,
-    v_from_u,
 )
 from .nonlocal_op import NonlocalP, p_sup, prefix_integral
 from .scheme import (
@@ -38,7 +42,6 @@ from .scheme import (
     godunov_flux,
     interface_fluxes,
     rusanov_flux,
-    semi_discrete_rhs,
     step,
 )
 from .solver import (
@@ -53,7 +56,6 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeError",
     "BlowUpError",
     "BoundaryFluxWarning",
     "ConfigError",
@@ -72,7 +74,6 @@ __all__ = [
     "build_grid",
     "init_field",
     "u_from_v",
-    "v_from_u",
     "NonlocalP",
     "p_sup",
     "prefix_integral",
@@ -81,7 +82,6 @@ __all__ = [
     "godunov_flux",
     "interface_fluxes",
     "rusanov_flux",
-    "semi_discrete_rhs",
     "step",
     "DiagnosticsSeries",
     "RunConfig",

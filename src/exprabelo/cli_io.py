@@ -70,6 +70,11 @@ _SCALAR_KEYS = {
 _REQUIRED_KEYS = ("grid.x_min", "grid.x_max", "grid.n_cells", "init.preset", "run.T")
 
 
+def _parse_list(raw: str, kind) -> tuple:
+    """A comma list of ``kind`` values; empty entries are skipped."""
+    return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
+
+
 def _parse_scalar(kind, key: str, raw: str, line_no: int):
     try:
         if kind is int:
@@ -80,7 +85,7 @@ def _parse_scalar(kind, key: str, raw: str, line_no: int):
                 raise ValueError("nan")
             return value
         if kind == "float_list":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            return _parse_list(raw, float)
     except ValueError:
         raise ConfigError(f"malformed value {raw!r} for {key}", line_no) from None
     return raw
@@ -331,19 +336,18 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_int_ladder(raw: str) -> tuple:
-    return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-
-
-def _parse_float_ladder(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-
-
 def _cmd_verify_balance(args) -> int:
     cfg = load_config(args.config)
+    # refuse what the reports below would reject, before anything runs
+    if cfg.final_time == 0.0:
+        raise ConfigError("verify balance needs run.T > 0: a balance closes over at least one step")
+    if 0.0 not in cfg.diagnostic_alphas:
+        raise ConfigError("verify balance needs alpha = 0 in diag.alphas for the mass balance")
+    ns = _parse_list(args.ladder, int) if args.ladder else ()
+    if args.ladder and len(ns) < 2:
+        raise ValueError(f"--ladder needs at least two cell counts, got {args.ladder!r}")
     ok = True
-    if args.ladder:
-        ns = _parse_int_ladder(args.ladder)
+    if ns:
         runs = run_ladder(cfg, ns)
         reports = [lp_balance_ladder(runs, a) for a in cfg.diagnostic_alphas]
         mass_rep = mass_balance_ladder(runs)
@@ -409,13 +413,13 @@ def _cmd_verify_stability(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.axis == "epsilon":
-        ladder = _parse_float_ladder(args.ladder) if args.ladder else EPSILON_LADDER
+        ladder = _parse_list(args.ladder, float) if args.ladder else EPSILON_LADDER
         rep = epsilon_convergence(cfg, ladder)
         rows = ["epsilon,l1_distance_to_limit"]
         rows += [f"{_fmt(e)},{_fmt(d)}" for e, d in zip(rep.params, rep.distances)]
     else:
         if args.ladder:
-            ns = _parse_int_ladder(args.ladder)
+            ns = _parse_list(args.ladder, int)
         else:
             n = cfg.grid.n_cells
             ns = (n, 2 * n, 4 * n)

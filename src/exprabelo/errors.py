@@ -15,10 +15,6 @@ class DomainTooSmallError(ValueError):
     """Initial data carries non-negligible mass outside the domain."""
 
 
-class AmplitudeError(ValueError):
-    """Exponentiating u would overflow double precision."""
-
-
 class ShapeError(ValueError):
     """Array length inconsistent with the grid it is paired with."""
 

@@ -14,18 +14,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import expit
 
-from .errors import (
-    AmplitudeError,
-    DomainTooSmallError,
-    GridAlignmentError,
-    GridSizeError,
-    ShapeError,
-)
+from .errors import DomainTooSmallError, GridAlignmentError, GridSizeError, ShapeError
 
 ALIGNMENT_RTOL = 1e-12
 TAIL_FRACTION_LIMIT = 1e-10
 DEFAULT_V_FLOOR = 1e-12
-EXP_OVERFLOW_LIMIT = 700.0
 
 # preset name -> its parameters, in config order, with their defaults
 PRESET_DEFAULTS = {
@@ -146,15 +139,10 @@ class FieldV:
 
 @dataclass(frozen=True)
 class FieldU:
-    """Cell values of u = ln v at a fixed time.
-
-    ``floor_count`` is the number of v entries that sat below the floor when
-    the logarithm was taken.
-    """
+    """Cell values of u = ln v at a fixed time."""
 
     values: np.ndarray
     time: float = 0.0
-    floor_count: int = 0
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -166,23 +154,11 @@ class FieldU:
         object.__setattr__(self, "time", float(self.time))
 
 
-def u_from_v(fv: FieldV, v_floor: float = DEFAULT_V_FLOOR) -> FieldU:
+def u_from_v(fv: FieldV, v_floor: float) -> FieldU:
     """Floored logarithm: u_i = ln(max(v_i, v_floor))."""
     if v_floor <= 0.0:
         raise ValueError(f"v_floor must be positive, got {v_floor}")
-    floored = int(np.count_nonzero(fv.values < v_floor))
-    u = np.log(np.maximum(fv.values, v_floor))
-    return FieldU(u, fv.time, floored)
-
-
-def v_from_u(fu: FieldU) -> FieldV:
-    """Exponential map back to v; refuses amplitudes that would overflow."""
-    umax = float(np.max(fu.values))
-    if umax > EXP_OVERFLOW_LIMIT:
-        raise AmplitudeError(
-            f"max u = {umax:.6g} exceeds {EXP_OVERFLOW_LIMIT:g}; exp would overflow"
-        )
-    return FieldV(np.exp(fu.values), fu.time)
+    return FieldU(np.log(np.maximum(fv.values, v_floor)), fv.time)
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dgtsv
 
-from .errors import BlowUpError, ShapeError, StateError
-from .grid_field import FieldV, GridSpec
+from .errors import BlowUpError, StateError
+from .grid_field import DEFAULT_V_FLOOR, FieldV, GridSpec
 from .nonlocal_op import NonlocalP, _prefix_arrays, p_sup
 
 FLUXES = ("godunov", "rusanov")
@@ -52,7 +52,7 @@ class SchemeConfig:
     flux: str = "godunov"
     epsilon: float = 0.0
     cfl: float = 0.4
-    v_floor: float = 1e-12
+    v_floor: float = DEFAULT_V_FLOOR
     source_enabled: bool = True
     forcing: ForcingFn | None = None
 
@@ -239,24 +239,6 @@ def _rhs_parts(
     if cfg.forcing is not None:
         source += cfg.forcing(t, grid.centers)
     return flux_div, source
-
-
-def semi_discrete_rhs(
-    grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spatial operator split into (flux divergence, source, viscous) parts;
-    the viscous part is zeros when epsilon is zero."""
-    if fv.values.shape != (grid.n_cells,):
-        raise ShapeError(
-            f"field has {fv.values.shape[0]} cells, grid has {grid.n_cells}"
-        )
-    if p.cell_values.shape != (grid.n_cells,):
-        raise ShapeError("nonlocal operator was built on a different grid")
-    v = fv.values
-    flux_div, source = _rhs_parts(grid, v, fv.time, p.cell_values, cfg, Workspace(v.size))
-    padded = np.concatenate(([0.0], v, [0.0]))  # zero ghosts
-    lap = padded[:-2] - 2.0 * v + padded[2:]
-    return flux_div, source, cfg.epsilon * v * lap / (grid.dx * grid.dx)
 
 
 def cfl_dt(grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig) -> float:

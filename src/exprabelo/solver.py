@@ -17,6 +17,7 @@ from .nonlocal_op import NonlocalP, prefix_integral
 from .scheme import SchemeConfig, Workspace, cfl_dt, interface_fluxes, step
 
 BOUNDARY_LEAK_THRESHOLD = 1e-8
+SNAPSHOT_RTOL = 1e-12  # relative gap at which snapshot_at accepts a snapshot time
 DEFAULT_ALPHAS = (0.0, 1.0, 2.0)
 
 
@@ -219,9 +220,9 @@ class RunResult:
     snapshots: tuple
     diagnostics: DiagnosticsSeries
 
-    def snapshot_at(self, t: float, rtol: float = 1e-12) -> Snapshot:
+    def snapshot_at(self, t: float) -> Snapshot:
         for snap in self.snapshots:
-            if snap.time == t or abs(snap.time - t) <= rtol * max(1.0, abs(t)):
+            if snap.time == t or abs(snap.time - t) <= SNAPSHOT_RTOL * max(1.0, abs(t)):
                 return snap
         raise DataGapError(f"no snapshot at t = {t}")
 

@@ -16,15 +16,16 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import erf
 
 from .errors import BoundaryFluxWarning, DataGapError, DomainError, SparseSnapshotsError
-from .grid_field import FieldV, GridSpec, build_grid, init_field, u_from_v
-from .nonlocal_op import prefix_integral
-from .scheme import SchemeConfig, semi_discrete_rhs
+from .grid_field import DEFAULT_V_FLOOR, FieldV, GridSpec, build_grid, init_field, u_from_v
+from .scheme import SchemeConfig
 from .solver import RunConfig, RunResult, evolve, run_simulation
 
 SQRT_PI = math.sqrt(math.pi)
 EPSILON_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
 EPSILON_LADDER_MIN_CELLS = 2048  # below this the grid's own dissipation swamps eps = 1e-3
 SUP_MONITOR_TOL = 1e-10
+ENTROPY_HATS = 8  # tensor hats per axis in the Kruzhkov certificate
+ENTROPY_C_TOL = 10.0  # its tolerance, in units of dx times the hat integral
 
 
 # ---------------------------------------------------------------------------
@@ -70,17 +71,6 @@ def run_ladder(base: RunConfig, n_ladder: Sequence[int]) -> list[RunResult]:
         for n in n_ladder
     ]
     return _run_many(configs)
-
-
-def cancelling_forcing(grid: GridSpec, v0: FieldV, cfg: SchemeConfig):
-    """Forcing that freezes v0: g = -(flux divergence + source + viscous)(v0)."""
-    flux_div, source, viscous = semi_discrete_rhs(grid, v0, prefix_integral(grid, v0), cfg)
-    g = -(flux_div + source + viscous)
-
-    def forcing(t: float, x: np.ndarray) -> np.ndarray:
-        return g
-
-    return forcing
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +221,19 @@ class SupMonitorReport:
     violation_location: float | None
 
 
-def sup_principle_monitor(run: RunResult, tol: float = SUP_MONITOR_TOL) -> SupMonitorReport:
-    """Watch sup u(t) against sup u(0) + tol; reports, never raises."""
+def sup_principle_monitor(run: RunResult) -> SupMonitorReport:
+    """Watch sup u(t) against sup u(0) + SUP_MONITOR_TOL; reports, never raises."""
     diag = run.diagnostics
     s0 = float(diag.sup_u[0])
     excess = diag.sup_u - s0
     worst = float(np.max(excess))
-    hits = np.nonzero(excess > tol)[0]
+    hits = np.nonzero(excess > SUP_MONITOR_TOL)[0]
     first = int(hits[0]) if hits.size else None
     return SupMonitorReport(
         sup_u0=s0,
         max_sup_u=float(np.max(diag.sup_u)),
         worst_excess=worst,
-        tol=tol,
+        tol=SUP_MONITOR_TOL,
         violated=first is not None,
         first_violation_time=None if first is None else float(diag.times[first]),
         violation_location=None if first is None else float(diag.sup_u_x[first]),
@@ -269,9 +259,9 @@ def _hat_integral(a, b, c, w: float):
 
 
 class _HatSums:
-    """Weak-form values of a batch of entropy pairs against an nt-by-nx
-    family of tensor-product hats interior to (t0, t_end) x (x_min, x_max),
-    accumulated one time sample at a time.
+    """Weak-form values of a batch of entropy pairs against the square family
+    of ENTROPY_HATS x ENTROPY_HATS tensor-product hats interior to
+    (t0, t_end) x (x_min, x_max), accumulated one time sample at a time.
 
     Each value approximates
 
@@ -292,22 +282,23 @@ class _HatSums:
     |u - k| cancels in the sums.
     """
 
-    def __init__(self, grid: GridSpec, t0: float, t_end: float, pair, nt: int, nx: int):
+    def __init__(self, grid: GridSpec, t0: float, t_end: float, pair):
         if not t_end > t0:
             raise SparseSnapshotsError("sample times must increase")
         ifc = grid.interfaces
         self.dx = grid.dx
         self.pair = pair
-        self.w_t = (t_end - t0) / (nt + 1)
-        self.c_t = t0 + np.arange(1, nt + 1) * self.w_t
-        w_x = float(ifc[-1] - ifc[0]) / (nx + 1)
-        c_x = float(ifc[0]) + np.arange(1, nx + 1) * w_x
+        hats = np.arange(1, ENTROPY_HATS + 1)
+        self.w_t = (t_end - t0) / (ENTROPY_HATS + 1)
+        self.c_t = t0 + hats * self.w_t
+        w_x = float(ifc[-1] - ifc[0]) / (ENTROPY_HATS + 1)
+        c_x = float(ifc[0]) + hats * w_x
         left, right = ifc[:-1, None], ifc[1:, None]
-        self.ihx = _hat_integral(left, right, c_x, w_x)  # (n, nx)
+        self.ihx = _hat_integral(left, right, c_x, w_x)  # (cells, x-hats)
         self.dhx = _hat_at(right, c_x, w_x) - _hat_at(left, c_x, w_x)
         self.phi_mass = self.w_t * w_x
         self.eta0 = None
-        self.sums = None  # (pairs, nx, nt), without the eta(u(t0)) term
+        self.sums = None  # (pairs, x-hats, t-hats), without the eta(u(t0)) term
         self.prev = None  # time, t-hat values and projections of the last sample
 
     def add(self, time: float, u: np.ndarray, p: np.ndarray | None = None) -> None:
@@ -342,7 +333,7 @@ class _HatSums:
             self.add(t, u_matrix[i], None if p_matrix is None else p_matrix[i])
 
     def values(self) -> np.ndarray:
-        """The (pairs, nx, nt) weak-form values, x-hats outer."""
+        """The (pairs, x-hats, t-hats) weak-form values."""
         ht_end = self.prev[1]
         return self.sums + (self.eta0 @ self.ihx)[:, :, None] * ht_end
 
@@ -366,8 +357,6 @@ def entropy_weak_values(
     eta: Callable[[np.ndarray], np.ndarray],
     flux_q: Callable[[np.ndarray], np.ndarray],
     eta_prime: Callable[[np.ndarray], np.ndarray],
-    nt: int = 8,
-    nx: int = 8,
 ) -> tuple[np.ndarray, float]:
     """Weak-form values of one entropy pair on an explicit space-time sample
     of u (and P), as ``_HatSums`` computes them; the return includes the
@@ -377,7 +366,7 @@ def entropy_weak_values(
     def pair(u):
         return eta(u)[None], flux_q(u)[None], eta_prime(u)[None]
 
-    sums = _HatSums(grid, float(times[0]), float(times[-1]), pair, nt, nx)
+    sums = _HatSums(grid, float(times[0]), float(times[-1]), pair)
     sums.add_rows(times, u_matrix, p_matrix)
     return sums.values()[0].ravel(), sums.phi_mass
 
@@ -427,14 +416,14 @@ def _kruzhkov_pair(levels: tuple):
     return pair
 
 
-def _entropy_report(grid: GridSpec, levels: tuple, sums: _HatSums, nt, nx, c_tol) -> EntropyReport:
+def _entropy_report(grid: GridSpec, levels: tuple, sums: _HatSums) -> EntropyReport:
     minima = tuple(float(m) for m in sums.values().min(axis=(1, 2)))
-    tol = c_tol * grid.dx * sums.phi_mass
+    tol = ENTROPY_C_TOL * grid.dx * sums.phi_mass
     min_value = min(minima)
     return EntropyReport(
         levels=levels,
-        family=f"tensor-hats-{nt}x{nx}",
-        n_phi=nt * nx,
+        family=f"tensor-hats-{ENTROPY_HATS}x{ENTROPY_HATS}",
+        n_phi=ENTROPY_HATS * ENTROPY_HATS,
         dx=grid.dx,
         tolerance=tol,
         min_value=min_value,
@@ -449,27 +438,18 @@ def kruzhkov_on_field(
     u_matrix: np.ndarray,
     p_matrix: np.ndarray | None = None,
     levels: Sequence[float] | None = None,
-    nt: int = 8,
-    nx: int = 8,
-    c_tol: float = 10.0,
 ) -> EntropyReport:
     """Kruzhkov certificate on an explicit space-time sample of u (and P),
     with times strictly increasing at most dx apart. The default levels
     come from the first row."""
     times, u_matrix = _samples(grid, times, u_matrix)
     levels = _default_levels(u_matrix[0]) if levels is None else tuple(float(k) for k in levels)
-    sums = _HatSums(grid, float(times[0]), float(times[-1]), _kruzhkov_pair(levels), nt, nx)
+    sums = _HatSums(grid, float(times[0]), float(times[-1]), _kruzhkov_pair(levels))
     sums.add_rows(times, u_matrix, p_matrix)
-    return _entropy_report(grid, levels, sums, nt, nx, c_tol)
+    return _entropy_report(grid, levels, sums)
 
 
-def kruzhkov_residual(
-    cfg: RunConfig,
-    levels: Sequence[float] | None = None,
-    nt: int = 8,
-    nx: int = 8,
-    c_tol: float = 10.0,
-) -> EntropyReport:
+def kruzhkov_residual(cfg: RunConfig, levels: Sequence[float] | None = None) -> EntropyReport:
     """Kruzhkov certificate for an inviscid configuration.
 
     Runs ``cfg`` with snapshots at ``dense_snapshot_times`` in place of its
@@ -484,7 +464,7 @@ def kruzhkov_residual(
     v0 = init_field(grid, cfg.init)
     u0 = u_from_v(v0, cfg.scheme.v_floor).values
     levels = _default_levels(u0) if levels is None else tuple(float(k) for k in levels)
-    sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels), nt, nx)
+    sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels))
     source = cfg.scheme.source_enabled
 
     def take(snap):
@@ -494,31 +474,25 @@ def kruzhkov_residual(
         grid, v0, cfg.scheme, cfg.final_time,
         dense_snapshot_times(grid, cfg.final_time), cfg.diagnostic_alphas, on_snapshot=take,
     )
-    return _entropy_report(grid, levels, sums, nt, nx, c_tol)
+    return _entropy_report(grid, levels, sums)
 
 
 def expansion_shock_field(
-    n_cells: int = 512,
-    domain: tuple = (-1.0, 1.0),
-    v_left: float = 1.0,
-    v_right: float = 2.0,
-    final_time: float = 0.4,
-    v_floor: float = 1e-12,
+    n_cells: int = 512, final_time: float = 0.4
 ) -> tuple[GridSpec, np.ndarray, np.ndarray]:
-    """Frozen analytic expansion shock (an entropy-violating weak solution).
+    """Frozen analytic expansion shock (an entropy-violating weak solution)
+    on [-1, 1].
 
-    The jump from v_left up to v_right travels at the chord speed even though
-    characteristics spread; every Kruzhkov level strictly between the states
-    produces entropy on the jump, so the certificate must reject this field.
+    The jump from v = 1 up to v = 2 travels at the chord speed 3/2 even
+    though characteristics spread; every Kruzhkov level strictly between the
+    states produces entropy on the jump, so the certificate must reject this
+    field.
     """
-    if not (0.0 <= v_left < v_right):
-        raise DomainError("expansion shock needs 0 <= v_left < v_right")
-    grid = build_grid(domain[0], domain[1], n_cells)
-    speed = 0.5 * (v_left + v_right)
+    grid = build_grid(-1.0, 1.0, n_cells)
     times = np.array(dense_snapshot_times(grid, final_time))
-    front = speed * times[:, None]
-    v = np.where(grid.centers[None, :] < front, v_left, v_right)
-    u = np.log(np.maximum(v, v_floor))
+    front = 1.5 * times[:, None]
+    v = np.where(grid.centers[None, :] < front, 1.0, 2.0)
+    u = np.log(np.maximum(v, DEFAULT_V_FLOOR))
     return grid, times, u
 
 
@@ -744,13 +718,11 @@ def riemann_initial(grid: GridSpec, v_left: float, v_right: float, x0: float = 0
     return FieldV(np.where(grid.centers < x0, float(v_left), float(v_right)), 0.0)
 
 
-def _riemann_run(
-    grid: GridSpec, v_left: float, v_right: float, flux: str, final_time: float
-) -> RunResult:
+def _riemann_run(grid: GridSpec, v_left: float, v_right: float, final_time: float) -> RunResult:
     """Pure Burgers run (source and viscosity off) from Riemann data. Such
     data touch the boundary by design, so the boundary-flux warning that
     ``evolve`` gives user runs is silenced here."""
-    cfg = SchemeConfig(flux=flux, epsilon=0.0, source_enabled=False)
+    cfg = SchemeConfig(epsilon=0.0, source_enabled=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryFluxWarning)
         return evolve(grid, riemann_initial(grid, v_left, v_right), cfg, final_time)
@@ -781,10 +753,10 @@ class RiemannCheck:
         )
 
 
-def burgers_sanity(n_cells: int = 1024, flux: str = "godunov") -> RiemannCheck:
+def burgers_sanity(n_cells: int = 1024) -> RiemannCheck:
     """Run both stock Riemann problems at one resolution and collect errors."""
-    shock_err, dx = burgers_shock_position_error(n_cells, flux=flux)
-    fan_err, _ = burgers_rarefaction_error(n_cells, flux=flux)
+    shock_err, dx = burgers_shock_position_error(n_cells)
+    fan_err, _ = burgers_rarefaction_error(n_cells)
     return RiemannCheck(
         n_cells=n_cells,
         dx=dx,
@@ -799,7 +771,6 @@ def burgers_shock_position_error(
     v_right: float = 1.0,
     final_time: float = 1.0,
     domain: tuple = (-8.0, 8.0),
-    flux: str = "godunov",
 ) -> tuple[float, float]:
     """Distance between the computed mid-value crossing and the exact shock.
 
@@ -809,7 +780,7 @@ def burgers_shock_position_error(
     if not v_left > v_right >= 0.0:
         raise DomainError("shock case needs v_left > v_right >= 0")
     grid = build_grid(domain[0], domain[1], n_cells)
-    run = _riemann_run(grid, v_left, v_right, flux, final_time)
+    run = _riemann_run(grid, v_left, v_right, final_time)
     v = run.final_state.values
     x = grid.centers
     exact = 0.5 * (v_left + v_right) * final_time
@@ -833,13 +804,12 @@ def burgers_rarefaction_error(
     v_right: float = 1.0,
     final_time: float = 1.0,
     domain: tuple = (-8.0, 8.0),
-    flux: str = "godunov",
 ) -> tuple[float, float]:
     """L1 distance at final time between the computed fan and the exact one."""
     if not 0.0 <= v_left < v_right:
         raise DomainError("rarefaction case needs 0 <= v_left < v_right")
     grid = build_grid(domain[0], domain[1], n_cells)
-    run = _riemann_run(grid, v_left, v_right, flux, final_time)
+    run = _riemann_run(grid, v_left, v_right, final_time)
     exact = burgers_riemann_oracle(v_left, v_right, final_time, grid.centers)
     return l1_distance(grid.dx, run.final_state.values, exact), grid.dx
 
@@ -887,14 +857,13 @@ def mms_convergence(
     epsilon: float = 1e-2,
     final_time: float = 1.0,
     domain: tuple = (-8.0, 8.0),
-    flux: str = "godunov",
 ) -> MmsReport:
     """L1 errors against the manufactured solution across a grid ladder."""
     ns = [int(n) for n in n_ladder]
     errors = []
     for n in ns:
         grid = build_grid(domain[0], domain[1], n)
-        cfg = SchemeConfig(flux=flux, epsilon=epsilon, forcing=mms_forcing(epsilon))
+        cfg = SchemeConfig(epsilon=epsilon, forcing=mms_forcing(epsilon))
         v0 = FieldV(mms_solution(0.0, grid.centers), 0.0)
         run = evolve(grid, v0, cfg, final_time)
         errors.append(

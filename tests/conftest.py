@@ -1,13 +1,16 @@
-"""Shared fixtures: the stock run configurations and a session-level cache so
-expensive ladders are computed once for the whole suite."""
+"""Shared fixtures: the stock run configurations, a session-level cache so
+expensive ladders are computed once for the whole suite, and the scheme's
+right-hand side split into its parts for the tests that check against it."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
-from exprabelo import InitialDataSpec, RunConfig, SchemeConfig, build_grid
+from exprabelo import InitialDataSpec, RunConfig, SchemeConfig, build_grid, prefix_integral
+from exprabelo.scheme import Workspace, _rhs_parts
 from exprabelo.solver import run_simulation
 from exprabelo.verifiers import run_ladder
 
@@ -62,3 +65,26 @@ def stock_run_256():
     """Small, quick stock run with snapshots, reused by solver and IO tests."""
     cfg = stock_config(256, final_time=0.5, snapshot_times=(0.0, 0.25, 0.5))
     return run_simulation(cfg)
+
+
+def semi_discrete_rhs(grid, fv, p, cfg):
+    """The scheme's spatial operator at ``fv``, whose prefix integral is
+    ``p``, split into (flux divergence, source, viscous) parts. The viscous
+    part is eps v D+D-v with zero ghosts, written out here independently of
+    the implicit solve that steps it; it is zeros when epsilon is zero."""
+    v = fv.values
+    flux_div, source = _rhs_parts(grid, v, fv.time, p.cell_values, cfg, Workspace(v.size))
+    padded = np.concatenate(([0.0], v, [0.0]))
+    lap = padded[:-2] - 2.0 * v + padded[2:]
+    return flux_div, source, cfg.epsilon * v * lap / (grid.dx * grid.dx)
+
+
+def cancelling_forcing(grid, v0, cfg):
+    """Forcing that freezes v0: g = -(flux divergence + source + viscous)(v0)."""
+    flux_div, source, viscous = semi_discrete_rhs(grid, v0, prefix_integral(grid, v0), cfg)
+    g = -(flux_div + source + viscous)
+
+    def forcing(t, x):
+        return g
+
+    return forcing

@@ -16,6 +16,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import exprabelo.solver
+import exprabelo.verifiers
 from exprabelo.errors import BoundaryFluxWarning, ConfigError, GridAlignmentError
 from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
@@ -41,14 +43,13 @@ from exprabelo.verifiers import (
     RiemannCheck,
     StabilityReport,
     SupMonitorReport,
-    cancelling_forcing,
     grid_convergence,
     l1_stability_check,
     lp_balance_residual,
 )
 from exprabelo.solver import evolve
 
-from conftest import stock_config
+from conftest import cancelling_forcing, stock_config
 
 MINIMAL = """
 grid.x_min = -8
@@ -57,6 +58,10 @@ grid.n_cells = 64
 init.preset = gaussian
 run.T = 0.25
 """
+
+# two configs that `verify balance` cannot use
+NO_ALPHA0 = MINIMAL + "diag.alphas = 1, 2\n"
+AT_T0 = MINIMAL.replace("run.T = 0.25", "run.T = 0")
 
 FULL = """
 # geometry
@@ -676,18 +681,45 @@ def test_usage_errors_exit_two(tmp_path):
         ["verify", "entropy"],
         ["verify", "entropy", "{viscous}"],
         ["burgers-sanity", "--cells", "0"],
+        ["verify", "balance", "{cfg}", "--ladder", "8192"],
+        ["verify", "balance", "{no_alpha0}"],
+        ["verify", "balance", "{no_alpha0}", "--ladder", "64,128"],
+        ["verify", "balance", "{t0}", "--ladder", "64,128"],
     ],
     ids=" ".join,
 )
-def test_rejected_command_leaves_no_output_directory(tmp_path, argv):
-    viscous = MINIMAL + "scheme.epsilon = 1e-2\n"
-    paths = {
-        "cfg": _write_cfg(tmp_path),
-        "viscous": _write_cfg(tmp_path, name="viscous.cfg", text=viscous),
+def test_rejected_command_leaves_no_output_directory(tmp_path, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a rejected command ran a simulation")
+
+    # every run, the CLI's and the verifiers' own, goes through one of these
+    monkeypatch.setattr(exprabelo.solver, "evolve", no_run)
+    monkeypatch.setattr(exprabelo.verifiers, "evolve", no_run)
+    texts = {
+        "cfg": None,
+        "viscous": MINIMAL + "scheme.epsilon = 1e-2\n",
+        "no_alpha0": NO_ALPHA0,
+        "t0": AT_T0,
     }
+    paths = {k: _write_cfg(tmp_path, name=f"{k}.cfg", text=t) for k, t in texts.items()}
     out = tmp_path / "d"
     assert dispatch([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, ladder, cause",
+    [
+        (MINIMAL, "8192", "at least two cell counts"),
+        (NO_ALPHA0, None, "alpha = 0 in diag.alphas"),
+        (AT_T0, "64,128", "run.T > 0"),
+    ],
+    ids=["one-rung ladder", "no alpha 0", "T = 0"],
+)
+def test_verify_balance_names_why_it_rejects_input(tmp_path, capsys, text, ladder, cause):
+    argv = ["verify", "balance", _write_cfg(tmp_path, text=text), "--out", str(tmp_path / "d")]
+    assert dispatch(argv + (["--ladder", ladder] if ladder else [])) == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_viscous_entropy_request_exits_two(tmp_path):

@@ -37,13 +37,12 @@ from exprabelo.solver import (
     run_simulation,
 )
 from exprabelo.verifiers import (
-    cancelling_forcing,
     lp_balance_residual,
     mms_forcing,
     riemann_initial,
 )
 
-from conftest import stock_config
+from conftest import cancelling_forcing, stock_config
 
 
 def test_source_integral_telescopes_to_boundary_prefix_values(stock_run_256):
