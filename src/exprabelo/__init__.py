@@ -8,6 +8,9 @@ while the paper's entropy solutions conserve u and move a shock at
 (v_l - v_r)/ln(v_l/v_r). Stock runs stop at T = 1, before the stock gaussian
 breaks.
 
+Solutions are bounded from above, so v = 0 is admissible: a step sets only
+negative values to 0, and counts them.
+
 Modules: grids and presets (grid_field), the prefix integral (nonlocal_op),
 fluxes and time stepping (scheme), the run loop (solver), the estimate
 checkers (verifiers), and the CLI (cli_io).

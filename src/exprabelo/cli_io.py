@@ -62,7 +62,6 @@ _SCALAR_KEYS = {
     "scheme.flux": str,
     "scheme.epsilon": float,
     "scheme.cfl": float,
-    "scheme.v_floor": float,
     "run.T": float,
     "run.snapshots": "float_list",
     "diag.alphas": "float_list",
@@ -136,7 +135,7 @@ def parse_config(text: str) -> RunConfig:
         that absent ones take the constructor's own default."""
         return {arg: get(key) for key, arg in keys.items() if key in pairs}
 
-    scheme = given({f"scheme.{name}": name for name in ("flux", "epsilon", "cfl", "v_floor")})
+    scheme = given({f"scheme.{name}": name for name in ("flux", "epsilon", "cfl")})
     if "flux" in scheme and scheme["flux"] not in FLUXES:
         raise ConfigError(
             f"unknown flux {scheme['flux']!r}; expected one of {list(FLUXES)}",
@@ -336,11 +335,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_verify_balance(args) -> int:
-    cfg = load_config(args.config)
-    # refuse what the reports below would reject, before anything runs
+def _load_evolving_config(path, command: str) -> RunConfig:
+    """The config at ``path``, refused before anything runs when run.T = 0."""
+    cfg = load_config(path)
     if cfg.final_time == 0.0:
-        raise ConfigError("verify balance needs run.T > 0: a balance closes over at least one step")
+        raise ConfigError(f"{command} needs run.T > 0: at T = 0 it has nothing to check")
+    return cfg
+
+
+def _cmd_verify_balance(args) -> int:
+    cfg = _load_evolving_config(args.config, "verify balance")
+    # refuse what the reports below would reject, before anything runs
     if 0.0 not in cfg.diagnostic_alphas:
         raise ConfigError("verify balance needs alpha = 0 in diag.alphas for the mass balance")
     ns = _parse_list(args.ladder, int) if args.ladder else ()
@@ -380,7 +385,7 @@ def _cmd_verify_entropy(args) -> int:
     else:
         if args.config is None:
             raise ConfigError("verify entropy needs a config file or --fixture")
-        rep = kruzhkov_residual(load_config(args.config))
+        rep = kruzhkov_residual(_load_evolving_config(args.config, "verify entropy"))
         label = args.config
     write_report(rep, _out_dir(args) / "entropy.report")
     _status(
@@ -411,7 +416,7 @@ def _cmd_verify_stability(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+    cfg = _load_evolving_config(args.config, f"sweep {args.axis}")
     if args.axis == "epsilon":
         ladder = _parse_list(args.ladder, float) if args.ladder else EPSILON_LADDER
         rep = epsilon_convergence(cfg, ladder)

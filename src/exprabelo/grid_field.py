@@ -1,12 +1,14 @@
-"""Uniform grids, positive state fields, and the preset initial-data catalog.
+"""Uniform grids, nonnegative state fields, and the preset initial-data catalog.
 
-The state variable everywhere is v = e^u > 0; u is carried only as a derived,
-floored logarithm so that sup bounds and L1 comparisons can be phrased in u.
+The state variable everywhere is v = e^u >= 0. u is carried only as a derived
+logarithm, so that sup bounds and L1 comparisons can be phrased in u; it is
+floored at ln V_TINY, where v underflows, so that v = 0 has a finite u.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -18,7 +20,7 @@ from .errors import DomainTooSmallError, GridAlignmentError, GridSizeError, Shap
 
 ALIGNMENT_RTOL = 1e-12
 TAIL_FRACTION_LIMIT = 1e-10
-DEFAULT_V_FLOOR = 1e-12
+V_TINY = sys.float_info.min  # smallest normal double; ln V_TINY = -708.4
 
 # preset name -> its parameters, in config order, with their defaults
 PRESET_DEFAULTS = {
@@ -106,8 +108,8 @@ def build_grid(x_min: float, x_max: float, n_cells: int) -> GridSpec:
 class FieldV:
     """Cell values of v = e^u at a fixed time; entries are finite and >= 0.
 
-    ``clip_count`` records how many entries the producing step raised to the
-    positivity floor (0 for fields built directly from data).
+    ``clip_count`` records how many negative entries the producing step set
+    to zero (0 for fields built directly from data).
     """
 
     values: np.ndarray
@@ -154,11 +156,9 @@ class FieldU:
         object.__setattr__(self, "time", float(self.time))
 
 
-def u_from_v(fv: FieldV, v_floor: float) -> FieldU:
-    """Floored logarithm: u_i = ln(max(v_i, v_floor))."""
-    if v_floor <= 0.0:
-        raise ValueError(f"v_floor must be positive, got {v_floor}")
-    return FieldU(np.log(np.maximum(fv.values, v_floor)), fv.time)
+def u_from_v(fv: FieldV) -> FieldU:
+    """u_i = ln v_i, floored only where v_i underflows: u_i >= ln V_TINY."""
+    return FieldU(np.log(np.maximum(fv.values, V_TINY)), fv.time)
 
 
 @dataclass(frozen=True)

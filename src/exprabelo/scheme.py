@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from .errors import BlowUpError, StateError
-from .grid_field import DEFAULT_V_FLOOR, FieldV, GridSpec
+from .grid_field import FieldV, GridSpec
 from .nonlocal_op import NonlocalP, _prefix_arrays, p_sup
 
 FLUXES = ("godunov", "rusanov")
@@ -52,7 +52,6 @@ class SchemeConfig:
     flux: str = "godunov"
     epsilon: float = 0.0
     cfl: float = 0.4
-    v_floor: float = DEFAULT_V_FLOOR
     source_enabled: bool = True
     forcing: ForcingFn | None = None
 
@@ -63,8 +62,6 @@ class SchemeConfig:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
         if not (0.0 < self.cfl <= 1.0):
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not (math.isfinite(self.v_floor) and self.v_floor > 0.0):
-            raise ValueError(f"v_floor must be positive, got {self.v_floor}")
 
 
 class Workspace:
@@ -355,10 +352,12 @@ def step(
 
     ``p``, when given, must be the prefix integral of ``fv``; the first stage
     then reuses it instead of rebuilding it. ``ws`` is the run's workspace
-    (a fresh one when omitted). The result is clipped below at
-    ``cfg.v_floor`` and the number of clipped entries is recorded on the
-    returned field. Non-finite output raises BlowUpError naming the first
-    offending cell; this is the only check a stepped field gets.
+    (a fresh one when omitted). Negative entries of the result are set to
+    zero and counted on the returned field's ``clip_count``; v = 0 itself is
+    admissible. At epsilon = 0 with cfl <= 1/2 no entry goes negative (Zhang
+    and Shu 2010); ARS(2,2,2)'s negative explicit weight DELTA gives no such
+    guarantee at epsilon > 0. Non-finite output raises BlowUpError naming the
+    first offending cell; this is the only check a stepped field gets.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -382,7 +381,7 @@ def step(
     finite = np.isfinite(out, out=ws.mask)
     if not finite.all():
         raise BlowUpError(int(np.argmin(finite)), fv.time + dt)
-    clip_count = int(np.count_nonzero(np.less(out, cfg.v_floor, out=ws.mask)))
+    clip_count = int(np.count_nonzero(np.less(out, 0.0, out=ws.mask)))
     if clip_count:
-        np.maximum(out, cfg.v_floor, out=out)
+        np.maximum(out, 0.0, out=out)
     return FieldV._checked(out, fv.time + dt, clip_count)

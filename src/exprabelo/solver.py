@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryFluxWarning, DataGapError, ShapeError, StateError
-from .grid_field import FieldU, FieldV, GridSpec, InitialDataSpec, init_field, u_from_v
+from .grid_field import V_TINY, FieldU, FieldV, GridSpec, InitialDataSpec, init_field, u_from_v
 from .nonlocal_op import NonlocalP, prefix_integral
 from .scheme import SchemeConfig, Workspace, cfl_dt, interface_fluxes, step
 
@@ -66,8 +66,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """State at one instant: cell centers, v, the floored u, and the prefix
-    integral, self-contained for serialization."""
+    """State at one instant: cell centers, v, u = ln v (floored only where v
+    underflows), and the prefix integral, self-contained for serialization."""
 
     time: float
     x: np.ndarray
@@ -170,7 +170,7 @@ def record_diagnostics(
     v = fv.values
     dx = grid.dx
     imax = int(v.argmax())
-    sup_u = math.log(max(float(v[imax]), cfg.v_floor))
+    sup_u = math.log(max(float(v[imax]), V_TINY))
     sup_u_x = float(grid.centers[imax])
     mass = float(v.sum()) * dx
 
@@ -231,14 +231,8 @@ class RunResult:
         return self.snapshots[-1].field_v
 
 
-def _make_snapshot(grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig) -> Snapshot:
-    return Snapshot(
-        time=fv.time,
-        x=grid.centers,
-        field_v=fv,
-        field_u=u_from_v(fv, cfg.v_floor),
-        p=p,
-    )
+def _make_snapshot(grid: GridSpec, fv: FieldV, p: NonlocalP) -> Snapshot:
+    return Snapshot(time=fv.time, x=grid.centers, field_v=fv, field_u=u_from_v(fv), p=p)
 
 
 def evolve(
@@ -278,7 +272,7 @@ def evolve(
     snaps = []
     take = snaps.append if on_snapshot is None else on_snapshot
     if events[0] == 0.0:
-        take(_make_snapshot(grid, fv, p, cfg))
+        take(_make_snapshot(grid, fv, p))
         events.pop(0)
 
     while events:
@@ -296,7 +290,7 @@ def evolve(
         p = prefix_integral(grid, fv)
         rows.append(record_diagnostics(grid, fv, p, cfg, dt, alphas, ws))
         if landing:
-            take(_make_snapshot(grid, fv, p, cfg))
+            take(_make_snapshot(grid, fv, p))
             events.pop(0)
 
     series = DiagnosticsSeries.from_rows(rows, alphas)

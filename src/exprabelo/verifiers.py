@@ -16,7 +16,7 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import erf
 
 from .errors import BoundaryFluxWarning, DataGapError, DomainError, SparseSnapshotsError
-from .grid_field import DEFAULT_V_FLOOR, FieldV, GridSpec, build_grid, init_field, u_from_v
+from .grid_field import FieldV, GridSpec, build_grid, init_field, u_from_v
 from .scheme import SchemeConfig
 from .solver import RunConfig, RunResult, evolve, run_simulation
 
@@ -26,6 +26,12 @@ EPSILON_LADDER_MIN_CELLS = 2048  # below this the grid's own dissipation swamps 
 SUP_MONITOR_TOL = 1e-10
 ENTROPY_HATS = 8  # tensor hats per axis in the Kruzhkov certificate
 ENTROPY_C_TOL = 10.0  # its tolerance, in units of dx times the hat integral
+LEVEL_FLOOR = math.log(1e-12)  # default Kruzhkov levels start no lower
+# the exact-solution checks: the Riemann problems and the manufactured solution
+ORACLE_DOMAIN = (-8.0, 8.0)
+ORACLE_FINAL_TIME = 1.0
+MMS_LADDER = (256, 512, 1024)
+MMS_EPSILON = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +397,14 @@ class EntropyReport:
 
 
 def _default_levels(u0: np.ndarray) -> tuple:
-    """Seven levels evenly inside the range of the initial u. The sup
-    principle bounds u by max u0 from above; below, u is unbounded, so the
-    initial range is a choice fixed before the run."""
-    lo, hi = float(u0.min()), float(u0.max())
+    """Seven levels evenly inside the range of the initial u, cut off below
+    at LEVEL_FLOOR. The sup principle bounds u by max u0 from above; below,
+    u is unbounded, so the range is a choice fixed before the run. The cut
+    keeps the levels where the solution moves: the stock gaussian reaches
+    u = -64 at the domain edge, and levels spread down there would all sit
+    in the far field, where nothing moves."""
+    hi = float(u0.max())
+    lo = min(max(float(u0.min()), LEVEL_FLOOR), hi)
     if hi - lo < 1e-12:
         lo, hi = lo - 1.0, hi + 1.0
     return tuple(lo + (hi - lo) * j / 8.0 for j in range(1, 8))
@@ -462,7 +472,7 @@ def kruzhkov_residual(cfg: RunConfig, levels: Sequence[float] | None = None) -> 
         raise ValueError("the entropy certificate applies to epsilon = 0 runs")
     grid = cfg.grid
     v0 = init_field(grid, cfg.init)
-    u0 = u_from_v(v0, cfg.scheme.v_floor).values
+    u0 = u_from_v(v0).values
     levels = _default_levels(u0) if levels is None else tuple(float(k) for k in levels)
     sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels))
     source = cfg.scheme.source_enabled
@@ -492,8 +502,7 @@ def expansion_shock_field(
     times = np.array(dense_snapshot_times(grid, final_time))
     front = 1.5 * times[:, None]
     v = np.where(grid.centers[None, :] < front, 1.0, 2.0)
-    u = np.log(np.maximum(v, DEFAULT_V_FLOOR))
-    return grid, times, u
+    return grid, times, np.log(v)
 
 
 # ---------------------------------------------------------------------------
@@ -766,26 +775,23 @@ def burgers_sanity(n_cells: int = 1024) -> RiemannCheck:
 
 
 def burgers_shock_position_error(
-    n_cells: int,
-    v_left: float = 2.0,
-    v_right: float = 1.0,
-    final_time: float = 1.0,
-    domain: tuple = (-8.0, 8.0),
+    n_cells: int, v_left: float = 2.0, v_right: float = 1.0
 ) -> tuple[float, float]:
-    """Distance between the computed mid-value crossing and the exact shock.
+    """Distance between the computed mid-value crossing and the exact shock,
+    on ORACLE_DOMAIN at ORACLE_FINAL_TIME.
 
     Returns (error, dx). The search starts beyond the reach of the erosion
     wave the zero-inflow boundary sends in from the left.
     """
     if not v_left > v_right >= 0.0:
         raise DomainError("shock case needs v_left > v_right >= 0")
-    grid = build_grid(domain[0], domain[1], n_cells)
-    run = _riemann_run(grid, v_left, v_right, final_time)
+    grid = build_grid(*ORACLE_DOMAIN, n_cells)
+    run = _riemann_run(grid, v_left, v_right, ORACLE_FINAL_TIME)
     v = run.final_state.values
     x = grid.centers
-    exact = 0.5 * (v_left + v_right) * final_time
+    exact = 0.5 * (v_left + v_right) * ORACLE_FINAL_TIME
     mid = 0.5 * (v_left + v_right)
-    safe = grid.x_min + v_left * final_time + 1.0
+    safe = grid.x_min + v_left * ORACLE_FINAL_TIME + 1.0
     pos = None
     for i in range(grid.n_cells - 1):
         if x[i] <= safe:
@@ -799,18 +805,15 @@ def burgers_shock_position_error(
 
 
 def burgers_rarefaction_error(
-    n_cells: int,
-    v_left: float = 0.0,
-    v_right: float = 1.0,
-    final_time: float = 1.0,
-    domain: tuple = (-8.0, 8.0),
+    n_cells: int, v_left: float = 0.0, v_right: float = 1.0
 ) -> tuple[float, float]:
-    """L1 distance at final time between the computed fan and the exact one."""
+    """L1 distance at ORACLE_FINAL_TIME between the computed fan and the
+    exact one, on ORACLE_DOMAIN."""
     if not 0.0 <= v_left < v_right:
         raise DomainError("rarefaction case needs 0 <= v_left < v_right")
-    grid = build_grid(domain[0], domain[1], n_cells)
-    run = _riemann_run(grid, v_left, v_right, final_time)
-    exact = burgers_riemann_oracle(v_left, v_right, final_time, grid.centers)
+    grid = build_grid(*ORACLE_DOMAIN, n_cells)
+    run = _riemann_run(grid, v_left, v_right, ORACLE_FINAL_TIME)
+    exact = burgers_riemann_oracle(v_left, v_right, ORACLE_FINAL_TIME, grid.centers)
     return l1_distance(grid.dx, run.final_state.values, exact), grid.dx
 
 
@@ -852,25 +855,19 @@ class MmsReport:
         return self.order >= 1.5
 
 
-def mms_convergence(
-    n_ladder: Sequence[int] = (256, 512, 1024),
-    epsilon: float = 1e-2,
-    final_time: float = 1.0,
-    domain: tuple = (-8.0, 8.0),
-) -> MmsReport:
-    """L1 errors against the manufactured solution across a grid ladder."""
-    ns = [int(n) for n in n_ladder]
+def mms_convergence() -> MmsReport:
+    """L1 errors against the manufactured solution with viscosity MMS_EPSILON
+    at ORACLE_FINAL_TIME, across the grid ladder MMS_LADDER on ORACLE_DOMAIN."""
     errors = []
-    for n in ns:
-        grid = build_grid(domain[0], domain[1], n)
-        cfg = SchemeConfig(epsilon=epsilon, forcing=mms_forcing(epsilon))
+    for n in MMS_LADDER:
+        grid = build_grid(*ORACLE_DOMAIN, n)
+        cfg = SchemeConfig(epsilon=MMS_EPSILON, forcing=mms_forcing(MMS_EPSILON))
         v0 = FieldV(mms_solution(0.0, grid.centers), 0.0)
-        run = evolve(grid, v0, cfg, final_time)
-        errors.append(
-            l1_distance(grid.dx, run.final_state.values, mms_solution(final_time, grid.centers))
-        )
+        run = evolve(grid, v0, cfg, ORACLE_FINAL_TIME)
+        exact = mms_solution(ORACLE_FINAL_TIME, grid.centers)
+        errors.append(l1_distance(grid.dx, run.final_state.values, exact))
     pair_orders = tuple(
         math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
     )
     order = math.log2(errors[0] / errors[-1]) / (len(errors) - 1)
-    return MmsReport(tuple(ns), tuple(errors), pair_orders, order)
+    return MmsReport(MMS_LADDER, tuple(errors), pair_orders, order)

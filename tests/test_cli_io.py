@@ -62,6 +62,7 @@ run.T = 0.25
 # two configs that `verify balance` cannot use
 NO_ALPHA0 = MINIMAL + "diag.alphas = 1, 2\n"
 AT_T0 = MINIMAL.replace("run.T = 0.25", "run.T = 0")
+AT_T0_FINE = AT_T0.replace("grid.n_cells = 64", "grid.n_cells = 2048")
 
 FULL = """
 # geometry
@@ -80,7 +81,6 @@ init.sigma2 = 0.5
 scheme.flux = rusanov
 scheme.epsilon = 1e-2
 scheme.cfl = 0.3
-scheme.v_floor = 1e-10
 
 run.T = 0.5
 run.snapshots = 0, 0.25, 0.5
@@ -99,7 +99,7 @@ def test_parse_minimal_config_fills_defaults():
     assert cfg.scheme.flux == "godunov"
     assert cfg.scheme.epsilon == 0.0
     assert cfg.scheme.cfl == 0.4
-    assert cfg.scheme.v_floor == 1e-12
+    assert not hasattr(cfg.scheme, "v_floor")  # v is clipped at 0 only
     assert cfg.final_time == 0.25
     assert cfg.snapshot_times == ()
     assert cfg.diagnostic_alphas == (0.0, 1.0, 2.0)
@@ -125,6 +125,7 @@ def test_parse_full_config():
         ("grid.n_cells = 64", "duplicate"),
         ("grid.rotation = 7", "unknown key"),
         ("seed = 3", "unknown key"),
+        ("scheme.v_floor = 1e-10", "unknown key 'scheme.v_floor'"),
         ("scheme.flux = upwindish", "unknown flux"),
         ("run.snapshots = 0, banana", "banana"),
         ("scheme.epsilon = nan", "nan"),
@@ -271,7 +272,7 @@ def test_identical_run_stability_report_text():
 def test_frozen_field_balance_report_prints_zero_residual():
     grid = GridSpec(x_min=-8.0, x_max=8.0, n_cells=64)
     v0 = init_field(grid, InitialDataSpec.gaussian())
-    base = SchemeConfig(epsilon=0.0, source_enabled=False, v_floor=1e-300)
+    base = SchemeConfig(epsilon=0.0, source_enabled=False)
     frozen_cfg = replace(base, forcing=cancelling_forcing(grid, v0, base))
     result = evolve(grid, v0, frozen_cfg, final_time=0.25)
     rep = lp_balance_residual(result, alpha=0.0)
@@ -664,6 +665,9 @@ def test_usage_errors_exit_two(tmp_path):
     assert dispatch(["verify", "stability", cfg, "--out", out]) == 2  # missing --cfg2
     bad = _write_cfg(tmp_path, name="bad.cfg", text="grid.x_min = -8\n")
     assert dispatch(["simulate", bad, "--out", out]) == 2
+    # v is clipped at 0 only; the retired positivity floor is an unknown key
+    floor = _write_cfg(tmp_path, name="floor.cfg", text=MINIMAL + "scheme.v_floor = 1e-10\n")
+    assert dispatch(["simulate", floor, "--out", out]) == 2
     # 1 and 1.0000001 would share the columns lp_a1, dissipation_a1, source_a1
     collide = _write_cfg(tmp_path, name="collide.cfg", text=MINIMAL + "diag.alphas = 1, 1.0000001\n")
     assert dispatch(["simulate", collide, "--out", out]) == 2
@@ -685,6 +689,9 @@ def test_usage_errors_exit_two(tmp_path):
         ["verify", "balance", "{no_alpha0}"],
         ["verify", "balance", "{no_alpha0}", "--ladder", "64,128"],
         ["verify", "balance", "{t0}", "--ladder", "64,128"],
+        ["sweep", "epsilon", "{t0_fine}", "--ladder", "0.1,0.01"],
+        ["sweep", "grid", "{t0}", "--ladder", "64,128,256"],
+        ["verify", "entropy", "{t0}"],
     ],
     ids=" ".join,
 )
@@ -700,6 +707,7 @@ def test_rejected_command_leaves_no_output_directory(tmp_path, monkeypatch, argv
         "viscous": MINIMAL + "scheme.epsilon = 1e-2\n",
         "no_alpha0": NO_ALPHA0,
         "t0": AT_T0,
+        "t0_fine": AT_T0_FINE,
     }
     paths = {k: _write_cfg(tmp_path, name=f"{k}.cfg", text=t) for k, t in texts.items()}
     out = tmp_path / "d"
@@ -720,6 +728,25 @@ def test_verify_balance_names_why_it_rejects_input(tmp_path, capsys, text, ladde
     argv = ["verify", "balance", _write_cfg(tmp_path, text=text), "--out", str(tmp_path / "d")]
     assert dispatch(argv + (["--ladder", ladder] if ladder else [])) == 2
     assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "epsilon", "--ladder", "0.1,0.01"],
+        ["sweep", "grid", "--ladder", "64,128,256"],
+        ["verify", "entropy"],
+    ],
+    ids=" ".join,
+)
+def test_zero_final_time_is_rejected_naming_run_T(tmp_path, capsys, argv):
+    # at T = 0 a sweep compares initial data with itself and the entropy
+    # certificate integrates over nothing; both refuse such input by name
+    cfg = _write_cfg(tmp_path, text=AT_T0_FINE)
+    out = tmp_path / "d"
+    assert dispatch(argv[:2] + [cfg, "--out", str(out)] + argv[2:]) == 2
+    assert "needs run.T > 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_viscous_entropy_request_exits_two(tmp_path):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -75,12 +76,19 @@ def test_field_v_validation():
 
 
 def test_u_from_v_floors_and_counts():
-    fv = FieldV(np.array([1.0, 1e-40, 0.0]), 0.25)
-    fu = u_from_v(fv, v_floor=1e-12)
+    # u = ln v is floored only where v underflows: at the smallest normal
+    # double, so v = 0 and subnormal v get the finite u = -708.4
+    tiny = sys.float_info.min
+    fv = FieldV(np.array([1.0, 1e-40, 1e-300, tiny, 5e-324, 0.0]), 0.25)
+    fu = u_from_v(fv)
     assert fu.values[0] == 0.0
-    assert fu.values[1] == math.log(1e-12)
-    assert fu.values[2] == math.log(1e-12)
+    assert fu.values[1] == math.log(1e-40)
+    assert fu.values[2] == math.log(1e-300)
+    assert fu.values[3] == fu.values[4] == fu.values[5] == math.log(tiny)
+    assert fu.values[5] == pytest.approx(-708.396, abs=1e-3)
     assert fu.time == 0.25
+    with pytest.raises(TypeError):
+        u_from_v(fv, 1e-12)  # the floor is not a parameter
 
 
 def test_gaussian_profile_matches_formula():

@@ -341,7 +341,7 @@ def test_riemann_shock_certificate_holds_at_2048_cells():
     # both states, the weak value tends to -4.1e-3 under refinement while
     # the tolerance halves per level: 1.54e-2 at 512 cells, 3.86e-3 here.
     grid = GridSpec(x_min=-4.0, x_max=4.0, n_cells=2048)
-    cfg = SchemeConfig(epsilon=0.0, source_enabled=False, v_floor=1e-300)
+    cfg = SchemeConfig(epsilon=0.0, source_enabled=False)
     times = dense_snapshot_times(grid, 1.0)
     with warnings.catch_warnings():  # the data touch the boundary by design
         warnings.simplefilter("ignore", BoundaryFluxWarning)
@@ -349,6 +349,22 @@ def test_riemann_shock_certificate_holds_at_2048_cells():
     u = np.stack([s.field_u.values for s in run.snapshots])
     report = kruzhkov_on_field(grid, np.array(times), u, levels=(-1.0,))
     assert report.passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the scheme conserves v, so past the breaking time its shock misses "
+    "the Rankine-Hugoniot speed in u",
+)
+def test_stock_kruzhkov_minimum_shrinks_under_refinement_past_the_shock():
+    # The stock gaussian breaks between T = 1 and T = 2. At T = 3 the
+    # certificate's minimum should shrink with dx like its tolerance, but it
+    # stays near -1.7e-2 (-1.79e-2, -1.71e-2, -1.67e-2 at 1024, 2048 and
+    # 4096 cells): a Rankine-Hugoniot defect in u, not an entropy defect.
+    deficits = [max(0.0, -kruzhkov_residual(stock_config(n, final_time=3.0)).min_value)
+                for n in (1024, 2048, 4096)]
+    assert all(1.5 * b <= a for a, b in zip(deficits, deficits[1:])), deficits
 
 
 def test_expansion_shock_field_is_the_advertised_weak_solution():
