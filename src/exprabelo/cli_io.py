@@ -2,12 +2,16 @@
 
 The config format is flat ``key = value`` text with ``#`` comments. Floats
 are printed everywhere with 17 significant digits so every file round-trips
-bit for bit; diagnostics go to stderr and data goes to files only.
+bit for bit; numpy writes and reads the CSV tables, always with LF endings.
+argparse declares each command's own arguments, so an option that a command
+does not read is a usage error (exit 2). Status lines go to stderr and data
+goes to files only.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grid_field import PRESET_DEFAULTS, InitialDataSpec, build_grid
 from .scheme import FLUXES, SchemeConfig
 from .solver import DiagnosticsSeries, RunConfig, RunResult, Snapshot, run_simulation
@@ -160,30 +164,25 @@ def load_config(path) -> RunConfig:
 # CSV emission
 # ---------------------------------------------------------------------------
 
+def _write_csv(path, header: str, cols, fmt) -> None:
+    # savetxt given a path would open it in platform text mode (CRLF on Windows)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, np.column_stack(cols), fmt=fmt, delimiter=",", header=header, comments="")
+
+
 def write_snapshot_csv(snapshot: Snapshot, path) -> None:
     """One row per cell: t,x,v,u,P at 17 significant digits, LF endings."""
-    t = _fmt(snapshot.time)
-    rows = [CSV_HEADER]
-    for x, v, u, p in zip(
-        snapshot.x,
-        snapshot.field_v.values,
-        snapshot.field_u.values,
-        snapshot.p.cell_values,
-    ):
-        rows.append(f"{t},{_fmt(x)},{_fmt(v)},{_fmt(u)},{_fmt(p)}")
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    cols = (snapshot.x, snapshot.field_v.values, snapshot.field_u.values, snapshot.p.cell_values)
+    _write_csv(path, CSV_HEADER, (np.full(snapshot.x.size, snapshot.time), *cols), "%.17g")
 
 
 def read_snapshot_csv(path) -> tuple:
     """Read back a snapshot CSV as (t, x, v, u, P) float arrays, bitwise."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path}: missing snapshot header {CSV_HEADER!r}")
-    data = np.array(
-        [[float(tok) for tok in line.split(",")] for line in lines[1:]],
-        dtype=np.float64,
-    )
-    if data.ndim != 2 or data.shape[1] != 5:
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\n") != CSV_HEADER:
+            raise ValueError(f"{path}: missing snapshot header {CSV_HEADER!r}")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != 5:
         raise ValueError(f"{path}: expected 5 columns")
     return tuple(np.ascontiguousarray(data[:, j]) for j in range(5))
 
@@ -192,9 +191,8 @@ def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
     """Per-step diagnostics table, one CSV column per ``series.columns()``
     entry; integer columns are written as integers."""
     names, cols = zip(*series.columns())
-    text = [map(str if col.dtype.kind == "i" else _fmt, col.tolist()) for col in cols]
-    rows = [",".join(names)] + [",".join(cells) for cells in zip(*text)]
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    fmt = ["%d" if col.dtype.kind == "i" else "%.17g" for col in cols]
+    _write_csv(path, ",".join(names), cols, fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +349,6 @@ def _cmd_verify_balance(args) -> int:
     ns = _parse_list(args.ladder, int) if args.ladder else ()
     if args.ladder and len(ns) < 2:
         raise ValueError(f"--ladder needs at least two cell counts, got {args.ladder!r}")
-    ok = True
     if ns:
         runs = run_ladder(cfg, ns)
         reports = [lp_balance_ladder(runs, a) for a in cfg.diagnostic_alphas]
@@ -363,18 +360,16 @@ def _cmd_verify_balance(args) -> int:
     out = _out_dir(args)
     for rep in reports:
         write_report(rep, out / f"balance_a{rep.alpha:g}.report")
-        ok = ok and rep.passed
         _status(
             f"verify balance: alpha={rep.alpha:g} relative terminal residual "
             f"{rep.relative_terminal:.3e} ({'pass' if rep.passed else 'FAIL'})"
         )
     write_report(mass_rep, out / "mass_balance.report")
-    ok = ok and mass_rep.passed
     _status(
         f"verify balance: mass identity relative residual {mass_rep.relative_max:.3e} "
         f"({'pass' if mass_rep.passed else 'FAIL'})"
     )
-    return 0 if ok else 1
+    return 0 if mass_rep.passed and all(rep.passed for rep in reports) else 1
 
 
 def _cmd_verify_entropy(args) -> int:
@@ -383,8 +378,6 @@ def _cmd_verify_entropy(args) -> int:
         rep = kruzhkov_on_field(grid, times, u_matrix)
         label = "expansion-shock fixture"
     else:
-        if args.config is None:
-            raise ConfigError("verify entropy needs a config file or --fixture")
         rep = kruzhkov_residual(_load_evolving_config(args.config, "verify entropy"))
         label = args.config
     write_report(rep, _out_dir(args) / "entropy.report")
@@ -396,17 +389,21 @@ def _cmd_verify_entropy(args) -> int:
 
 
 def _cmd_verify_stability(args) -> int:
-    if args.cfg2 is None:
-        raise ConfigError("verify stability needs --cfg2 with the comparison config")
+    # refuse bad input before anything runs; only the widened-window check,
+    # which needs both runs' sup u0, is left to l1_stability_check
+    if not (math.isfinite(args.R) and args.R > 0.0):
+        raise DomainError(f"stability window radius R must be finite and positive, got {args.R}")
     cfg_u = load_config(args.config)
-    cfg_w = load_config(args.cfg2)
     times = tuple(sorted(set(cfg_u.snapshot_times) | {0.0}))
     sample = tuple(t for t in times if t > 0.0)
     if not sample:
         raise ConfigError("stability needs at least one positive snapshot time")
-    run_u = run_simulation(replace(cfg_u, snapshot_times=times))
-    run_w = run_simulation(replace(cfg_w, snapshot_times=times))
-    rep = l1_stability_check(run_u, run_w, R=args.R, T=cfg_u.final_time, sample_times=sample)
+    cfg_u = replace(cfg_u, snapshot_times=times)
+    cfg_w = replace(load_config(args.cfg2), snapshot_times=times)
+    if cfg_u.grid != cfg_w.grid:
+        raise DomainError("stability comparison needs a shared grid")
+    rep = l1_stability_check(run_simulation(cfg_u), run_simulation(cfg_w), R=args.R,
+                             T=cfg_u.final_time, sample_times=sample)
     write_report(rep, _out_dir(args) / "stability.report")
     _status(
         f"verify stability: max measured {rep.max_measured:.3e}, min margin "
@@ -420,20 +417,15 @@ def _cmd_sweep(args) -> int:
     if args.axis == "epsilon":
         ladder = _parse_list(args.ladder, float) if args.ladder else EPSILON_LADDER
         rep = epsilon_convergence(cfg, ladder)
-        rows = ["epsilon,l1_distance_to_limit"]
-        rows += [f"{_fmt(e)},{_fmt(d)}" for e, d in zip(rep.params, rep.distances)]
+        header, fmt = "epsilon,l1_distance_to_limit", "%.17g"
     else:
-        if args.ladder:
-            ns = _parse_list(args.ladder, int)
-        else:
-            n = cfg.grid.n_cells
-            ns = (n, 2 * n, 4 * n)
+        n = cfg.grid.n_cells
+        ns = _parse_list(args.ladder, int) if args.ladder else (n, 2 * n, 4 * n)
         rep = grid_convergence(cfg, ns)
-        rows = ["n_cells_coarse,l1_distance_to_refined"]
-        rows += [f"{n},{_fmt(d)}" for n, d in zip(rep.params, rep.distances)]
+        header, fmt = "n_cells_coarse,l1_distance_to_refined", ("%d", "%.17g")
     out = _out_dir(args)
     write_report(rep, out / f"sweep_{args.axis}.report")
-    (out / "ladder.csv").write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
+    _write_csv(out / "ladder.csv", header, (rep.params[: len(rep.distances)], rep.distances), fmt)
     _status(
         f"sweep {args.axis}: distances {[float('%.3e' % d) for d in rep.distances]} "
         f"monotone={rep.monotone}"
@@ -458,33 +450,40 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Finite-volume laboratory for the exp-Rabelo equation in v = e^u.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command writes to --out, and all but burgers-sanity read a config
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    cfg = argparse.ArgumentParser(add_help=False, parents=[out])
+    cfg.add_argument("config", help="path to a key = value config file")
+    ladder = argparse.ArgumentParser(add_help=False, parents=[cfg])
+    ladder.add_argument("--ladder", help="comma list of cell counts or viscosities")
 
-    p_sim = sub.add_parser("simulate", help="run one configuration and dump CSV output")
-    p_sim.add_argument("config", help="path to a key = value config file")
-    p_sim.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("simulate", parents=[cfg], help="run one configuration and dump CSV output")
+    p.set_defaults(run=_cmd_simulate)
 
-    p_ver = sub.add_parser("verify", help="run one verifier and write its report")
-    p_ver.add_argument("check", choices=("balance", "entropy", "stability"))
-    p_ver.add_argument("config", nargs="?", help="path to a config file")
-    p_ver.add_argument("--out", required=True)
-    p_ver.add_argument("--cfg2", help="comparison config (stability only)")
-    p_ver.add_argument("--R", type=float, default=2.0, help="stability window radius")
-    p_ver.add_argument("--ladder", help="comma list of cell counts (balance only)")
-    p_ver.add_argument(
-        "--fixture",
-        choices=("expansion-shock",),
-        help="built-in analytic field instead of a run (entropy only)",
-    )
+    checks = sub.add_parser("verify", help="run one verifier and write its report")
+    checks = checks.add_subparsers(dest="check", required=True)
+    p = checks.add_parser("balance", parents=[ladder], help="power-norm and mass budgets")
+    p.set_defaults(run=_cmd_verify_balance)
+    p = checks.add_parser("entropy", parents=[out], help="Kruzhkov entropy certificate")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("config", nargs="?", help="path to a config file")
+    source.add_argument("--fixture", choices=("expansion-shock",),
+                        help="built-in analytic field instead of a run")
+    p.set_defaults(run=_cmd_verify_entropy)
+    p = checks.add_parser("stability", parents=[cfg], help="L1 stability between two configs")
+    p.add_argument("--cfg2", required=True, help="comparison config on the same grid")
+    p.add_argument("--R", type=float, default=2.0, help="stability window radius")
+    p.set_defaults(run=_cmd_verify_stability)
 
-    p_sweep = sub.add_parser("sweep", help="run a refinement ladder")
-    p_sweep.add_argument("axis", choices=("epsilon", "grid"))
-    p_sweep.add_argument("config")
-    p_sweep.add_argument("--out", required=True)
-    p_sweep.add_argument("--ladder", help="comma list overriding the default ladder")
+    axes = sub.add_parser("sweep", help="run a refinement ladder")
+    axes = axes.add_subparsers(dest="axis", required=True)
+    for axis in ("epsilon", "grid"):
+        axes.add_parser(axis, parents=[ladder]).set_defaults(run=_cmd_sweep)
 
-    p_bs = sub.add_parser("burgers-sanity", help="check the source-free Riemann cases")
-    p_bs.add_argument("--out", required=True)
-    p_bs.add_argument("--cells", type=int, default=1024)
+    p = sub.add_parser("burgers-sanity", parents=[out], help="check the source-free Riemann cases")
+    p.add_argument("--cells", type=int, default=1024)
+    p.set_defaults(run=_cmd_burgers_sanity)
     return parser
 
 
@@ -494,25 +493,12 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     0 means every requested check passed, 1 means a verification failed, and
     2 means the invocation or configuration was unusable.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "verify":
-            if args.check == "balance":
-                if args.config is None:
-                    raise ConfigError("verify balance needs a config file")
-                return _cmd_verify_balance(args)
-            if args.check == "entropy":
-                return _cmd_verify_entropy(args)
-            return _cmd_verify_stability(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        return _cmd_burgers_sanity(args)
+        return args.run(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -71,7 +71,10 @@ def _run_many(configs: Sequence[RunConfig]) -> list[RunResult]:
 
 
 def run_ladder(base: RunConfig, n_ladder: Sequence[int]) -> list[RunResult]:
-    """Rerun one configuration across grid resolutions (same domain)."""
+    """Rerun one configuration across grid resolutions (same domain), which
+    must strictly increase: the ladder reports read the last run as the finest."""
+    if any(a >= b for a, b in zip(n_ladder, n_ladder[1:])):
+        raise ValueError(f"ladder cell counts must be strictly increasing, got {list(n_ladder)}")
     configs = [
         replace(base, grid=build_grid(base.grid.x_min, base.grid.x_max, int(n)))
         for n in n_ladder
@@ -553,13 +556,18 @@ def l1_stability_check(
         e^(C(T) t) ||u0 - w0||_L1(-R - C0 t, R + C0 t),
 
     C0 = e^(sup u0) + e^(sup w0) and C(T) = 2R + 2 C0 T. The domain must
-    contain the widened window (-R - C0 T, R + C0 T).
+    contain the widened window (-R - C0 T, R + C0 T), which covers the window
+    of every sample time t <= T.
     """
     if not (math.isfinite(R) and R > 0.0):
         # an empty window would certify nothing yet pass
         raise DomainError(f"stability window radius R must be finite and positive, got {R}")
     if len(sample_times) == 0:
         raise DomainError("stability comparison needs at least one sample time")
+    if max(sample_times) > T:
+        raise DomainError(
+            f"sample time {max(sample_times)} exceeds T = {T}; the domain covers windows to T only"
+        )
     if run_u.grid != run_w.grid:
         raise DomainError("stability comparison needs a shared grid")
     grid = run_u.grid

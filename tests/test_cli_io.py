@@ -10,6 +10,9 @@ byte-identical.
 
 from __future__ import annotations
 
+import hashlib
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -556,6 +559,49 @@ def test_simulate_is_byte_identical_across_invocations(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+# CLI invocations whose output files are pinned byte for byte below: 17-digit
+# floats, an integer clip_count column, a %g-tagged alpha (lp_a0.5), the two
+# ladder.csv layouts (an integer cell-count column and a viscosity column)
+# and LF line endings
+CLI_GOLDEN_RUNS = {
+    "simulate": (
+        ["simulate", "{cfg}"],
+        MINIMAL.replace("= 64", "= 256").replace("0.25", "0.5")
+        + "scheme.epsilon = 1e-2\nrun.snapshots = 0, 0.25, 0.5\ndiag.alphas = 0, 0.5, 1, 2\n",
+    ),
+    "sweep-grid": (["sweep", "grid", "{cfg}", "--ladder", "64,128,256"], MINIMAL),
+    "sweep-epsilon": (
+        ["sweep", "epsilon", "{cfg}", "--ladder", "0.1,0.01"],
+        MINIMAL.replace("= 64", "= 2048").replace("0.25", "0.05"),
+    ),
+}
+
+# sha256 of each pinned file, taken with numpy 2.4.6 on x86-64 Linux
+CLI_GOLDEN_DIGESTS = {
+    "simulate/diagnostics.csv": "0abd6eaf01c7864374d1bb7db2f6dd2d5ef0294396913bb18e281cde91a6c7ee",
+    "simulate/run.report": "cdb91bb003ff04d8711a716a9590542a30227e4c2037930a4150712227f17086",
+    "simulate/snapshot_0000.csv": "b1f0ff92a33297ef56043bc05ab522b9ed74399b7682d67191b201b834569fe5",
+    "simulate/snapshot_0001.csv": "f7c9f677fbfb2983b493fb98a17d77d358025243bc075df52786ee85a7573448",
+    "simulate/snapshot_0002.csv": "97808940bbf0bb278b43d23fe499eaaaaee024d2d1603d51cbf2381322ed64a2",
+    "sweep-epsilon/ladder.csv": "f2b1bf9342a9dd2f05c3ac55b5599a2d218bf49e3cedc6cfd2cccfee84df9418",
+    "sweep-grid/ladder.csv": "6a40bccdf08802fe47853c8aa2bb9d91c5162db1562caa75c658f0220226ef0a",
+}
+
+
+def test_cli_outputs_are_bitwise_golden(tmp_path):
+    # the round-trip tests read back what was written, so only fixed digests
+    # catch a writer that changes a header, a line ending or an integer column
+    digests = {}
+    for case, (argv, text) in CLI_GOLDEN_RUNS.items():
+        cfg = _write_cfg(tmp_path, name=f"{case}.cfg", text=text)
+        out = tmp_path / case
+        assert dispatch([a.format(cfg=cfg) for a in argv] + ["--out", str(out)]) == 0
+        for path in out.iterdir():
+            digests[f"{case}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    pinned = {k: v for k, v in digests.items() if k.startswith("simulate/") or "ladder" in k}
+    assert pinned == CLI_GOLDEN_DIGESTS
+
+
 def test_verify_balance_writes_reports_and_reflects_outcome(tmp_path):
     # At 64 cells the alpha = 2 budget sits above the 1e-2 gate (its
     # residual is second order in dx, but the grid is coarse), so the exit
@@ -692,6 +738,20 @@ def test_usage_errors_exit_two(tmp_path):
         ["sweep", "epsilon", "{t0_fine}", "--ladder", "0.1,0.01"],
         ["sweep", "grid", "{t0}", "--ladder", "64,128,256"],
         ["verify", "entropy", "{t0}"],
+        # ladders must strictly increase
+        ["verify", "balance", "{cfg}", "--ladder", "128,64"],
+        ["verify", "balance", "{cfg}", "--ladder", "64,64"],
+        ["sweep", "grid", "{cfg}", "--ladder", "128,64"],
+        ["sweep", "grid", "{cfg}", "--ladder", "64,64"],
+        # stability input that the certificate would reject after both runs
+        ["verify", "stability", "{cfg}", "--cfg2", "{cfg}", "--R", "0"],
+        ["verify", "stability", "{cfg}", "--cfg2", "{coarse}"],
+        ["verify", "stability", "{cfg}", "--cfg2", "{short}"],
+        # an option of another check, or both of entropy's sources
+        ["verify", "balance", "{cfg}", "--R", "3"],
+        ["verify", "balance", "{cfg}", "--fixture", "expansion-shock"],
+        ["verify", "entropy", "{cfg}", "--fixture", "expansion-shock"],
+        ["verify", "stability", "{cfg}", "--cfg2", "{cfg}", "--ladder", "64,128"],
     ],
     ids=" ".join,
 )
@@ -708,6 +768,8 @@ def test_rejected_command_leaves_no_output_directory(tmp_path, monkeypatch, argv
         "no_alpha0": NO_ALPHA0,
         "t0": AT_T0,
         "t0_fine": AT_T0_FINE,
+        "coarse": MINIMAL.replace("= 64", "= 128"),
+        "short": MINIMAL.replace("0.25", "0.1"),  # ends before {cfg}'s snapshot at 0.25
     }
     paths = {k: _write_cfg(tmp_path, name=f"{k}.cfg", text=t) for k, t in texts.items()}
     out = tmp_path / "d"
@@ -721,8 +783,9 @@ def test_rejected_command_leaves_no_output_directory(tmp_path, monkeypatch, argv
         (MINIMAL, "8192", "at least two cell counts"),
         (NO_ALPHA0, None, "alpha = 0 in diag.alphas"),
         (AT_T0, "64,128", "run.T > 0"),
+        (MINIMAL, "128,64", "strictly increasing"),
     ],
-    ids=["one-rung ladder", "no alpha 0", "T = 0"],
+    ids=["one-rung ladder", "no alpha 0", "T = 0", "decreasing ladder"],
 )
 def test_verify_balance_names_why_it_rejects_input(tmp_path, capsys, text, ladder, cause):
     argv = ["verify", "balance", _write_cfg(tmp_path, text=text), "--out", str(tmp_path / "d")]
@@ -747,6 +810,15 @@ def test_zero_final_time_is_rejected_naming_run_T(tmp_path, capsys, argv):
     assert dispatch(argv[:2] + [cfg, "--out", str(out)] + argv[2:]) == 2
     assert "needs run.T > 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_module_entry_point_sets_the_exit_status(tmp_path):
+    # the suite's one interpreter start: python -m runs __main__ and main()
+    out = tmp_path / "out"
+    argv = ["verify", "entropy", "--fixture", "expansion-shock", "--out", str(out)]
+    proc = subprocess.run([sys.executable, "-m", "exprabelo", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1, proc.stderr
+    assert read_report(out / "entropy.report")["entropy.pass"] == "false"
 
 
 def test_viscous_entropy_request_exits_two(tmp_path):

@@ -420,6 +420,10 @@ def test_stability_rejects_window_leaving_domain():
     run_b = run_simulation(cfg)
     with pytest.raises(DomainError):
         l1_stability_check(run_a, run_b, R=100.0, T=0.25, sample_times=(0.25,))
+    # the guard checks the window R + C0 T = 7.9; a sample time past T measures
+    # the window R + C0 t = 8.3, which leaves [-8, 8] unchecked
+    with pytest.raises(DomainError, match="exceeds T"):
+        l1_stability_check(run_a, run_b, R=7.8, T=0.05, sample_times=(0.25,))
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
