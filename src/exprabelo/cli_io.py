@@ -181,7 +181,10 @@ def read_snapshot_csv(path) -> tuple:
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\n") != CSV_HEADER:
             raise ValueError(f"{path}: missing snapshot header {CSV_HEADER!r}")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        rows = [line for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: snapshot has no rows")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     if data.shape[1] != 5:
         raise ValueError(f"{path}: expected 5 columns")
     return tuple(np.ascontiguousarray(data[:, j]) for j in range(5))

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expit
 
 from .errors import DomainTooSmallError, GridAlignmentError, GridSizeError, ShapeError
@@ -212,41 +211,44 @@ class InitialDataSpec:
     def plateau(cls, **params):
         return cls("plateau", params)
 
+    def _bumps(self) -> list[tuple[float, float, float]]:
+        """(amplitude, center, sigma) of each bump of a bump preset."""
+        p = self.params
+        if self.preset == "gaussian":
+            return [(p["amplitude"], p["center"], p["sigma"])]
+        return [(p[f"amplitude{k}"], p[f"center{k}"], p[f"sigma{k}"]) for k in (1, 2)]
+
     def profile(self, x: np.ndarray) -> np.ndarray:
         """Evaluate v(0, x) pointwise."""
         x = np.asarray(x, dtype=np.float64)
-        p = self.params
-        if self.preset == "gaussian":
-            z = (x - p["center"]) / p["sigma"]
-            return np.exp(p["amplitude"] - z * z)
-        if self.preset == "two-bump":
-            z1 = (x - p["center1"]) / p["sigma1"]
-            z2 = (x - p["center2"]) / p["sigma2"]
-            return np.exp(p["amplitude1"] - z1 * z1) + np.exp(p["amplitude2"] - z2 * z2)
-        # plateau
-        half = 0.5 * p["width"]
-        s = p["steepness"]
-        return np.exp(p["height"]) * expit(s * (x + half)) * expit(s * (half - x))
-
-    def _feature_points(self) -> list[float]:
-        p = self.params
-        if self.preset == "gaussian":
-            return [p["center"]]
-        if self.preset == "two-bump":
-            return [p["center1"], p["center2"]]
-        return [-0.5 * p["width"], 0.5 * p["width"]]
+        if self.preset != "plateau":
+            return sum(np.exp(a - ((x - c) / sigma) ** 2) for a, c, sigma in self._bumps())
+        half = 0.5 * self.params["width"]
+        s = self.params["steepness"]
+        return np.exp(self.params["height"]) * expit(s * (x + half)) * expit(s * (half - x))
 
     def tail_fraction(self, x_min: float, x_max: float) -> float:
-        """Fraction of the total integral of v(0, .) lying outside [x_min, x_max]."""
-        f = lambda x: float(self.profile(np.array([x]))[0])
-        pts = [c for c in self._feature_points() if x_min < c < x_max]
-        left, _ = quad(f, -np.inf, x_min)
-        mid, _ = quad(f, x_min, x_max, points=pts or None, limit=200)
-        right, _ = quad(f, x_max, np.inf)
-        total = left + mid + right
-        if total <= 0.0:
-            raise ValueError("initial profile integrates to zero")
-        return (left + right) / total
+        """Fraction of the total integral of v(0, .) lying outside [x_min, x_max].
+
+        A bump exp(a - ((x - c)/sigma)^2) has mass e^a sigma sqrt(pi), of which
+        (erfc((x_max - c)/sigma) + erfc((c - x_min)/sigma)) / 2 lies outside. The
+        plateau is (expit(s(x + h)) - expit(s(x - h))) / (1 - e^(-s w)) times e^height,
+        h = w/2, so (softplus(s(h - y)) - softplus(-s(y + h))) / (s w) of its mass lies
+        beyond y; it is even, so y = -x_min gives the left side. Each side is computed
+        directly, not as the total minus the interior.
+        """
+        if self.preset == "plateau":
+            h, s = 0.5 * self.params["width"], self.params["steepness"]
+            beyond = lambda y: np.logaddexp(0.0, s * (h - y)) - np.logaddexp(0.0, -s * (y + h))
+            return float(beyond(x_max) + beyond(-x_min)) / (2.0 * s * h)
+        bumps = self._bumps()
+        top = max(a for a, _, _ in bumps)
+        weights = [sigma * math.exp(a - top) for a, _, sigma in bumps]
+        outside = sum(
+            wt * (math.erfc((x_max - c) / sigma) + math.erfc((c - x_min) / sigma))
+            for wt, (_, c, sigma) in zip(weights, bumps)
+        )
+        return 0.5 * outside / sum(weights)
 
 
 def init_field(grid: GridSpec, spec: InitialDataSpec) -> FieldV:

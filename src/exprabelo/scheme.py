@@ -206,38 +206,6 @@ def interface_fluxes(v: np.ndarray, flux: str, ws: Workspace | None = None) -> n
     return ws.flux
 
 
-def _rhs_parts(
-    grid: GridSpec,
-    v: np.ndarray,
-    t: float,
-    p_cells: np.ndarray | None,
-    cfg: SchemeConfig,
-    ws: Workspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flux divergence and source (forcing included), the parts that are
-    stepped explicitly, in workspace buffers."""
-    dx = grid.dx
-    cached = ws.flux_of
-    if cached is not None and cached[0] is v and cached[1] == cfg.flux:
-        flux = ws.flux
-    else:
-        flux = interface_fluxes(v, cfg.flux, ws)
-    flux_div = np.subtract(flux[:-1], flux[1:], out=ws.rate)
-    flux_div /= dx
-
-    source = ws.source
-    if cfg.source_enabled:
-        if p_cells is None:
-            _, p_cells = _prefix_arrays(grid, v, ws.p_interface, ws.p_cells)
-        np.negative(v, out=source)
-        source *= p_cells
-    else:
-        source.fill(0.0)
-    if cfg.forcing is not None:
-        source += cfg.forcing(t, grid.centers)
-    return flux_div, source
-
-
 def cfl_dt(grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig) -> float:
     """Stable step size: cfl times the tighter of the convective and source
     restrictions. The viscous term is implicit and sets no limit."""
@@ -256,9 +224,27 @@ def _rate(
     cfg: SchemeConfig,
     ws: Workspace,
 ) -> np.ndarray:
-    """The explicit rate: flux divergence plus source, in ``ws.rate``."""
-    flux_div, source = _rhs_parts(grid, v, t, p_cells, cfg, ws)
-    return np.add(flux_div, source, out=flux_div)
+    """The explicit rate, flux divergence plus source (forcing included), in
+    ``ws.rate``."""
+    cached = ws.flux_of
+    if cached is not None and cached[0] is v and cached[1] == cfg.flux:
+        flux = ws.flux
+    else:
+        flux = interface_fluxes(v, cfg.flux, ws)
+    rate = np.subtract(flux[:-1], flux[1:], out=ws.rate)
+    rate /= grid.dx
+
+    source = ws.source
+    if cfg.source_enabled:
+        if p_cells is None:
+            _, p_cells = _prefix_arrays(grid, v, ws.p_interface, ws.p_cells)
+        np.negative(v, out=source)
+        source *= p_cells
+    else:
+        source.fill(0.0)
+    if cfg.forcing is not None:
+        source += cfg.forcing(t, grid.centers)
+    return np.add(rate, source, out=rate)
 
 
 def implicit_viscous_solve(

@@ -1,6 +1,6 @@
 """Shared fixtures: the stock run configurations, a session-level cache so
 expensive ladders are computed once for the whole suite, and the scheme's
-right-hand side split into its parts for the tests that check against it."""
+right-hand side written out part by part for the tests that check against it."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from exprabelo import InitialDataSpec, RunConfig, SchemeConfig, build_grid, prefix_integral
-from exprabelo.scheme import Workspace, _rhs_parts
+from exprabelo.scheme import interface_fluxes
 from exprabelo.solver import run_simulation
 from exprabelo.verifiers import run_ladder
 
@@ -69,11 +69,17 @@ def stock_run_256():
 
 def semi_discrete_rhs(grid, fv, p, cfg):
     """The scheme's spatial operator at ``fv``, whose prefix integral is
-    ``p``, split into (flux divergence, source, viscous) parts. The viscous
-    part is eps v D+D-v with zero ghosts, written out here independently of
-    the implicit solve that steps it; it is zeros when epsilon is zero."""
+    ``p``, split into (flux divergence, source, viscous) parts and written
+    out here independently of the scheme's stepping code: the flux
+    divergence from ``interface_fluxes``, the source -v P plus any forcing
+    (zeros with the source off), and the viscous part eps v D+D-v with zero
+    ghosts, zeros when epsilon is zero."""
     v = fv.values
-    flux_div, source = _rhs_parts(grid, v, fv.time, p.cell_values, cfg, Workspace(v.size))
+    flux = interface_fluxes(v, cfg.flux)
+    flux_div = (flux[:-1] - flux[1:]) / grid.dx
+    source = -v * p.cell_values if cfg.source_enabled else np.zeros(v.size)
+    if cfg.forcing is not None:
+        source = source + cfg.forcing(fv.time, grid.centers)
     padded = np.concatenate(([0.0], v, [0.0]))
     lap = padded[:-2] - 2.0 * v + padded[2:]
     return flux_div, source, cfg.epsilon * v * lap / (grid.dx * grid.dx)

@@ -211,11 +211,17 @@ def test_snapshot_p_column_is_the_prefix_integral(tmp_path):
     np.testing.assert_array_equal(p, fresh.cell_values)
 
 
-def test_read_snapshot_rejects_tampered_header(tmp_path):
+@pytest.mark.parametrize(
+    "text, cause",
+    [("time,x,v,u,P\n0,0,1,0,0\n", "missing snapshot header"), ("t,x,v,u,P\n", "has no rows")],
+    ids=["wrong header", "header only"],
+)
+def test_read_snapshot_rejects_tampered_header(tmp_path, text, cause):
     path = tmp_path / "snap.csv"
-    path.write_text("time,x,v,u,P\n0,0,1,0,0\n")
-    with pytest.raises(ValueError):
+    path.write_text(text)
+    with pytest.raises(ValueError, match=cause) as exc:
         read_snapshot_csv(path)
+    assert str(path) in str(exc.value)
 
 
 def test_diagnostics_csv_header_lists_alpha_blocks(tmp_path):
@@ -813,12 +819,24 @@ def test_zero_final_time_is_rejected_naming_run_T(tmp_path, capsys, argv):
 
 
 def test_module_entry_point_sets_the_exit_status(tmp_path):
-    # the suite's one interpreter start: python -m runs __main__ and main()
+    # python -m runs __main__ and main()
     out = tmp_path / "out"
     argv = ["verify", "entropy", "--fixture", "expansion-shock", "--out", str(out)]
     proc = subprocess.run([sys.executable, "-m", "exprabelo", *argv], capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert read_report(out / "entropy.report")["entropy.pass"] == "false"
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # initial-data tails and the balance quadrature are closed-form numpy, so
+    # a fresh interpreter never pays for scipy.integrate or scipy.optimize
+    code = (
+        "import sys, exprabelo.cli_io; "
+        "print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_viscous_entropy_request_exits_two(tmp_path):

@@ -7,7 +7,8 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.integrate import quad
+from scipy.special import erfc, expit
 
 from exprabelo import (
     DomainTooSmallError,
@@ -141,14 +142,44 @@ def test_preset_constructors_take_their_defaults_from_the_one_table():
         InitialDataSpec.plateau(sigma=1.0)
 
 
+def _quad_mass(spec, a, b, features):
+    """The integral of the profile over (a, b) by adaptive quadrature, split
+    at the features inside it so that no bump or edge is missed."""
+    cuts = [a, *sorted(c for c in features if a < c < b), b]
+    f = lambda x: float(spec.profile(x))
+    return sum(
+        quad(f, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0] for lo, hi in zip(cuts, cuts[1:])
+    )
+
+
 def test_tail_fraction_against_closed_form():
     # for exp(-x^2), the mass outside [-L, L] is erfc(L) relative to sqrt(pi)
     spec = InitialDataSpec.gaussian()
-    from scipy.special import erfc
-
     for L in (2.0, 3.0, 4.0):
         expected = erfc(L)
         assert spec.tail_fraction(-L, L) == pytest.approx(expected, rel=1e-8)
+
+    # every preset against quadrature, on random parameters and domains
+    rng = np.random.default_rng(14)
+    for preset in ("gaussian", "two-bump", "plateau"):
+        for _ in range(40):
+            if preset == "plateau":
+                params = {"height": rng.uniform(-2, 2), "width": rng.uniform(0.5, 6),
+                          "steepness": rng.uniform(0.5, 8)}
+                features = (-0.5 * params["width"], 0.5 * params["width"])
+            else:
+                keys = ("",) if preset == "gaussian" else ("1", "2")
+                params = {}
+                for k in keys:
+                    params |= {f"amplitude{k}": rng.uniform(-2, 2),
+                               f"center{k}": rng.uniform(-3, 3), f"sigma{k}": rng.uniform(0.3, 2)}
+                features = tuple(params[f"center{k}"] for k in keys)
+            spec = InitialDataSpec(preset, params)
+            x_min, x_max = -rng.uniform(1, 8), rng.uniform(1, 8)
+            outside = (_quad_mass(spec, -np.inf, x_min, features)
+                       + _quad_mass(spec, x_max, np.inf, features))
+            expected = outside / (outside + _quad_mass(spec, x_min, x_max, features))
+            assert spec.tail_fraction(x_min, x_max) == pytest.approx(expected, rel=1e-10)
 
 
 def test_init_field_samples_midpoints():
@@ -167,3 +198,10 @@ def test_init_field_rejects_small_domain():
     g2 = build_grid(-8.0, 8.0, 64)
     with pytest.raises(DomainTooSmallError):
         init_field(g2, InitialDataSpec.gaussian(center=7.0))
+    # mass far outside the domain counts, however narrow or distant its bump
+    far_bump = InitialDataSpec.two_bump(center2=100.0, amplitude2=3.0)
+    with pytest.raises(DomainTooSmallError, match=r"9\.526e-01 .* try x_min <= -128"):
+        init_field(g2, far_bump)
+    needle = InitialDataSpec.gaussian(center=20.0, sigma=0.01)
+    with pytest.raises(DomainTooSmallError, match=r"try x_min <= -32, x_max >= 32"):
+        init_field(g2, needle)
