@@ -233,14 +233,16 @@ class InitialDataSpec:
         A bump exp(a - ((x - c)/sigma)^2) has mass e^a sigma sqrt(pi), of which
         (erfc((x_max - c)/sigma) + erfc((c - x_min)/sigma)) / 2 lies outside. The
         plateau is (expit(s(x + h)) - expit(s(x - h))) / (1 - e^(-s w)) times e^height,
-        h = w/2, so (softplus(s(h - y)) - softplus(-s(y + h))) / (s w) of its mass lies
-        beyond y; it is even, so y = -x_min gives the left side. Each side is computed
+        h = w/2, so (sp(h - y) - sp(-y - h)) / w of its mass lies beyond y, where
+        sp(z) = softplus(s z) / s = max(z, 0) + log1p(exp(-s |z|)) / s cannot overflow;
+        it is even, so y = -x_min gives the left side. Each side is computed
         directly, not as the total minus the interior.
         """
         if self.preset == "plateau":
-            h, s = 0.5 * self.params["width"], self.params["steepness"]
-            beyond = lambda y: np.logaddexp(0.0, s * (h - y)) - np.logaddexp(0.0, -s * (y + h))
-            return float(beyond(x_max) + beyond(-x_min)) / (2.0 * s * h)
+            w, s = self.params["width"], self.params["steepness"]
+            sp = lambda z: max(z, 0.0) + math.log1p(math.exp(-s * abs(z))) / s
+            beyond = lambda y: sp(0.5 * w - y) - sp(-y - 0.5 * w)
+            return (beyond(x_max) + beyond(-x_min)) / w
         bumps = self._bumps()
         top = max(a for a, _, _ in bumps)
         weights = [sigma * math.exp(a - top) for a, _, sigma in bumps]
@@ -258,7 +260,7 @@ def init_field(grid: GridSpec, spec: InitialDataSpec) -> FieldV:
     outside the domain, with a suggestion for endpoints that would suffice.
     """
     frac = spec.tail_fraction(grid.x_min, grid.x_max)
-    if frac >= TAIL_FRACTION_LIMIT:
+    if not frac < TAIL_FRACTION_LIMIT:  # a NaN fraction fails too
         lo, hi = grid.x_min, grid.x_max
         for _ in range(10):
             lo, hi = 2.0 * lo, 2.0 * hi

@@ -196,12 +196,26 @@ def face_states(v: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray,
 def interface_fluxes(v: np.ndarray, flux: str, ws: Workspace | None = None) -> np.ndarray:
     """Numerical fluxes on the n+1 interfaces, evaluated on ``face_states``
     (zero ghost states on both sides). With a workspace the result is
-    ``ws.flux``, valid until the next evaluation in that workspace."""
+    ``ws.flux``, valid until the next evaluation in that workspace.
+
+    When every cell is >= 0 (a NaN fails the test), so is every face state,
+    and the Godunov flux never meets the sonic point: max(f(max(a, 0)),
+    f(min(b, 0))) is then exactly f(a) = (0.5 a) a, the upwind flux, to the
+    bit. That branch skips the right states. Any other field, such as an
+    unclipped Heun stage at cfl > 1/2, takes the general kernel.
+    """
     if ws is None:
         ws = Workspace(v.size)
-    kernel = _FLUX_FN[flux]
-    left, right = face_states(v, ws)
-    kernel(left, right, ws.flux, ws.flux_tmp)
+    if flux == "godunov" and v.min() >= 0.0:
+        # upwind on the positive cone: the right states are >= 0 as well
+        left = ws.left
+        left[0] = 0.0
+        np.add(v, _half_minmod_slopes(v, ws), out=left[1:])
+        np.multiply(left, 0.5, out=ws.flux)
+        ws.flux *= left
+    else:
+        left, right = face_states(v, ws)
+        _FLUX_FN[flux](left, right, ws.flux, ws.flux_tmp)
     ws.flux_of = (v, flux)
     return ws.flux
 

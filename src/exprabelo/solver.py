@@ -19,6 +19,10 @@ from .scheme import SchemeConfig, Workspace, cfl_dt, interface_fluxes, step
 BOUNDARY_LEAK_THRESHOLD = 1e-8
 SNAPSHOT_RTOL = 1e-12  # relative gap at which snapshot_at accepts a snapshot time
 DEFAULT_ALPHAS = (0.0, 1.0, 2.0)
+# integer powers up to v^4 are chained products in the diagnostics row; a
+# longer chain would cost more multiplies than np.power takes, round more
+# often, and for a large alpha would not end
+CHAIN_MAX_POWER = 4
 
 
 def _normalize_alphas(alphas) -> tuple:
@@ -164,6 +168,11 @@ def record_diagnostics(
 
     ``ws`` is the run's workspace (a fresh one when omitted); the interface
     fluxes computed here for the boundary flux stay in it for the next step.
+
+    An integer power v^(a+1) up to ``CHAIN_MAX_POWER`` is a chain of
+    products from the left, v^3 = (v v) v, continued from the previous
+    integer alpha's row, so a column's bits depend only on its own alpha;
+    every other alpha takes ``np.power``. ``lp_a0`` is the mass sum itself.
     """
     if ws is None or ws.power_pad.shape[0] != len(alphas):
         ws = Workspace(grid.n_cells, len(alphas))
@@ -181,9 +190,23 @@ def record_diagnostics(
     # forward difference over every interface. Each row reduces on its own.
     pad = ws.power_pad
     powers = pad[:, 1:-1]
+    chain, k_chain = v, 1  # the last integer power computed, v^k_chain
     for power, a in zip(powers, alphas):
-        np.power(v, a + 1.0, out=power)
-    lp = [s * dx for s in np.add.reduce(powers, axis=1).tolist()]
+        k = a + 1.0
+        if not (k.is_integer() and k <= CHAIN_MAX_POWER):
+            np.power(v, k, out=power)
+        elif k == 1.0:
+            np.copyto(power, v)
+        else:
+            if k_chain >= k:  # alphas not in increasing order
+                chain, k_chain = v, 1
+            np.multiply(chain, v, out=power)
+            for _ in range(int(k) - k_chain - 1):
+                power *= v
+            chain, k_chain = power, int(k)
+    # normalized alphas put 0 first; its norm is the mass, bit for bit
+    skip = 1 if alphas[0] == 0.0 else 0
+    lp = [mass] * skip + [s * dx for s in np.add.reduce(powers[skip:], axis=1).tolist()]
     if cfg.epsilon > 0.0:
         ws.v_pad[1:-1] = v
         dv = np.subtract(ws.v_pad[1:], ws.v_pad[:-1], out=ws.dv)

@@ -27,7 +27,9 @@ from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig
 from exprabelo.solver import DEFAULT_ALPHAS, run_simulation
 from exprabelo.cli_io import (
+    CSV_CHUNK_ROWS,
     CSV_HEADER,
+    _write_csv,
     dispatch,
     parse_config,
     read_report,
@@ -245,6 +247,29 @@ def test_diagnostics_csv_header_lists_alpha_blocks(tmp_path):
         "lp_a0.5", "dissipation_a0.5", "source_a0.5",
         "lp_a2", "dissipation_a2", "source_a2",
     ]
+
+
+@pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
+def test_csv_writer_matches_savetxt_bytes(tmp_path, rows):
+    # the chunked writer must give exactly savetxt's bytes, an integer %d
+    # column (stacked as whole floats) included, with LF endings
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[0] = -0.0
+    counts = rng.integers(0, 10**6, rows)
+    cases = {
+        "floats": ("t,x,v", (floats, np.exp(floats.clip(-700, 700)), floats[::-1]), "%.17g"),
+        "with_count": ("count,value", (counts, floats), ("%d", "%.17g")),
+    }
+    for name, (header, cols, fmt) in cases.items():
+        ours, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        _write_csv(ours, header, cols, fmt)
+        with open(ref, "w", encoding="utf-8", newline="\n") as fh:
+            np.savetxt(fh, np.column_stack(cols), fmt=fmt, delimiter=",", header=header,
+                       comments="")
+        data = ours.read_bytes()
+        assert data == ref.read_bytes(), name
+        assert b"\r" not in data and data.count(b"\n") == rows + 1
 
 
 def test_diagnostics_csv_round_trip_is_bitwise(tmp_path):
@@ -584,7 +609,7 @@ CLI_GOLDEN_RUNS = {
 
 # sha256 of each pinned file, taken with numpy 2.4.6 on x86-64 Linux
 CLI_GOLDEN_DIGESTS = {
-    "simulate/diagnostics.csv": "0abd6eaf01c7864374d1bb7db2f6dd2d5ef0294396913bb18e281cde91a6c7ee",
+    "simulate/diagnostics.csv": "40177dfe269ba4ddf2d83ddd79dabe6cfef4eee18f3e9f8c7c628de422c95961",
     "simulate/run.report": "cdb91bb003ff04d8711a716a9590542a30227e4c2037930a4150712227f17086",
     "simulate/snapshot_0000.csv": "b1f0ff92a33297ef56043bc05ab522b9ed74399b7682d67191b201b834569fe5",
     "simulate/snapshot_0001.csv": "f7c9f677fbfb2983b493fb98a17d77d358025243bc075df52786ee85a7573448",

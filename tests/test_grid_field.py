@@ -182,6 +182,26 @@ def test_tail_fraction_against_closed_form():
             assert spec.tail_fraction(x_min, x_max) == pytest.approx(expected, rel=1e-10)
 
 
+def test_overflowing_plateau_tail_is_finite_and_rejected():
+    # s w overflows: the tail is still computed, and nearly all of a plateau
+    # 1e10 wide lies outside [-8, 8]
+    g = build_grid(-8.0, 8.0, 64)
+    wide = InitialDataSpec.plateau(width=1e10, steepness=1e300)
+    assert wide.tail_fraction(-8.0, 8.0) == pytest.approx(1.0, rel=1e-8)
+    with pytest.raises(DomainTooSmallError):
+        init_field(g, wide)
+    # a box of steepness 1e300 well inside the domain has no tail at all
+    box = InitialDataSpec.plateau(width=4.0, steepness=1e300)
+    assert box.tail_fraction(-8.0, 8.0) == 0.0
+    assert np.all(init_field(g, box).values >= 0.0)
+
+
+def test_init_field_rejects_nan_tail_fraction(monkeypatch):
+    monkeypatch.setattr(InitialDataSpec, "tail_fraction", lambda self, lo, hi: math.nan)
+    with pytest.raises(DomainTooSmallError):
+        init_field(build_grid(-8.0, 8.0, 64), InitialDataSpec.gaussian())
+
+
 def test_init_field_samples_midpoints():
     g = build_grid(-8.0, 8.0, 64)
     fv = init_field(g, InitialDataSpec.gaussian())

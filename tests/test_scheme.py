@@ -97,6 +97,37 @@ def test_minmod_face_states_lie_between_neighbouring_cells(v):
     assert left[0] == 0.0 and right[-1] == 0.0
 
 
+nonnegative_cells = st.lists(
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308]),
+        st.floats(0.0, 2.2250738585072014e-308),  # subnormals
+        st.floats(0.0, 1e150),  # f(v) = v^2 / 2 stays finite
+    ),
+    min_size=1,
+    max_size=40,
+).map(lambda xs: np.array(xs, dtype=np.float64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nonnegative_cells)
+def test_godunov_on_the_positive_cone_is_the_upwind_flux_bitwise(v):
+    # interface_fluxes takes the upwind branch whenever v.min() >= 0; its
+    # bits must be those of the general Godunov kernel on the face states
+    left, right = face_states(v)
+    expected = godunov_flux(left, right)
+    assert interface_fluxes(v, "godunov").tobytes() == expected.tobytes()
+
+
+def test_godunov_with_a_negative_cell_keeps_the_general_kernel():
+    # a negative cell makes a right face state negative: the sonic point is
+    # crossed and the upwind value f(left) is wrong at both faces
+    v = np.array([1.0, -1.0, 1.0])
+    left, right = face_states(v)
+    general = godunov_flux(left, right)
+    assert not np.array_equal(0.5 * left * left, general)
+    assert interface_fluxes(v, "godunov").tobytes() == general.tobytes()
+
+
 def test_minmod_face_states_are_exact_on_linear_data():
     # interior cells of a linear profile take the full slope: each face state
     # is the midpoint of its two cells
