@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import BoundaryFluxWarning, DataGapError, DomainError, SparseSnapshotsError
-from .grid_field import FieldV, GridSpec, build_grid, init_field, u_from_v
+from .grid_field import V_TINY, FieldV, GridSpec, build_grid, init_field, u_from_v
 from .scheme import SchemeConfig
 from .solver import RunConfig, RunResult, evolve, run_simulation
 
@@ -72,10 +72,13 @@ def _run_many(configs: Sequence[RunConfig]) -> list[RunResult]:
 
 
 def run_ladder(base: RunConfig, n_ladder: Sequence[int]) -> list[RunResult]:
-    """Rerun one configuration across grid resolutions (same domain), which
-    must strictly increase: the ladder reports read the last run as the finest."""
-    if any(a >= b for a, b in zip(n_ladder, n_ladder[1:])):
-        raise ValueError(f"ladder cell counts must be strictly increasing, got {list(n_ladder)}")
+    """Rerun one configuration across at least two grid resolutions (same
+    domain), which must strictly increase: the ladder reports read the last
+    run as the finest. Refused before anything runs otherwise."""
+    if len(n_ladder) < 2 or any(a >= b for a, b in zip(n_ladder, n_ladder[1:])):
+        raise ValueError(
+            f"a ladder needs at least two cell counts, strictly increasing, got {list(n_ladder)}"
+        )
     configs = [
         replace(base, grid=build_grid(base.grid.x_min, base.grid.x_max, int(n)))
         for n in n_ladder
@@ -134,10 +137,11 @@ def lp_balance_residual(run: RunResult, alpha: float) -> BalanceReport:
 def _ladder(runs: Sequence[RunResult], report_of, measure: str, levels: str):
     """``report_of`` the finest run, annotated with the refinement order of
     the field ``measure`` across a ladder of runs (coarsest first), whose
-    per-run values go to the field ``levels``."""
-    if len(runs) < 2:
-        raise ValueError("a ladder needs at least two runs")
+    per-run values go to the field ``levels``. A one-run ladder is that
+    run's plain report."""
     reports = [report_of(r) for r in runs]
+    if len(reports) == 1:
+        return reports[0]
     values = tuple(getattr(r, measure) for r in reports)
     return replace(
         reports[-1],
@@ -544,37 +548,34 @@ class StabilityReport:
         return min(self.margins)
 
 
-def l1_stability_check(
-    run_u: RunResult,
-    run_w: RunResult,
-    R: float,
-    T: float,
-    sample_times: Sequence[float],
-) -> StabilityReport:
-    """Compare two runs in L1 of u over (-R, R) against the stability bound
+def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> StabilityReport:
+    """Run two configurations and compare them in L1 of u over (-R, R)
+    against the stability bound
 
         e^(C(T) t) ||u0 - w0||_L1(-R - C0 t, R + C0 t),
 
-    C0 = e^(sup u0) + e^(sup w0) and C(T) = 2R + 2 C0 T. The domain must
-    contain the widened window (-R - C0 T, R + C0 T), which covers the window
-    of every sample time t <= T.
+    C0 = e^(sup u0) + e^(sup w0) and C(T) = 2R + 2 C0 T, at the positive
+    snapshot times t of ``cfg_u``, whose final time is T; ``cfg_w`` is run
+    to the same snapshots. Before either run, the domain must contain the
+    widened window (-R - C0 T, R + C0 T), which covers every sample's window.
     """
     if not (math.isfinite(R) and R > 0.0):
         # an empty window would certify nothing yet pass
         raise DomainError(f"stability window radius R must be finite and positive, got {R}")
-    if len(sample_times) == 0:
-        raise DomainError("stability comparison needs at least one sample time")
-    if max(sample_times) > T:
-        raise DomainError(
-            f"sample time {max(sample_times)} exceeds T = {T}; the domain covers windows to T only"
-        )
-    if run_u.grid != run_w.grid:
+    sample_times = tuple(t for t in cfg_u.snapshot_times if t > 0.0)
+    if not sample_times:
+        raise DomainError("stability needs at least one sample time: a positive snapshot time")
+    cfg_u, cfg_w = (replace(c, snapshot_times=(0.0, *sample_times)) for c in (cfg_u, cfg_w))
+    if cfg_u.grid != cfg_w.grid:
         raise DomainError("stability comparison needs a shared grid")
-    grid = run_u.grid
+    grid = cfg_u.grid
     dx = grid.dx
     x = grid.centers
-    sup_u0 = float(run_u.diagnostics.sup_u[0])
-    sup_w0 = float(run_w.diagnostics.sup_u[0])
+    T = float(cfg_u.final_time)
+    # sup u at t = 0, as the first diagnostics row records it
+    sup_u0, sup_w0 = (
+        math.log(max(float(init_field(grid, c.init).values.max()), V_TINY)) for c in (cfg_u, cfg_w)
+    )
     c0 = math.exp(sup_u0) + math.exp(sup_w0)
     c_of_t = 2.0 * R + 2.0 * c0 * T
     reach = R + c0 * T
@@ -583,6 +584,7 @@ def l1_stability_check(
             f"widened window radius {reach:.4g} exceeds the domain "
             f"[{grid.x_min}, {grid.x_max}]; enlarge the domain or shrink R/T"
         )
+    run_u, run_w = run_simulation(cfg_u), run_simulation(cfg_w)
     u0 = run_u.snapshot_at(0.0).field_u.values
     w0 = run_w.snapshot_at(0.0).field_u.values
     half_domain = min(-grid.x_min, grid.x_max)
@@ -590,8 +592,8 @@ def l1_stability_check(
     measured, bound, bound_wide, margins = [], [], [], []
     clipped = False
     for t in sample_times:
-        su = run_u.snapshot_at(float(t))
-        sw = run_w.snapshot_at(float(t))
+        su = run_u.snapshot_at(t)
+        sw = run_w.snapshot_at(t)
         core = np.abs(x) < R
         m = float(np.sum(np.abs(su.field_u.values - sw.field_u.values)[core]) * dx)
         grow = math.exp(c_of_t * t)
@@ -609,12 +611,12 @@ def l1_stability_check(
         margins.append(b - m)
     return StabilityReport(
         R=float(R),
-        T=float(T),
+        T=T,
         c0=c0,
         c_of_t=c_of_t,
         sup_u0=sup_u0,
         sup_w0=sup_w0,
-        sample_times=tuple(float(t) for t in sample_times),
+        sample_times=sample_times,
         measured=tuple(measured),
         bound=tuple(bound),
         bound_wide=tuple(bound_wide),
@@ -649,8 +651,8 @@ class ConvergenceReport:
 def grid_convergence(base: RunConfig, n_ladder: Sequence[int]) -> ConvergenceReport:
     """Self-convergence of final-time v across nested grids (coarsest first)."""
     ns = [int(n) for n in n_ladder]
-    if len(ns) < 2 or any(b % a for a, b in zip(ns, ns[1:])):
-        raise ValueError(f"grid ladder must be nested, got {ns}")
+    if any(a <= 0 or b % a for a, b in zip(ns, ns[1:])):
+        raise ValueError(f"grid ladder must be positive and nested, got {ns}")
     runs = run_ladder(base, ns)
     dists = []
     for coarse, fine in zip(runs, runs[1:]):

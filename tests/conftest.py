@@ -1,6 +1,8 @@
 """Shared fixtures: the stock run configurations, a session-level cache so
-expensive ladders are computed once for the whole suite, and the scheme's
-right-hand side written out part by part for the tests that check against it."""
+expensive ladders are computed once for the whole suite, a guard that fails
+a test which runs a simulation, the scheme's right-hand side written out part
+by part for the tests that check against it, and the Kruzhkov pairs of the
+v-form law that the scheme conserves."""
 
 from __future__ import annotations
 
@@ -9,6 +11,8 @@ import math
 import numpy as np
 import pytest
 
+import exprabelo.solver
+import exprabelo.verifiers
 from exprabelo import InitialDataSpec, RunConfig, SchemeConfig, build_grid, prefix_integral
 from exprabelo.scheme import interface_fluxes
 from exprabelo.solver import run_simulation
@@ -46,6 +50,18 @@ def perturbed_gaussian() -> InitialDataSpec:
         center2=1.0,
         sigma2=1.0,
     )
+
+
+@pytest.fixture
+def no_evolve(monkeypatch):
+    """Fail the test if anything runs a simulation: every run, the CLI's and
+    the verifiers' own, goes through ``evolve`` in one of these modules."""
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("rejected input ran a simulation")
+
+    monkeypatch.setattr(exprabelo.solver, "evolve", no_run)
+    monkeypatch.setattr(exprabelo.verifiers, "evolve", no_run)
 
 
 @pytest.fixture(scope="session")
@@ -94,3 +110,17 @@ def cancelling_forcing(grid, v0, cfg):
         return g
 
     return forcing
+
+
+def v_form_kruzhkov_pair(levels):
+    """The Kruzhkov pairs of the law the scheme conserves, v_t + (v^2/2)_x =
+    -v P, one row per level k, laid out as the u-form pairs that ``_HatSums``
+    takes but fed v: |v - k|, sgn(v - k)(v^2 - k^2)/2 and the source weight
+    sgn(v - k) v in place of eta'(u)."""
+    k = np.array(levels, dtype=np.float64)[:, None]
+
+    def pair(v):
+        sgn = np.sign(v - k)
+        return np.abs(v - k), sgn * (v * v - k * k) / 2.0, sgn * v
+
+    return pair

@@ -19,8 +19,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import exprabelo.solver
-import exprabelo.verifiers
 from exprabelo.errors import BoundaryFluxWarning, ConfigError, GridAlignmentError
 from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
@@ -50,7 +48,11 @@ from exprabelo.verifiers import (
     SupMonitorReport,
     grid_convergence,
     l1_stability_check,
+    lp_balance_ladder,
     lp_balance_residual,
+    mass_balance_identity,
+    mass_balance_ladder,
+    run_ladder,
 )
 from exprabelo.solver import evolve
 
@@ -292,11 +294,8 @@ def test_diagnostics_csv_round_trip_is_bitwise(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_identical_run_stability_report_text():
-    times = (0.0, 0.25)
-    cfg = stock_config(n_cells=64, final_time=0.25, snapshot_times=times)
-    run_a = run_simulation(cfg)
-    run_b = run_simulation(cfg)
-    rep = l1_stability_check(run_a, run_b, R=2.0, T=0.25, sample_times=(0.25,))
+    cfg = stock_config(n_cells=64, final_time=0.25, snapshot_times=(0.0, 0.25))
+    rep = l1_stability_check(cfg, cfg, R=2.0)
     text = report_text(rep)
     assert text.startswith("#")
     assert "stability.pass=true\n" in text
@@ -653,6 +652,32 @@ def test_verify_balance_writes_reports_and_reflects_outcome(tmp_path):
     assert code == (0 if all_passed else 1)
 
 
+@pytest.mark.parametrize("ladder", [None, (64, 128, 256)], ids=["one run", "ladder"])
+def test_verify_balance_writes_the_verifiers_reports(tmp_path, ladder):
+    # with --ladder every report is the ladder report, with its order and
+    # per-level values; without it, the plain residuals of one run
+    text = MINIMAL + "diag.alphas = 0, 0.5, 1\n"
+    cfg = parse_config(text)
+    out = tmp_path / "out"
+    argv = ["verify", "balance", _write_cfg(tmp_path, text=text), "--out", str(out)]
+    code = dispatch(argv + (["--ladder", ",".join(map(str, ladder))] if ladder else []))
+    if ladder:
+        runs = run_ladder(cfg, ladder)
+        want = [lp_balance_ladder(runs, a) for a in cfg.diagnostic_alphas]
+        want.append(mass_balance_ladder(runs))
+    else:
+        run = run_simulation(cfg)
+        want = [lp_balance_residual(run, a) for a in cfg.diagnostic_alphas]
+        want.append(mass_balance_identity(run))
+    names = [f"balance_a{a:g}.report" for a in cfg.diagnostic_alphas] + ["mass_balance.report"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
+    for name, rep in zip(names, want):
+        text = (out / name).read_text()
+        assert text == report_text(rep), name
+        assert ("order=" in text and "level_cells=64,128,256\n" in text) == bool(ladder), name
+    assert code == (0 if all(rep.passed for rep in want) else 1)
+
+
 def test_verify_entropy_fixture_fails_loudly(tmp_path):
     out = tmp_path / "out"
     code = dispatch(["verify", "entropy", "--fixture", "expansion-shock", "--out", str(out)])
@@ -774,10 +799,14 @@ def test_usage_errors_exit_two(tmp_path):
         ["verify", "balance", "{cfg}", "--ladder", "64,64"],
         ["sweep", "grid", "{cfg}", "--ladder", "128,64"],
         ["sweep", "grid", "{cfg}", "--ladder", "64,64"],
-        # stability input that the certificate would reject after both runs
+        # stability input that the certificate rejects before either run
         ["verify", "stability", "{cfg}", "--cfg2", "{cfg}", "--R", "0"],
         ["verify", "stability", "{cfg}", "--cfg2", "{coarse}"],
         ["verify", "stability", "{cfg}", "--cfg2", "{short}"],
+        ["verify", "stability", "{short}", "--cfg2", "{short}"],  # no positive snapshot
+        ["verify", "stability", "{cfg}", "--cfg2", "{cfg}", "--R", "7.6"],  # R + C0 T > 8
+        # a zero cell count, which the nesting test divides by
+        ["sweep", "grid", "{cfg}", "--ladder", "0,64"],
         # an option of another check, or both of entropy's sources
         ["verify", "balance", "{cfg}", "--R", "3"],
         ["verify", "balance", "{cfg}", "--fixture", "expansion-shock"],
@@ -786,13 +815,7 @@ def test_usage_errors_exit_two(tmp_path):
     ],
     ids=" ".join,
 )
-def test_rejected_command_leaves_no_output_directory(tmp_path, monkeypatch, argv):
-    def no_run(*args, **kwargs):
-        raise AssertionError("a rejected command ran a simulation")
-
-    # every run, the CLI's and the verifiers' own, goes through one of these
-    monkeypatch.setattr(exprabelo.solver, "evolve", no_run)
-    monkeypatch.setattr(exprabelo.verifiers, "evolve", no_run)
+def test_rejected_command_leaves_no_output_directory(tmp_path, no_evolve, argv):
     texts = {
         "cfg": None,
         "viscous": MINIMAL + "scheme.epsilon = 1e-2\n",
