@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -207,44 +208,76 @@ def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
 # report emission: comment block + deterministic key=value section
 # ---------------------------------------------------------------------------
 
-# report class -> (namespace, title, keys). A key reads the attribute of the
-# same name, or the second member of a (key, attribute) pair. Keys ending in
-# "_" expand to one numbered key per entry; None values are left out.
+# report class -> (namespace, title, keys, file name, status). A key reads the
+# attribute of the same name, or the second member of a (key, attribute) pair,
+# which may also be a function of the report. Keys ending in "_" expand to one
+# numbered key per entry; None values are left out. A command writes a report
+# to its file name and prints status(report, out dir) after its own words.
 _REPORT_FORMATS = {
     BalanceReport: ("balance", "power balance, alpha = {r.alpha:g}", (
         "alpha", "initial_norm", "terminal_residual", "max_residual",
         "relative_terminal", "order", "level_cells", "level_terminals",
         ("pass", "passed"),
+    ), "balance_a{r.alpha:g}.report", lambda r, out: (
+        f"alpha={r.alpha:g} relative terminal residual {r.relative_terminal:.3e} ({_verdict(r)})"
     )),
     MassBalanceReport: ("mass_balance", "mass balance with integration-by-parts closure", (
         "initial_mass", "terminal_residual", "max_residual", "relative_max", "order",
         "level_cells", "level_maxima", ("pass", "passed"),
+    ), "mass_balance.report", lambda r, out: (
+        f"mass identity relative residual {r.relative_max:.3e} ({_verdict(r)})"
     )),
     SupMonitorReport: ("sup_monitor", "running maximum of u against its initial value", (
         "sup_u0", "max_sup_u", "worst_excess", "tol", "violated",
         "first_violation_time", "violation_location",
-    )),
+    ), None, None),
     EntropyReport: ("entropy", "Kruzhkov weak-form certificate", (
         "family", "n_phi", "dx", "tolerance", "min_value", "margin_ratio", "levels",
         "min_by_level", ("pass", "passed"),
+    ), "entropy.report", lambda r, out: (
+        f"min weak value {r.min_value:.3e} vs tolerance -{r.tolerance:.3e} ({_verdict(r)})"
     )),
     StabilityReport: ("stability", "L1 stability of u against the Gronwall envelope", (
         "R", "T", ("C0", "c0"), ("CT", "c_of_t"), "sup_u0", "sup_w0", "max_measured",
         "min_margin", "wide_window_clipped", ("times", "sample_times"), "measured",
         "bound", "bound_wide", "margins", ("pass", "passed"),
+    ), "stability.report", lambda r, out: (
+        f"max measured {r.max_measured:.3e}, min margin {r.min_margin:.3e} ({_verdict(r)})"
     )),
     ConvergenceReport: ("convergence", "{r.kind} ladder in L1 at final time", (
         "kind", "params", ("distance_", "distances"), ("cauchy_", "cauchy"), "order",
-        "monotone", ("pass", "monotone"),
+        "monotone", ("pass", "passed"),
+    ), "sweep_{r.kind}.report", lambda r, out: (
+        f"distances {[float('%.3e' % d) for d in r.distances]} monotone={r.monotone}"
     )),
     RiemannCheck: ("burgers", "source-free Riemann sanity against exact solutions", (
         "n_cells", "dx", "shock_position_error", "shock_tol", "rarefaction_l1_error",
         "rarefaction_tol", ("pass", "passed"),
+    ), "burgers.report", lambda r, out: (
+        f"shock error {r.shock_position_error:.3e} (tol {r.shock_tol:.3e}), rarefaction error "
+        f"{r.rarefaction_l1_error:.3e} (tol {r.rarefaction_tol:.3e}) ({_verdict(r)})"
     )),
     MmsReport: ("mms", "manufactured-solution L1 order", (
         ("cells", "n_ladder"), "errors", "pair_orders", "order", ("pass", "passed"),
+    ), None, None),
+    RunResult: ("run", "run summary", (
+        ("T", lambda r: r.diagnostics.times[-1]), ("n_cells", lambda r: r.grid.n_cells),
+        ("dx", lambda r: r.grid.dx), ("steps", lambda r: r.diagnostics.times.size - 1),
+        ("snapshots", lambda r: len(r.snapshots)),
+        ("clip_total", lambda r: np.sum(r.diagnostics.clip_counts)),
+        ("mass_initial", lambda r: r.diagnostics.mass[0]),
+        ("mass_final", lambda r: r.diagnostics.mass[-1]),
+        ("sup_u_initial", lambda r: r.diagnostics.sup_u[0]),
+        ("sup_u_final", lambda r: r.diagnostics.sup_u[-1]),
+        ("boundary_flux_max", lambda r: np.max(r.diagnostics.boundary_flux)),
+    ), "run.report", lambda r, out: (
+        f"{len(r.snapshots)} snapshot file(s), diagnostics.csv and run.report written to {out}"
     )),
 }
+
+
+def _verdict(report) -> str:
+    return "pass" if report.passed else "FAIL"
 
 
 def _fmt_value(value) -> str:
@@ -258,14 +291,14 @@ def _fmt_value(value) -> str:
 
 
 def report_text(report) -> str:
-    """Render a verifier report as a comment header plus key=value lines."""
+    """Render a report or a run summary as a comment header plus key=value lines."""
     if type(report) not in _REPORT_FORMATS:
         raise TypeError(f"no report format for {type(report).__name__}")
-    namespace, title, keys = _REPORT_FORMATS[type(report)]
+    namespace, title, keys, _, _ = _REPORT_FORMATS[type(report)]
     lines = [f"# {title.format(r=report)}"]
     for entry in keys:
         key, attr = entry if isinstance(entry, tuple) else (entry, entry)
-        value = getattr(report, attr)
+        value = attr(report) if callable(attr) else getattr(report, attr)
         if value is None:
             continue
         if key.endswith("_"):
@@ -294,51 +327,31 @@ def read_report(path) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _status(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
-def _out_dir(args) -> Path:
-    """The output directory, created on demand. Commands call this once
-    their input has been validated and their results computed, so a
-    rejected command leaves no directory behind."""
+def _finish(args, words: str, reports, tables=()) -> int:
+    """The one exit of every command, once its input is validated and its
+    results computed, so a rejected command leaves no directory behind: it
+    creates ``--out``, writes each (file name, writer) table and each report,
+    prints one status line per report after ``words``, and returns 1 if a
+    report failed, else 0. A run summary carries no verdict."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _run_report_items(run: RunResult) -> str:
-    d = run.diagnostics
-    lines = [
-        "# run summary",
-        f"run.T={_fmt(d.times[-1])}",
-        f"run.n_cells={run.grid.n_cells}",
-        f"run.dx={_fmt(run.grid.dx)}",
-        f"run.steps={d.times.size - 1}",
-        f"run.snapshots={len(run.snapshots)}",
-        f"run.clip_total={int(np.sum(d.clip_counts))}",
-        f"run.mass_initial={_fmt(d.mass[0])}",
-        f"run.mass_final={_fmt(d.mass[-1])}",
-        f"run.sup_u_initial={_fmt(d.sup_u[0])}",
-        f"run.sup_u_final={_fmt(d.sup_u[-1])}",
-        f"run.boundary_flux_max={_fmt(np.max(d.boundary_flux))}",
-    ]
-    return "\n".join(lines) + "\n"
+    for name, write in tables:
+        write(out / name)
+    for rep in reports:
+        _, _, _, name, status = _REPORT_FORMATS[type(rep)]
+        write_report(rep, out / name.format(r=rep))
+        print(f"{words} {status(rep, out)}", file=sys.stderr)
+    return 0 if all(getattr(rep, "passed", True) for rep in reports) else 1
 
 
 def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    run = run_simulation(cfg)
-    out = _out_dir(args)
-    for i, snap in enumerate(run.snapshots):
-        write_snapshot_csv(snap, out / f"snapshot_{i:04d}.csv")
-    write_diagnostics_csv(run.diagnostics, out / "diagnostics.csv")
-    (out / "run.report").write_text(_run_report_items(run), encoding="utf-8", newline="\n")
-    _status(
-        f"simulate: {len(run.snapshots)} snapshot file(s), diagnostics.csv and "
-        f"run.report written to {out}"
-    )
-    return 0
+    run = run_simulation(load_config(args.config))
+    tables = [
+        (f"snapshot_{i:04d}.csv", partial(write_snapshot_csv, snap))
+        for i, snap in enumerate(run.snapshots)
+    ]
+    tables.append(("diagnostics.csv", partial(write_diagnostics_csv, run.diagnostics)))
+    return _finish(args, "simulate:", [run], tables)
 
 
 def _load_evolving_config(path, command: str) -> RunConfig:
@@ -356,46 +369,22 @@ def _cmd_verify_balance(args) -> int:
         raise ConfigError("verify balance needs alpha = 0 in diag.alphas for the mass balance")
     runs = run_ladder(cfg, _parse_list(args.ladder, int)) if args.ladder else [run_simulation(cfg)]
     reports = [lp_balance_ladder(runs, a) for a in cfg.diagnostic_alphas]
-    mass_rep = mass_balance_ladder(runs)
-    out = _out_dir(args)
-    for rep in reports:
-        write_report(rep, out / f"balance_a{rep.alpha:g}.report")
-        _status(
-            f"verify balance: alpha={rep.alpha:g} relative terminal residual "
-            f"{rep.relative_terminal:.3e} ({'pass' if rep.passed else 'FAIL'})"
-        )
-    write_report(mass_rep, out / "mass_balance.report")
-    _status(
-        f"verify balance: mass identity relative residual {mass_rep.relative_max:.3e} "
-        f"({'pass' if mass_rep.passed else 'FAIL'})"
-    )
-    return 0 if mass_rep.passed and all(rep.passed for rep in reports) else 1
+    return _finish(args, "verify balance:", [*reports, mass_balance_ladder(runs)])
 
 
 def _cmd_verify_entropy(args) -> int:
     if args.fixture == "expansion-shock":
-        grid, times, u_matrix = expansion_shock_field()
-        rep = kruzhkov_on_field(grid, times, u_matrix)
-        label = "expansion-shock fixture"
+        rep = kruzhkov_on_field(*expansion_shock_field())
+        source = "expansion-shock fixture"
     else:
         rep = kruzhkov_residual(_load_evolving_config(args.config, "verify entropy"))
-        label = args.config
-    write_report(rep, _out_dir(args) / "entropy.report")
-    _status(
-        f"verify entropy: {label} min weak value {rep.min_value:.3e} vs "
-        f"tolerance -{rep.tolerance:.3e} ({'pass' if rep.passed else 'FAIL'})"
-    )
-    return 0 if rep.passed else 1
+        source = args.config
+    return _finish(args, f"verify entropy: {source}", [rep])
 
 
 def _cmd_verify_stability(args) -> int:
     rep = l1_stability_check(load_config(args.config), load_config(args.cfg2), R=args.R)
-    write_report(rep, _out_dir(args) / "stability.report")
-    _status(
-        f"verify stability: max measured {rep.max_measured:.3e}, min margin "
-        f"{rep.min_margin:.3e} ({'pass' if rep.passed else 'FAIL'})"
-    )
-    return 0 if rep.passed else 1
+    return _finish(args, "verify stability:", [rep])
 
 
 def _cmd_sweep(args) -> int:
@@ -409,25 +398,13 @@ def _cmd_sweep(args) -> int:
         ns = _parse_list(args.ladder, int) if args.ladder else (n, 2 * n, 4 * n)
         rep = grid_convergence(cfg, ns)
         header, fmt = "n_cells_coarse,l1_distance_to_refined", ("%d", "%.17g")
-    out = _out_dir(args)
-    write_report(rep, out / f"sweep_{args.axis}.report")
-    _write_csv(out / "ladder.csv", header, (rep.params[: len(rep.distances)], rep.distances), fmt)
-    _status(
-        f"sweep {args.axis}: distances {[float('%.3e' % d) for d in rep.distances]} "
-        f"monotone={rep.monotone}"
-    )
-    return 0 if rep.monotone else 1
+    cols = (rep.params[: len(rep.distances)], rep.distances)
+    ladder_csv = ("ladder.csv", lambda path: _write_csv(path, header, cols, fmt))
+    return _finish(args, f"sweep {args.axis}:", [rep], [ladder_csv])
 
 
 def _cmd_burgers_sanity(args) -> int:
-    rep = burgers_sanity(args.cells)
-    write_report(rep, _out_dir(args) / "burgers.report")
-    _status(
-        f"burgers-sanity: shock error {rep.shock_position_error:.3e} (tol "
-        f"{rep.shock_tol:.3e}), rarefaction error {rep.rarefaction_l1_error:.3e} "
-        f"(tol {rep.rarefaction_tol:.3e}) ({'pass' if rep.passed else 'FAIL'})"
-    )
-    return 0 if rep.passed else 1
+    return _finish(args, "burgers-sanity:", [burgers_sanity(args.cells)])
 
 
 def _build_parser() -> argparse.ArgumentParser:

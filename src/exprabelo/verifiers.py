@@ -95,8 +95,6 @@ class BalanceReport:
     """Residual of the integrated power balance for one exponent alpha."""
 
     alpha: float
-    times: np.ndarray
-    residuals: np.ndarray
     terminal_residual: float
     max_residual: float
     initial_norm: float
@@ -125,8 +123,6 @@ def lp_balance_residual(run: RunResult, alpha: float) -> BalanceReport:
     initial = float(norm[0])
     return BalanceReport(
         alpha=float(alpha),
-        times=diag.times,
-        residuals=residuals,
         terminal_residual=terminal,
         max_residual=float(np.max(residuals)),
         initial_norm=initial,
@@ -167,8 +163,6 @@ def lp_balance_ladder(runs: Sequence[RunResult], alpha: float) -> BalanceReport:
 class MassBalanceReport:
     """Differentiated mass-balance residual at step midpoints."""
 
-    times: np.ndarray
-    residuals: np.ndarray
     terminal_residual: float
     max_residual: float
     initial_mass: float
@@ -204,10 +198,7 @@ def mass_balance_identity(run: RunResult) -> MassBalanceReport:
     rate = np.diff(mass) / dts
     closure = 0.5 * (d0[:-1] + d0[1:]) + 0.5 * (g[:-1] + g[1:])
     residuals = np.abs(rate + closure)
-    mid_times = 0.5 * (diag.times[:-1] + diag.times[1:])
     return MassBalanceReport(
-        times=mid_times,
-        residuals=residuals,
         terminal_residual=float(residuals[-1]),
         max_residual=float(np.max(residuals)),
         initial_mass=float(mass[0]),
@@ -555,9 +546,10 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
         e^(C(T) t) ||u0 - w0||_L1(-R - C0 t, R + C0 t),
 
     C0 = e^(sup u0) + e^(sup w0) and C(T) = 2R + 2 C0 T, at the positive
-    snapshot times t of ``cfg_u``, whose final time is T; ``cfg_w`` is run
-    to the same snapshots. Before either run, the domain must contain the
-    widened window (-R - C0 T, R + C0 T), which covers every sample's window.
+    snapshot times t of ``cfg_u``, whose final time is T. ``cfg_w`` must
+    reach the last of them; both configs then run to T. Before either run,
+    the domain must contain the widened window (-R - C0 T, R + C0 T), which
+    covers every sample's window.
     """
     if not (math.isfinite(R) and R > 0.0):
         # an empty window would certify nothing yet pass
@@ -565,17 +557,19 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
     sample_times = tuple(t for t in cfg_u.snapshot_times if t > 0.0)
     if not sample_times:
         raise DomainError("stability needs at least one sample time: a positive snapshot time")
-    cfg_u, cfg_w = (replace(c, snapshot_times=(0.0, *sample_times)) for c in (cfg_u, cfg_w))
+    T = float(cfg_u.final_time)
+    # RunConfig refuses a cfg_w that ends before the last sample time
+    cfg_u, cfg_w = (
+        replace(replace(c, snapshot_times=sample_times), final_time=T) for c in (cfg_u, cfg_w)
+    )
     if cfg_u.grid != cfg_w.grid:
         raise DomainError("stability comparison needs a shared grid")
     grid = cfg_u.grid
     dx = grid.dx
     x = grid.centers
-    T = float(cfg_u.final_time)
+    start_u, start_w = (init_field(grid, c.init) for c in (cfg_u, cfg_w))
     # sup u at t = 0, as the first diagnostics row records it
-    sup_u0, sup_w0 = (
-        math.log(max(float(init_field(grid, c.init).values.max()), V_TINY)) for c in (cfg_u, cfg_w)
-    )
+    sup_u0, sup_w0 = (math.log(max(float(f.values.max()), V_TINY)) for f in (start_u, start_w))
     c0 = math.exp(sup_u0) + math.exp(sup_w0)
     c_of_t = 2.0 * R + 2.0 * c0 * T
     reach = R + c0 * T
@@ -585,8 +579,7 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
             f"[{grid.x_min}, {grid.x_max}]; enlarge the domain or shrink R/T"
         )
     run_u, run_w = run_simulation(cfg_u), run_simulation(cfg_w)
-    u0 = run_u.snapshot_at(0.0).field_u.values
-    w0 = run_w.snapshot_at(0.0).field_u.values
+    initial_gap = np.abs(u_from_v(start_u).values - u_from_v(start_w).values)
     half_domain = min(-grid.x_min, grid.x_max)
 
     measured, bound, bound_wide, margins = [], [], [], []
@@ -598,13 +591,13 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
         m = float(np.sum(np.abs(su.field_u.values - sw.field_u.values)[core]) * dx)
         grow = math.exp(c_of_t * t)
         win = np.abs(x) < R + c0 * t
-        b = grow * float(np.sum(np.abs(u0 - w0)[win]) * dx)
+        b = grow * float(np.sum(initial_gap[win]) * dx)
         wide_radius = R + c_of_t * t
         if wide_radius > half_domain:
             clipped = True
             wide_radius = half_domain
         wwin = np.abs(x) < wide_radius
-        bw = grow * float(np.sum(np.abs(u0 - w0)[wwin]) * dx)
+        bw = grow * float(np.sum(initial_gap[wwin]) * dx)
         measured.append(m)
         bound.append(b)
         bound_wide.append(bw)
@@ -646,6 +639,10 @@ class ConvergenceReport:
     monotone: bool
     order: float | None = None
     cauchy: tuple | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.monotone
 
 
 def grid_convergence(base: RunConfig, n_ladder: Sequence[int]) -> ConvergenceReport:

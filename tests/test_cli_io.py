@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import exprabelo.cli_io
 from exprabelo.errors import BoundaryFluxWarning, ConfigError, GridAlignmentError
 from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
@@ -330,19 +331,14 @@ def test_report_text_rejects_unknown_objects():
 def test_report_text_golden_for_every_report_class():
     # fixed instances of all eight report classes, covering both sides of
     # every optional block (ladder order, sup-monitor violation, cauchy)
-    t, r = np.array([0.0, 0.5]), np.array([0.0, 1e-5])
     balance = BalanceReport(
         alpha=2.0,
-        times=t,
-        residuals=r,
         terminal_residual=1e-5,
         max_residual=2e-5,
         initial_norm=1 / 3,
         relative_terminal=3e-5,
     )
     mass = MassBalanceReport(
-        times=t,
-        residuals=r,
         terminal_residual=1e-6,
         max_residual=2e-6,
         initial_mass=1.7724538509055159,
@@ -630,6 +626,139 @@ def test_cli_outputs_are_bitwise_golden(tmp_path):
             digests[f"{case}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     pinned = {k: v for k, v in digests.items() if k.startswith("simulate/") or "ladder" in k}
     assert pinned == CLI_GOLDEN_DIGESTS
+
+
+# every command's result path: the report files it writes, one stderr status
+# line per report, and its exit status, including failing checks (alpha = 2
+# at 64 cells, the expansion-shock fixture) and a stability comparison whose
+# second config ends after the first one's final time
+CLI_RESULT_CONFIGS = {
+    "minimal": MINIMAL,
+    "alphas": MINIMAL + "diag.alphas = 0, 0.5, 1, 2\n",
+    "sampled": MINIMAL + "run.snapshots = 0.125, 0.25\n",
+    "two_bump": MINIMAL.replace("gaussian", "two-bump").replace("0.25", "0.75")
+    + "init.amplitude2 = -1\ninit.center2 = 1\nscheme.epsilon = 1e-2\n",
+    "fine": CLI_GOLDEN_RUNS["sweep-epsilon"][1],
+}
+CLI_RESULT_RUNS = {
+    "simulate": ["simulate", "{minimal}"],
+    "verify-balance": ["verify", "balance", "{alphas}"],
+    "verify-balance-ladder": ["verify", "balance", "{alphas}", "--ladder", "64,128,256"],
+    "verify-entropy": ["verify", "entropy", "{minimal}"],
+    "verify-entropy-fixture": ["verify", "entropy", "--fixture", "expansion-shock"],
+    "verify-stability": ["verify", "stability", "{sampled}", "--cfg2", "{two_bump}"],
+    "sweep-grid": ["sweep", "grid", "{minimal}", "--ladder", "64,128,256"],
+    "sweep-epsilon": ["sweep", "epsilon", "{fine}", "--ladder", "0.1,0.01"],
+    "burgers-sanity": ["burgers-sanity", "--cells", "256"],
+}
+
+# case -> (exit status, stderr with the temporary directory as {tmp},
+# {report file: sha256}), taken with numpy 2.4.6 on x86-64 Linux
+CLI_RESULT_GOLDEN = {
+    "simulate": (
+        0,
+        "simulate: 1 snapshot file(s), diagnostics.csv and run.report written to {tmp}/simulate\n",
+        {"run.report": "869602d275ddd6ab3a13b47b6b29d9be629b6ae2d14dca045fd01d5ecba39240"},
+    ),
+    "verify-balance": (
+        1,
+        "verify balance: alpha=0 relative terminal residual 5.896e-05 (pass)\n"
+        "verify balance: alpha=0.5 relative terminal residual 3.030e-03 (pass)\n"
+        "verify balance: alpha=1 relative terminal residual 7.235e-03 (pass)\n"
+        "verify balance: alpha=2 relative terminal residual 1.837e-02 (FAIL)\n"
+        "verify balance: mass identity relative residual 2.946e-04 (pass)\n",
+        {
+            "balance_a0.5.report": "ce53e1fb7dca5b318ee61d04009905e28628faf075dc2945ec37d90906276160",
+            "balance_a0.report": "f9cb8fb7257d15f72dc4f9b1e9ee6ffa1796749293b7ba74e6d818a06c562490",
+            "balance_a1.report": "cd97713102a1e24f57eb777c142477520b187c431445ddd7593d6b776e5991b1",
+            "balance_a2.report": "cb3fb4aa50f459938ab38e6150e57bbdf350662122beb4a3fa945d017f9e68a4",
+            "mass_balance.report": "4d5e5b4c8fd6bda52fcf78a13dc7b66e67bb4e06d8a4131c5c8475ef1d7e430c",
+        },
+    ),
+    "verify-balance-ladder": (
+        0,
+        "verify balance: alpha=0 relative terminal residual 3.433e-06 (pass)\n"
+        "verify balance: alpha=0.5 relative terminal residual 1.613e-04 (pass)\n"
+        "verify balance: alpha=1 relative terminal residual 3.936e-04 (pass)\n"
+        "verify balance: alpha=2 relative terminal residual 1.073e-03 (pass)\n"
+        "verify balance: mass identity relative residual 2.327e-05 (pass)\n",
+        {
+            "balance_a0.5.report": "43554be349b66f3ff7334f4f81d9c6fe9bad3dd938500332ee1c9f359f577f5e",
+            "balance_a0.report": "9a75a32f9d956adb50652a6f6520bd811fc5a131be8d6edd07ad33f41c9c04fd",
+            "balance_a1.report": "7ff5194c3919feea8fd67e5bd54ff2200e868199a10a74dd23c246f10a81102c",
+            "balance_a2.report": "472c439254d0835ebc2e48ee933d7fe0ec6f8365967bb9c15d9960ac624c1e9f",
+            "mass_balance.report": "944a3097c28f89300fd935f9eafe40d15de39c755e8da99a0567197a05d7530b",
+        },
+    ),
+    "verify-entropy": (
+        0,
+        "verify entropy: {tmp}/minimal.cfg min weak value -4.322e-02 vs tolerance -1.235e-01 "
+        "(pass)\n",
+        {"entropy.report": "dd1ebecddefc38241db3a898692980a3e1be2bbba7701898327731febe50c7ba"},
+    ),
+    "verify-entropy-fixture": (
+        1,
+        "verify entropy: expansion-shock fixture min weak value -6.886e-03 vs tolerance "
+        "-3.858e-04 (FAIL)\n",
+        {"entropy.report": "4211e137bc1855048adc65e31553c1c8cd2561977faadb91d1e944006f8c5def"},
+    ),
+    "verify-stability": (
+        0,
+        "verify stability: max measured 5.636e+00, min margin 7.719e+00 (pass)\n",
+        {"stability.report": "edd09ae327198ed819d3c23510f60aea9278e9e762822105d35d366def611b9d"},
+    ),
+    "sweep-grid": (
+        0,
+        "sweep grid: distances [0.0195, 0.006344] monotone=True\n",
+        {"sweep_grid.report": "229d9b5b0ea7bdc0bd5c44ef5658bb45c3fdf2dde3adf986a2fbcf8f19da8546"},
+    ),
+    "sweep-epsilon": (
+        0,
+        "sweep epsilon: distances [0.009371, 0.0009477] monotone=True\n",
+        {"sweep_epsilon.report": "d2bbd3126d5c505d6cf0a2f9c466480287f6f5de8fb315d012a15b25103da407"},
+    ),
+    "burgers-sanity": (
+        0,
+        "burgers-sanity: shock error 3.382e-03 (tol 1.250e-01), rarefaction error 2.616e-02 "
+        "(tol 3.125e-01) (pass)\n",
+        {"burgers.report": "2055da5a05be57cbd4d5e1729ac04814d6927ca0622a496e9bda0e42eb573961"},
+    ),
+}
+
+
+def test_cli_reports_status_lines_and_exit_codes_are_golden(tmp_path, capsys):
+    texts = CLI_RESULT_CONFIGS.items()
+    paths = {k: _write_cfg(tmp_path, name=f"{k}.cfg", text=t) for k, t in texts}
+    results = {}
+    for case, argv in CLI_RESULT_RUNS.items():
+        out = tmp_path / case
+        code = dispatch([a.format(**paths) for a in argv] + ["--out", str(out)])
+        err = capsys.readouterr().err.replace(str(tmp_path), "{tmp}")
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.suffix == ".report"
+        }
+        results[case] = (code, err, digests)
+    assert results == CLI_RESULT_GOLDEN
+
+
+@pytest.mark.parametrize("case", CLI_RESULT_RUNS)
+def test_every_report_file_goes_through_write_report(tmp_path, monkeypatch, case):
+    # a tracer that wraps cli_io.write_report sees one call per report file,
+    # run.report included
+    written = []
+
+    def counted(report, path):
+        written.append(path.name)
+        write_report(report, path)
+
+    monkeypatch.setattr(exprabelo.cli_io, "write_report", counted)
+    texts = CLI_RESULT_CONFIGS.items()
+    paths = {k: _write_cfg(tmp_path, name=f"{k}.cfg", text=t) for k, t in texts}
+    out = tmp_path / "out"
+    dispatch([a.format(**paths) for a in CLI_RESULT_RUNS[case]] + ["--out", str(out)])
+    assert sorted(written) == sorted(p.name for p in out.iterdir() if p.suffix == ".report")
+    assert written
 
 
 def test_verify_balance_writes_reports_and_reflects_outcome(tmp_path):

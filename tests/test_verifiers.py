@@ -59,7 +59,13 @@ from exprabelo.verifiers import (
     sup_principle_monitor,
 )
 
-from conftest import cancelling_forcing, semi_discrete_rhs, stock_config, v_form_kruzhkov_pair
+from conftest import (
+    cancelling_forcing,
+    perturbed_gaussian,
+    semi_discrete_rhs,
+    stock_config,
+    v_form_kruzhkov_pair,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +457,24 @@ def test_stability_reads_its_window_from_the_first_config():
     assert report.sample_times == (0.25,)
     # sup u0 is the first diagnostics row's, bit for bit
     assert report.sup_u0 == run_simulation(cfg_u).diagnostics.sup_u[0]
+
+
+def test_stability_runs_both_configs_to_the_first_configs_final_time(monkeypatch):
+    # the samples end at T = 0.25, so the second config's run stops there
+    # too, and the report is the one for a second config that ends at T
+    cfg_u = stock_config(n_cells=64, final_time=0.25, snapshot_times=(0.125, 0.25))
+    cfg_w = stock_config(n_cells=64, epsilon=1e-2, final_time=3.0, init=perturbed_gaussian())
+    ends = []
+
+    def recorded_run(cfg):
+        run = run_simulation(cfg)
+        ends.append(float(run.diagnostics.times[-1]))
+        return run
+
+    monkeypatch.setattr(exprabelo.verifiers, "run_simulation", recorded_run)
+    report = l1_stability_check(cfg_u, cfg_w, R=2.0)
+    assert ends == [0.25, 0.25]
+    assert report == l1_stability_check(cfg_u, replace(cfg_w, final_time=0.25), R=2.0)
 
 
 def test_stability_rejects_mismatched_grids(no_evolve):
