@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainTooSmallError, GridAlignmentError, GridSizeError, ShapeError
 
@@ -223,6 +222,8 @@ class InitialDataSpec:
         x = np.asarray(x, dtype=np.float64)
         if self.preset != "plateau":
             return sum(np.exp(a - ((x - c) / sigma) ** 2) for a, c, sigma in self._bumps())
+        from scipy.special import expit  # only the plateau needs scipy.special
+
         half = 0.5 * self.params["width"]
         s = self.params["steepness"]
         return np.exp(self.params["height"]) * expit(s * (x + half)) * expit(s * (half - x))

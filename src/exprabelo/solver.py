@@ -36,7 +36,7 @@ def _normalize_alphas(alphas) -> tuple:
     tags = {}
     for a in alphas:
         if not (math.isfinite(a) and a >= 0.0):
-            raise ValueError(f"diagnostic alpha must be nonnegative, got {a}")
+            raise ValueError(f"diagnostic alpha must be finite and nonnegative, got {a}")
         tag = f"{a:g}"
         if tag in tags:
             raise ValueError(f"diagnostic alphas {tags[tag]!r} and {a!r} share the tag a{tag}")

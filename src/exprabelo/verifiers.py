@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import BoundaryFluxWarning, DataGapError, DomainError, SparseSnapshotsError
 from .grid_field import V_TINY, FieldV, GridSpec, build_grid, init_field, u_from_v
@@ -823,6 +822,8 @@ def mms_solution(t: float, x: np.ndarray) -> np.ndarray:
 
 def mms_prefix(t: float, x: np.ndarray) -> np.ndarray:
     """Exact prefix integral of the manufactured solution from 0 to x."""
+    from scipy.special import erf  # only the manufactured solution needs it
+
     return np.exp(-t) * 0.5 * SQRT_PI * erf(np.asarray(x, dtype=np.float64))
 
 

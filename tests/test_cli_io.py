@@ -907,6 +907,13 @@ def test_usage_errors_exit_two(tmp_path):
     assert dispatch(["sweep", "epsilon", fine, "--out", out, "--ladder", ","]) == 2
 
 
+def test_non_finite_viscosity_rung_is_named_on_stderr(tmp_path, capsys):
+    fine = _write_cfg(tmp_path, text=MINIMAL.replace("= 64", "= 2048"))
+    out = tmp_path / "out"
+    assert dispatch(["sweep", "epsilon", fine, "--out", str(out), "--ladder", "inf,0.01"]) == 2
+    assert "error: epsilon must be finite and nonnegative, got inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1004,16 +1011,51 @@ def test_module_entry_point_sets_the_exit_status(tmp_path):
     assert read_report(out / "entropy.report")["entropy.pass"] == "false"
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # initial-data tails and the balance quadrature are closed-form numpy, so
-    # a fresh interpreter never pays for scipy.integrate or scipy.optimize
-    code = (
-        "import sys, exprabelo.cli_io; "
-        "print(*sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))"
-    )
+# Runs in one fresh interpreter: after each step it prints the scipy modules
+# loaded so far. Of these CLI steps only the viscous solve (LAPACK's dgtsv)
+# and the plateau profile (expit) may load scipy, each when first needed.
+COLD_START = """
+import sys
+import exprabelo.cli_io
+
+def loaded(step):
+    names = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(step, *names)
+
+loaded("import")
+for step, argv in [
+    ("simulate", ["simulate", CFG["inviscid"]]),
+    ("entropy", ["verify", "entropy", CFG["inviscid"]]),
+    ("viscous", ["simulate", CFG["viscous"]]),
+    ("plateau", ["simulate", CFG["plateau"]]),
+]:
+    assert exprabelo.cli_io.dispatch(argv + ["--out", OUT + step]) == 0, step
+    loaded(step)
+"""
+
+
+def test_cold_start_loads_scipy_only_where_it_is_used(tmp_path):
+    cfgs = {
+        "inviscid": _write_cfg(tmp_path, name="inviscid.cfg", text=MINIMAL),
+        "viscous": _write_cfg(
+            tmp_path, name="viscous.cfg", text=MINIMAL + "scheme.epsilon = 1e-2\n"
+        ),
+        "plateau": _write_cfg(
+            tmp_path,
+            name="plateau.cfg",
+            text=MINIMAL.replace("init.preset = gaussian", "init.preset = plateau"),
+        ),
+    }
+    code = f"CFG = {cfgs!r}\nOUT = {str(tmp_path / 'out-')!r}\n" + COLD_START
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    loaded = {step: set(names) for step, *names in map(str.split, proc.stdout.splitlines())}
+    assert list(loaded) == ["import", "simulate", "entropy", "viscous", "plateau"]
+    for step in ("import", "simulate", "entropy"):
+        assert loaded[step] == set(), step
+    assert "scipy.linalg" in loaded["viscous"]
+    assert not {"scipy.special", "scipy.integrate", "scipy.optimize"} & loaded["viscous"]
+    assert "scipy.special" in loaded["plateau"]
 
 
 def test_viscous_entropy_request_exits_two(tmp_path):

@@ -208,6 +208,10 @@ def test_scheme_config_validation():
         SchemeConfig(cfl=1.5)
     with pytest.raises(ValueError):
         SchemeConfig(epsilon=-1e-6)
+    # a non-finite viscosity is refused by what it is, not called negative
+    for eps in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+            SchemeConfig(epsilon=eps)
     # one scheme: the integrator, the reconstruction and a positivity floor
     # are not knobs
     with pytest.raises(TypeError):

@@ -307,6 +307,9 @@ def test_run_config_normalizes_and_validates():
         RunConfig(grid=grid, init=init, diagnostic_alphas=())
     with pytest.raises(ValueError):
         RunConfig(grid=grid, init=init, diagnostic_alphas=(-1.0,))
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            RunConfig(grid=grid, init=init, diagnostic_alphas=(0.0, alpha))
     # 1 and 1.0000001 both print as a1, so their columns and reports collide
     with pytest.raises(ValueError, match=r"1\.0 and 1\.0000001"):
         RunConfig(grid=grid, init=init, diagnostic_alphas=(1.0, 1.0000001))
