@@ -76,9 +76,10 @@ class Workspace:
     prefix integral. Called without one, the public functions build their
     own, which keeps a single arithmetic path.
 
-    ``flux`` also remembers whose interface fluxes it holds: the diagnostics
-    row of a state computes them and the first stage of the next step reads
-    them instead of evaluating them again.
+    ``flux`` also remembers whose interface fluxes it holds: ``evolve``
+    computes them for each new state, for its boundary flux, and the first
+    stage of the next step reads them instead of evaluating them again. A
+    state-only run sizes the diagnostics buffers for no alphas.
     """
 
     def __init__(self, n_cells: int, n_alphas: int = 1):

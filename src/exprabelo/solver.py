@@ -1,5 +1,6 @@
-"""Time integration driver: snapshots at exact requested times plus a
-per-step diagnostics series recording the quantities the verifiers consume.
+"""Time integration driver: snapshots at exact requested times plus, unless
+the run is state-only, a per-step diagnostics series recording the
+quantities the budget verifiers consume.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ FIXED_COLUMNS = (
     ("mass", "mass"), ("boundary_flux", "boundary_flux"), ("p_left", "p_left"),
     ("p_right", "p_right"), ("clip_count", "clip_counts"),
 )
+BOUNDARY_COLUMN = [attr for _, attr in FIXED_COLUMNS].index("boundary_flux")
 ALPHA_COLUMNS = (("lp", "lp_norms"), ("dissipation", "dissipation"), ("source", "source_integral"))
 
 
@@ -129,11 +131,13 @@ class DiagnosticsSeries:
             raise DataGapError("diagnostics series is empty")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise StateError("diagnostic times must be strictly increasing")
-        for _, col in self.columns():
+        for name, col in self.columns():
             if np.shape(col) != t.shape:  # the CSV writer zips the columns
                 raise ShapeError("every diagnostic column needs one entry per time")
-            if not np.all(np.isfinite(col)):
-                raise StateError("non-finite diagnostic entry")
+            finite = np.isfinite(col)
+            if not finite.all():
+                first = t[int(np.argmin(finite))]
+                raise StateError(f"non-finite diagnostic entry: {name} at t = {first:.6g}")
 
     def columns(self) -> list:
         """(csv name, column) pairs in diagnostics.csv order."""
@@ -152,6 +156,13 @@ class DiagnosticsSeries:
         for j, (_, attr) in enumerate(ALPHA_COLUMNS):
             fields[attr] = dict(zip(alphas, blocks[:, j]))
         return cls(alphas=tuple(alphas), **fields)
+
+
+def _boundary_flux(v: np.ndarray, cfg: SchemeConfig, ws: Workspace) -> float:
+    """|F_1/2| + |F_n+1/2| of the state ``v``; its interface fluxes stay in
+    ``ws`` for the next step's first stage."""
+    flux = interface_fluxes(v, cfg.flux, ws)
+    return float(abs(flux[0]) + abs(flux[-1]))
 
 
 def record_diagnostics(
@@ -183,8 +194,7 @@ def record_diagnostics(
     sup_u_x = float(grid.centers[imax])
     mass = float(v.sum()) * dx
 
-    flux = interface_fluxes(v, cfg.flux, ws)
-    boundary = float(abs(flux[0]) + abs(flux[-1]))
+    boundary = _boundary_flux(v, cfg, ws)
 
     # one zero-padded row per alpha holds v^(a+1); D+ of a padded row is the
     # forward difference over every interface. Each row reduces on its own.
@@ -236,12 +246,13 @@ def record_diagnostics(
 @dataclass(frozen=True)
 class RunResult:
     """Everything a verifier needs: the grid, the scheme that produced the
-    data, snapshots at the requested times, and the per-step diagnostics."""
+    data, snapshots at the requested times, and the per-step diagnostics,
+    which are None for a state-only run."""
 
     grid: GridSpec
     scheme: SchemeConfig
     snapshots: tuple
-    diagnostics: DiagnosticsSeries
+    diagnostics: DiagnosticsSeries | None
 
     def snapshot_at(self, t: float) -> Snapshot:
         for snap in self.snapshots:
@@ -251,6 +262,8 @@ class RunResult:
 
     @property
     def final_state(self) -> FieldV:
+        if not self.snapshots:  # evolve always lands a final snapshot
+            raise DataGapError("no final state: the snapshots went to on_snapshot")
         return self.snapshots[-1].field_v
 
 
@@ -266,6 +279,8 @@ def evolve(
     snapshot_times: tuple = (),
     alphas: tuple = DEFAULT_ALPHAS,
     on_snapshot: Callable[[Snapshot], None] | None = None,
+    *,
+    diagnostics: bool = True,
 ) -> RunResult:
     """March v0 to final_time, landing exactly on every requested snapshot time.
 
@@ -273,6 +288,14 @@ def evolve(
     and the final time, so snapshot timestamps equal the requests bitwise.
     A diagnostics row is recorded for the initial state and after every step,
     with the alphas normalized as in ``_normalize_alphas``.
+
+    With ``diagnostics=False`` the run is state-only, for checks that read
+    only snapshots or the final state: it records no rows, and the result's
+    ``diagnostics`` is None. It still evaluates each state's interface
+    fluxes, which the next step reuses, so its fields are bitwise those of a
+    recording run. Either way the boundary flux |F_1/2| + |F_n+1/2| of every
+    state must be finite, and a ``BoundaryFluxWarning`` is given when its
+    maximum exceeds ``BOUNDARY_LEAK_THRESHOLD``.
 
     Each snapshot is kept in the result, or, when ``on_snapshot`` is given,
     handed to it in time order and not kept: the result then holds no
@@ -288,10 +311,23 @@ def evolve(
             raise ValueError(f"snapshot time {t} outside [0, {final_time}]")
     alphas = _normalize_alphas(alphas)
 
-    ws = Workspace(grid.n_cells, len(alphas))
+    ws = Workspace(grid.n_cells, len(alphas) if diagnostics else 0)
+    rows = []
+
+    def observe(fv: FieldV, p: NonlocalP, dt: float) -> float:
+        """The boundary flux of a new state, whose row a recording run keeps."""
+        if diagnostics:
+            row = record_diagnostics(grid, fv, p, cfg, dt, alphas, ws)
+            rows.append(row)
+            return row[BOUNDARY_COLUMN]
+        boundary = _boundary_flux(fv.values, cfg, ws)
+        if not math.isfinite(boundary):
+            raise StateError(f"non-finite boundary flux at t = {fv.time:.6g}")
+        return boundary
+
     fv = v0
     p = prefix_integral(grid, fv)
-    rows = [record_diagnostics(grid, fv, p, cfg, 0.0, alphas, ws)]
+    max_boundary = observe(fv, p, 0.0)
     snaps = []
     take = snaps.append if on_snapshot is None else on_snapshot
     if events[0] == 0.0:
@@ -311,13 +347,12 @@ def evolve(
         if landing:
             fv = replace(fv, time=target)
         p = prefix_integral(grid, fv)
-        rows.append(record_diagnostics(grid, fv, p, cfg, dt, alphas, ws))
+        max_boundary = max(max_boundary, observe(fv, p, dt))
         if landing:
             take(_make_snapshot(grid, fv, p))
             events.pop(0)
 
-    series = DiagnosticsSeries.from_rows(rows, alphas)
-    max_boundary = series.boundary_flux.max()
+    series = DiagnosticsSeries.from_rows(rows, alphas) if diagnostics else None
     if max_boundary > BOUNDARY_LEAK_THRESHOLD:
         warnings.warn(
             f"boundary flux reached {max_boundary:.3e} "
@@ -333,8 +368,9 @@ def evolve(
     )
 
 
-def run_simulation(cfg: RunConfig) -> RunResult:
-    """Build the grid and initial data from a RunConfig and evolve it."""
+def run_simulation(cfg: RunConfig, *, diagnostics: bool = True) -> RunResult:
+    """Build the grid and initial data from a RunConfig and evolve it; with
+    ``diagnostics=False`` the run is state-only, as in ``evolve``."""
     v0 = init_field(cfg.grid, cfg.init)
     return evolve(
         cfg.grid,
@@ -343,4 +379,5 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         cfg.final_time,
         cfg.snapshot_times,
         cfg.diagnostic_alphas,
+        diagnostics=diagnostics,
     )

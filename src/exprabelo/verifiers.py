@@ -61,19 +61,23 @@ def _mean_log2_order(values: Sequence[float]) -> float:
     return float(np.mean([math.log2(r) for r in ratios]))
 
 
-def _run_many(configs: Sequence[RunConfig]) -> list[RunResult]:
-    """Run a batch of configurations one after another, in input order.
+def _run_many(configs: Sequence[RunConfig], diagnostics: bool = True) -> list[RunResult]:
+    """Run a batch of configurations one after another, in input order;
+    ``diagnostics=False`` makes every run state-only (see ``evolve``).
 
     The runs are small-array loops that hold the interpreter lock, so threads
     would only add contention.
     """
-    return [run_simulation(c) for c in configs]
+    return [run_simulation(c, diagnostics=diagnostics) for c in configs]
 
 
-def run_ladder(base: RunConfig, n_ladder: Sequence[int]) -> list[RunResult]:
+def run_ladder(
+    base: RunConfig, n_ladder: Sequence[int], diagnostics: bool = True
+) -> list[RunResult]:
     """Rerun one configuration across at least two grid resolutions (same
     domain), which must strictly increase: the ladder reports read the last
-    run as the finest. Refused before anything runs otherwise."""
+    run as the finest. Refused before anything runs otherwise.
+    ``diagnostics`` is passed to ``_run_many``."""
     if len(n_ladder) < 2 or any(a >= b for a, b in zip(n_ladder, n_ladder[1:])):
         raise ValueError(
             f"a ladder needs at least two cell counts, strictly increasing, got {list(n_ladder)}"
@@ -82,7 +86,7 @@ def run_ladder(base: RunConfig, n_ladder: Sequence[int]) -> list[RunResult]:
         replace(base, grid=build_grid(base.grid.x_min, base.grid.x_max, int(n)))
         for n in n_ladder
     ]
-    return _run_many(configs)
+    return _run_many(configs, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +482,8 @@ def kruzhkov_residual(cfg: RunConfig) -> EntropyReport:
         sums.add(snap.time, snap.field_u.values, snap.p.cell_values if source else None)
 
     evolve(
-        grid, v0, cfg.scheme, cfg.final_time,
-        dense_snapshot_times(grid, cfg.final_time), cfg.diagnostic_alphas, on_snapshot=take,
+        grid, v0, cfg.scheme, cfg.final_time, dense_snapshot_times(grid, cfg.final_time),
+        on_snapshot=take, diagnostics=False,
     )
     return _entropy_report(grid, levels, sums)
 
@@ -577,7 +581,7 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
             f"widened window radius {reach:.4g} exceeds the domain "
             f"[{grid.x_min}, {grid.x_max}]; enlarge the domain or shrink R/T"
         )
-    run_u, run_w = run_simulation(cfg_u), run_simulation(cfg_w)
+    run_u, run_w = (run_simulation(c, diagnostics=False) for c in (cfg_u, cfg_w))
     initial_gap = np.abs(u_from_v(start_u).values - u_from_v(start_w).values)
     half_domain = min(-grid.x_min, grid.x_max)
 
@@ -649,7 +653,7 @@ def grid_convergence(base: RunConfig, n_ladder: Sequence[int]) -> ConvergenceRep
     ns = [int(n) for n in n_ladder]
     if any(a <= 0 or b % a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"grid ladder must be positive and nested, got {ns}")
-    runs = run_ladder(base, ns)
+    runs = run_ladder(base, ns, diagnostics=False)
     dists = []
     for coarse, fine in zip(runs, runs[1:]):
         factor = fine.grid.n_cells // coarse.grid.n_cells
@@ -686,7 +690,7 @@ def epsilon_convergence(
             f"got {base.grid.n_cells}"
         )
     configs = [replace(base, scheme=replace(base.scheme, epsilon=e)) for e in (0.0, *eps)]
-    runs = _run_many(configs)
+    runs = _run_many(configs, diagnostics=False)
     limit, viscous = runs[0], runs[1:]
     dx = base.grid.dx
     finals = [r.final_state.values for r in viscous]
@@ -740,7 +744,9 @@ def _riemann_run(grid: GridSpec, v_left: float, v_right: float, final_time: floa
     cfg = SchemeConfig(epsilon=0.0, source_enabled=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryFluxWarning)
-        return evolve(grid, riemann_initial(grid, v_left, v_right), cfg, final_time)
+        return evolve(
+            grid, riemann_initial(grid, v_left, v_right), cfg, final_time, diagnostics=False
+        )
 
 
 @dataclass(frozen=True)
@@ -862,7 +868,7 @@ def mms_convergence() -> MmsReport:
         grid = build_grid(*ORACLE_DOMAIN, n)
         cfg = SchemeConfig(epsilon=MMS_EPSILON, forcing=mms_forcing(MMS_EPSILON))
         v0 = FieldV(mms_solution(0.0, grid.centers), 0.0)
-        run = evolve(grid, v0, cfg, ORACLE_FINAL_TIME)
+        run = evolve(grid, v0, cfg, ORACLE_FINAL_TIME, diagnostics=False)
         exact = mms_solution(ORACLE_FINAL_TIME, grid.centers)
         errors.append(l1_distance(grid.dx, run.final_state.values, exact))
     pair_orders = tuple(

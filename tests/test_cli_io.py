@@ -14,12 +14,14 @@ import hashlib
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import exprabelo.cli_io
+import exprabelo.solver
 from exprabelo.errors import BoundaryFluxWarning, ConfigError, GridAlignmentError
 from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
@@ -742,6 +744,34 @@ def test_cli_reports_status_lines_and_exit_codes_are_golden(tmp_path, capsys):
     assert results == CLI_RESULT_GOLDEN
 
 
+# the commands whose checks read the diagnostics series; every other one
+# runs state-only
+RECORDING_RUNS = {"simulate", "verify-balance", "verify-balance-ladder"}
+
+
+@pytest.mark.parametrize("case", CLI_RESULT_RUNS)
+def test_only_budget_commands_record_diagnostics(tmp_path, monkeypatch, case):
+    # a recording run makes one row for its initial state and one per step
+    calls = Counter()
+    for name in ("record_diagnostics", "step", "evolve"):
+        original = getattr(exprabelo.solver, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(exprabelo.solver, name, counted)
+    texts = CLI_RESULT_CONFIGS.items()
+    paths = {k: _write_cfg(tmp_path, name=f"{k}.cfg", text=t) for k, t in texts}
+    dispatch([a.format(**paths) for a in CLI_RESULT_RUNS[case]] + ["--out", str(tmp_path)])
+    if case in RECORDING_RUNS:
+        assert calls["evolve"] >= 1
+        assert calls["record_diagnostics"] == calls["step"] + calls["evolve"]
+    else:
+        assert calls["record_diagnostics"] == 0
+    assert calls["step"] > 0 or case == "verify-entropy-fixture"
+
+
 @pytest.mark.parametrize("case", CLI_RESULT_RUNS)
 def test_every_report_file_goes_through_write_report(tmp_path, monkeypatch, case):
     # a tracer that wraps cli_io.write_report sees one call per report file,
@@ -865,6 +895,32 @@ def test_sweep_epsilon_ladder(tmp_path):
     ladder = (out / "ladder.csv").read_text().splitlines()
     assert ladder[0] == "epsilon,l1_distance_to_limit"
     assert len(ladder) == 3
+
+
+# a steep gaussian whose v^401 overflows from the first state on
+STEEP = (
+    MINIMAL.replace("= 64", "= 2048").replace("run.T = 0.25", "run.T = 0.05")
+    + "init.amplitude = 2\ndiag.alphas = 0, 400\n"
+)
+
+
+def test_state_only_checks_ignore_an_overflowing_diagnostic_column(tmp_path, capsys):
+    # the checks that read only fields compute no lp column, so the one that
+    # overflows can no longer turn them into unusable input
+    cfg = _write_cfg(tmp_path, text=STEEP)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = dispatch(["sweep", "epsilon", cfg, "--out", str(tmp_path / "sweep")])
+        assert (code, capsys.readouterr().err) == (
+            0, "sweep epsilon: distances [0.4526, 0.1442, 0.04899, 0.0148, 0.004943] "
+            "monotone=True\n")
+        assert dispatch(["verify", "entropy", cfg, "--out", str(tmp_path / "entropy")]) != 2
+    capsys.readouterr()
+    # simulate records that column and names it, with its first time
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = dispatch(["simulate", cfg, "--out", str(tmp_path / "simulate")])
+    assert (code, capsys.readouterr().err) == (
+        2, "error: non-finite diagnostic entry: lp_a400 at t = 0\n")
 
 
 def test_burgers_sanity_subcommand(tmp_path):
@@ -1017,6 +1073,7 @@ def test_module_entry_point_sets_the_exit_status(tmp_path):
 COLD_START = """
 import sys
 import exprabelo.cli_io
+import exprabelo.solver
 
 def loaded(step):
     names = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -244,7 +245,18 @@ def test_diagnostics_series_rejects_bad_rows():
 
     tainted = dict(good)
     tainted["mass"] = np.array([1.0, math.nan])
-    with pytest.raises(StateError):
+    with pytest.raises(StateError, match=r"entry: mass at t = 0\.1$"):
+        DiagnosticsSeries(**tainted)
+    # the first tainted column in file order is named, at its first bad time
+    tainted["source_integral"] = {0.0: np.array([math.inf, math.inf])}
+    tainted["boundary_flux"] = np.array([0.0, math.inf])
+    with pytest.raises(StateError, match=r"entry: mass at t = 0\.1$"):
+        DiagnosticsSeries(**tainted)
+    tainted["mass"] = np.ones(2)
+    with pytest.raises(StateError, match=r"entry: boundary_flux at t = 0\.1$"):
+        DiagnosticsSeries(**tainted)
+    tainted["boundary_flux"] = np.zeros(2)
+    with pytest.raises(StateError, match=r"entry: source_a0 at t = 0$"):
         DiagnosticsSeries(**tainted)
 
     ragged = dict(good)
@@ -405,6 +417,80 @@ def test_snapshot_hook_receives_the_golden_snapshots():
     assert run.snapshots == ()
     assert [snap.time for snap in seen] == [0.0, 0.25, 0.5]
     assert _output_digest(replace(run, snapshots=tuple(seen))) == GOLDEN_DIGESTS["stock"]
+
+
+def test_final_state_of_a_hook_run_names_where_the_snapshots_went():
+    base = stock_config(64, final_time=0.125)
+    run = evolve(base.grid, init_field(base.grid, base.init), base.scheme, base.final_time,
+                 on_snapshot=lambda snap: None)
+    with pytest.raises(DataGapError, match="the snapshots went to on_snapshot"):
+        run.final_state
+
+
+# (epsilon, flux, source_enabled, forced) of the state-only parity runs: both
+# fluxes at eps = 0 and 1e-2, with the source on and off, and the
+# manufactured forcing
+PARITY_CASES = [
+    (eps, flux, source, False)
+    for eps in (0.0, 1e-2) for flux in ("godunov", "rusanov") for source in (True, False)
+] + [(1e-2, "godunov", True, True)]
+
+
+@pytest.mark.parametrize("leaky", [False, True], ids=["stock-domain", "leaky-domain"])
+@pytest.mark.parametrize("case", PARITY_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_state_only_run_matches_a_recording_run_bitwise(monkeypatch, case, leaky):
+    eps, flux, source, forced = case
+    scheme = SchemeConfig(flux=flux, epsilon=eps, source_enabled=source,
+                          forcing=mms_forcing(eps) if forced else None)
+    # on [-2, 2] the gaussian starts at e^-4 on the edges and leaks out
+    grid = GridSpec(x_min=-2.0, x_max=2.0, n_cells=128) if leaky else stock_config(128).grid
+    v0 = FieldV(np.exp(-grid.centers**2), 0.0)
+    # steps and flux evaluations, keyed by the mode of the run in progress:
+    # a state-only run still reuses each state's fluxes in the next step
+    calls = Counter()
+    for module, name in ((exprabelo.solver, "step"), (exprabelo.solver, "interface_fluxes"),
+                         (exprabelo.scheme, "interface_fluxes")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name, diagnostics] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    runs, warned = {}, {}
+    for diagnostics in (True, False):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs[diagnostics] = evolve(grid, v0, scheme, 0.5, (0.0, 0.25, 0.5),
+                                       diagnostics=diagnostics)
+        warned[diagnostics] = [(w.category, str(w.message)) for w in caught]
+    recorded, state_only = runs[True], runs[False]
+
+    assert state_only.diagnostics is None
+    steps = recorded.diagnostics.times.size - 1
+    assert calls["step", False] == calls["step", True] == steps
+    assert calls["interface_fluxes", False] == calls["interface_fluxes", True] == 2 * steps + 1
+    assert state_only.final_state.values.tobytes() == recorded.final_state.values.tobytes()
+    assert len(state_only.snapshots) == len(recorded.snapshots) == 3
+    for a, b in zip(state_only.snapshots, recorded.snapshots):
+        assert a.time == b.time
+        for x, y in ((a.field_v, b.field_v), (a.field_u, b.field_u)):
+            assert x.values.tobytes() == y.values.tobytes()
+        assert a.p.interface_values.tobytes() == b.p.interface_values.tobytes()
+        assert a.p.cell_values.tobytes() == b.p.cell_values.tobytes()
+    assert warned[False] == warned[True]
+    assert [c for c, _ in warned[True]] == [BoundaryFluxWarning] * leaky
+
+
+def test_state_only_run_keeps_the_finite_boundary_flux_check(monkeypatch):
+    def overflowing(v, flux, ws=None):
+        ws.flux.fill(math.inf)
+        ws.flux_of = None  # so the step evaluates its own fluxes
+        return ws.flux
+
+    monkeypatch.setattr(exprabelo.solver, "interface_fluxes", overflowing)
+    with pytest.raises(StateError, match="non-finite boundary flux at t = 0$"):
+        run_simulation(stock_config(64, final_time=0.125), diagnostics=False)
 
 
 def test_traced_functions_exist_and_evolve_calls_them_through_module_bindings(monkeypatch):

@@ -466,9 +466,9 @@ def test_stability_runs_both_configs_to_the_first_configs_final_time(monkeypatch
     cfg_w = stock_config(n_cells=64, epsilon=1e-2, final_time=3.0, init=perturbed_gaussian())
     ends = []
 
-    def recorded_run(cfg):
-        run = run_simulation(cfg)
-        ends.append(float(run.diagnostics.times[-1]))
+    def recorded_run(cfg, **kwargs):
+        run = run_simulation(cfg, **kwargs)
+        ends.append(run.final_state.time)
         return run
 
     monkeypatch.setattr(exprabelo.verifiers, "run_simulation", recorded_run)
