@@ -69,20 +69,17 @@ class SchemeConfig:
 
 
 class Workspace:
-    """Preallocated float64 buffers for one grid size.
+    """Preallocated float64 buffers of the scheme for one grid size.
 
-    ``evolve`` makes one per run and hands it to every ``step`` and
-    diagnostics row, so the hot loop allocates only each new field and its
-    prefix integral. Called without one, the public functions build their
-    own, which keeps a single arithmetic path.
-
-    ``flux`` also remembers whose interface fluxes it holds: ``evolve``
-    computes them for each new state, for its boundary flux, and the first
-    stage of the next step reads them instead of evaluating them again. A
-    state-only run sizes the diagnostics buffers for no alphas.
+    ``evolve`` makes one per run and hands it to every ``step`` and to its
+    own flux evaluation of each new state, so the hot loop allocates only
+    each new field and its prefix integral. Called without one, the public
+    functions build their own, which keeps a single arithmetic path. The
+    buffers carry no state from call to call: whatever a call reads, its
+    caller passes in.
     """
 
-    def __init__(self, n_cells: int, n_alphas: int = 1):
+    def __init__(self, n_cells: int):
         n = n_cells
         self.half_diff = np.empty(n + 1)
         self.lo = np.empty(n)
@@ -91,7 +88,6 @@ class Workspace:
         self.right = np.empty(n + 1)
         self.flux = np.empty(n + 1)
         self.flux_tmp = np.empty(n + 1)
-        self.flux_of = None  # (v, flux) that ``flux`` belongs to
         self.rate = np.empty(n)
         self.source = np.empty(n)
         self.stage = np.empty(n)
@@ -102,13 +98,6 @@ class Workspace:
         self.p_interface = np.empty(n + 1)
         self.p_cells = np.empty(n)
         self.mask = np.empty(n, dtype=bool)
-        # diagnostics, one row per alpha: v and its powers zero-padded by one
-        # ghost on each side, their forward differences, and powers times P
-        self.v_pad = np.zeros(n + 2)
-        self.dv = np.empty(n + 1)
-        self.power_pad = np.zeros((n_alphas, n + 2))
-        self.dw = np.empty((n_alphas, n + 1))
-        self.weighted = np.empty((n_alphas, n))
 
 
 # The flux kernels evaluate f(v) = v^2 / 2 as (0.5 v) v into ``out``, using
@@ -221,7 +210,6 @@ def interface_fluxes(v: np.ndarray, flux: str, ws: Workspace | None = None) -> n
     else:
         left, right = face_states(v, ws)
         _FLUX_FN[flux](left, right, ws.flux, ws.flux_tmp)
-    ws.flux_of = (v, flux)
     return ws.flux
 
 
@@ -242,13 +230,11 @@ def _rate(
     p_cells: np.ndarray | None,
     cfg: SchemeConfig,
     ws: Workspace,
+    flux: np.ndarray | None = None,
 ) -> np.ndarray:
     """The explicit rate, flux divergence plus source (forcing included), in
-    ``ws.rate``."""
-    cached = ws.flux_of
-    if cached is not None and cached[0] is v and cached[1] == cfg.flux:
-        flux = ws.flux
-    else:
+    ``ws.rate``; ``flux`` and ``p_cells`` are evaluated when not given."""
+    if flux is None:
         flux = interface_fluxes(v, cfg.flux, ws)
     rate = np.subtract(flux[:-1], flux[1:], out=ws.rate)
     rate /= grid.dx
@@ -352,20 +338,25 @@ def step(
     dt: float,
     p: NonlocalP | None = None,
     ws: Workspace | None = None,
+    flux: np.ndarray | None = None,
 ) -> FieldV:
     """Advance one step of size dt; the nonlocal operator is rebuilt per stage.
 
     With epsilon = 0 this is SSP-RK2 (Heun). With epsilon > 0 the viscous
     term is implicit and the step is ARS(2,2,2) (``_imex_step``).
 
-    ``p``, when given, must be the prefix integral of ``fv``; the first stage
-    then reuses it instead of rebuilding it. ``ws`` is the run's workspace
-    (a fresh one when omitted). Negative entries of the result are set to
-    zero and counted on the returned field's ``clip_count``; v = 0 itself is
-    admissible. At epsilon = 0 with cfl <= 1/2 no entry goes negative (Zhang
-    and Shu 2010); ARS(2,2,2)'s negative explicit weight DELTA gives no such
-    guarantee at epsilon > 0. Non-finite output raises BlowUpError naming the
-    first offending cell; this is the only check a stepped field gets.
+    ``p`` and ``flux``, when given, must be the prefix integral of ``fv``
+    and its ``interface_fluxes`` under ``cfg.flux``; the first stage then
+    uses them instead of evaluating them again. ``flux`` may be ``ws.flux``
+    itself, which the first stage reads before the second overwrites it.
+    ``ws`` is the run's workspace (a fresh one when omitted).
+
+    Negative entries of the result are set to zero and counted on the
+    returned field's ``clip_count``; v = 0 itself is admissible. At epsilon
+    = 0 with cfl <= 1/2 no entry goes negative (Zhang and Shu 2010);
+    ARS(2,2,2)'s negative explicit weight DELTA gives no such guarantee at
+    epsilon > 0. Non-finite output raises BlowUpError naming the first
+    offending cell; this is the only check a stepped field gets.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -373,7 +364,7 @@ def step(
         ws = Workspace(grid.n_cells)
 
     v, t = fv.values, fv.time
-    r1 = _rate(grid, v, t, None if p is None else p.cell_values, cfg, ws)
+    r1 = _rate(grid, v, t, None if p is None else p.cell_values, cfg, ws, flux)
     out = np.empty(v.size)
     if cfg.epsilon > 0.0:
         _imex_step(grid, v, t, r1, cfg, dt, ws, out)

@@ -45,6 +45,18 @@ def _normalize_alphas(alphas) -> tuple:
     return alphas
 
 
+def _snapshot_times(final_time: float, snapshot_times) -> tuple:
+    """The distinct snapshot times, sorted; raises ValueError unless
+    final_time is finite and >= 0 and every time lies in [0, final_time]."""
+    if not (math.isfinite(final_time) and final_time >= 0.0):
+        raise ValueError(f"final_time must be finite and >= 0, got {final_time}")
+    times = tuple(sorted({float(t) for t in snapshot_times}))
+    for t in times:
+        if not (0.0 <= t <= final_time):
+            raise ValueError(f"snapshot time {t} outside [0, {final_time}]")
+    return times
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """A complete run description: grid, initial data, scheme, and outputs."""
@@ -57,14 +69,7 @@ class RunConfig:
     diagnostic_alphas: tuple = DEFAULT_ALPHAS
 
     def __post_init__(self):
-        if not (math.isfinite(self.final_time) and self.final_time >= 0.0):
-            raise ValueError(f"final_time must be finite and >= 0, got {self.final_time}")
-        times = tuple(sorted({float(t) for t in self.snapshot_times}))
-        for t in times:
-            if not (0.0 <= t <= self.final_time):
-                raise ValueError(
-                    f"snapshot time {t} outside [0, {self.final_time}]"
-                )
+        times = _snapshot_times(self.final_time, self.snapshot_times)
         object.__setattr__(self, "snapshot_times", times)
         object.__setattr__(self, "diagnostic_alphas", _normalize_alphas(self.diagnostic_alphas))
 
@@ -89,7 +94,6 @@ FIXED_COLUMNS = (
     ("mass", "mass"), ("boundary_flux", "boundary_flux"), ("p_left", "p_left"),
     ("p_right", "p_right"), ("clip_count", "clip_counts"),
 )
-BOUNDARY_COLUMN = [attr for _, attr in FIXED_COLUMNS].index("boundary_flux")
 ALPHA_COLUMNS = (("lp", "lp_norms"), ("dissipation", "dissipation"), ("source", "source_integral"))
 
 
@@ -158,47 +162,56 @@ class DiagnosticsSeries:
         return cls(alphas=tuple(alphas), **fields)
 
 
-def _boundary_flux(v: np.ndarray, cfg: SchemeConfig, ws: Workspace) -> float:
-    """|F_1/2| + |F_n+1/2| of the state ``v``; its interface fluxes stay in
-    ``ws`` for the next step's first stage."""
-    flux = interface_fluxes(v, cfg.flux, ws)
-    return float(abs(flux[0]) + abs(flux[-1]))
+class _RowBuffers:
+    """Work arrays of ``record_diagnostics`` for one grid size, one row per
+    alpha: v and its powers zero-padded by one ghost on each side, their
+    forward differences, and powers times P."""
+
+    def __init__(self, n_cells: int, alphas: tuple):
+        n, rows = n_cells, len(alphas)
+        self.v_pad = np.zeros(n + 2)
+        self.dv = np.empty(n + 1)
+        self.power_pad = np.zeros((rows, n + 2))
+        self.dw = np.empty((rows, n + 1))
+        self.weighted = np.empty((rows, n))
 
 
 def record_diagnostics(
     grid: GridSpec,
     fv: FieldV,
     p: NonlocalP,
+    flux: np.ndarray,
     cfg: SchemeConfig,
     dt: float,
     alphas: tuple = DEFAULT_ALPHAS,
-    ws: Workspace | None = None,
+    buffers: _RowBuffers | None = None,
 ) -> list:
     """Compute one diagnostics row for the current state, laid out like
     ``DiagnosticsSeries.columns()``.
 
-    ``ws`` is the run's workspace (a fresh one when omitted); the interface
-    fluxes computed here for the boundary flux stay in it for the next step.
+    ``p`` and ``flux`` are the state's prefix integral and interface fluxes;
+    the row reads the boundary flux |F_1/2| + |F_n+1/2| from ``flux`` and
+    evaluates no fluxes itself. ``buffers`` are the run's work arrays for
+    these alphas (fresh ones when omitted).
 
     An integer power v^(a+1) up to ``CHAIN_MAX_POWER`` is a chain of
     products from the left, v^3 = (v v) v, continued from the previous
     integer alpha's row, so a column's bits depend only on its own alpha;
     every other alpha takes ``np.power``. ``lp_a0`` is the mass sum itself.
     """
-    if ws is None or ws.power_pad.shape[0] != len(alphas):
-        ws = Workspace(grid.n_cells, len(alphas))
+    if buffers is None:
+        buffers = _RowBuffers(grid.n_cells, alphas)
     v = fv.values
     dx = grid.dx
     imax = int(v.argmax())
     sup_u = math.log(max(float(v[imax]), V_TINY))
     sup_u_x = float(grid.centers[imax])
     mass = float(v.sum()) * dx
-
-    boundary = _boundary_flux(v, cfg, ws)
+    boundary = float(abs(flux[0]) + abs(flux[-1]))
 
     # one zero-padded row per alpha holds v^(a+1); D+ of a padded row is the
     # forward difference over every interface. Each row reduces on its own.
-    pad = ws.power_pad
+    pad = buffers.power_pad
     powers = pad[:, 1:-1]
     chain, k_chain = v, 1  # the last integer power computed, v^k_chain
     for power, a in zip(powers, alphas):
@@ -218,16 +231,16 @@ def record_diagnostics(
     skip = 1 if alphas[0] == 0.0 else 0
     lp = [mass] * skip + [s * dx for s in np.add.reduce(powers[skip:], axis=1).tolist()]
     if cfg.epsilon > 0.0:
-        ws.v_pad[1:-1] = v
-        dv = np.subtract(ws.v_pad[1:], ws.v_pad[:-1], out=ws.dv)
-        dw = np.subtract(pad[:, 1:], pad[:, :-1], out=ws.dw)
+        buffers.v_pad[1:-1] = v
+        dv = np.subtract(buffers.v_pad[1:], buffers.v_pad[:-1], out=buffers.dv)
+        dw = np.subtract(pad[:, 1:], pad[:, :-1], out=buffers.dw)
         dw *= dv
         sums = np.add.reduce(dw, axis=1).tolist()
         diss = [cfg.epsilon * (a + 1.0) * s / dx for a, s in zip(alphas, sums)]
     else:
         diss = [0.0] * len(alphas)
     if cfg.source_enabled:
-        weighted = np.multiply(powers, p.cell_values, out=ws.weighted)
+        weighted = np.multiply(powers, p.cell_values, out=buffers.weighted)
         sums = np.add.reduce(weighted, axis=1).tolist()
         src = [(a + 1.0) * s * dx for a, s in zip(alphas, sums)]
     else:
@@ -237,9 +250,6 @@ def record_diagnostics(
            float(p.interface_values[0]), float(p.interface_values[-1]), fv.clip_count]
     for block in zip(lp, diss, src):
         row += block
-    for val in (sup_u, mass, boundary):
-        if not math.isfinite(val):
-            raise StateError(f"non-finite diagnostic at t = {fv.time:.6g}")
     return row
 
 
@@ -286,71 +296,58 @@ def evolve(
 
     The CFL-stable step is shortened (never stretched) to hit snapshot times
     and the final time, so snapshot timestamps equal the requests bitwise.
-    A diagnostics row is recorded for the initial state and after every step,
-    with the alphas normalized as in ``_normalize_alphas``.
+
+    Each state's facts are computed once, as it arrives: its prefix integral
+    P, its interface fluxes F and its boundary flux |F_1/2| + |F_n+1/2|,
+    which must be finite. The next ``step`` takes P and F as arguments and
+    evaluates only its later stages. A diagnostics row, built from the same
+    P and F, is recorded for the initial state and after every step, with
+    the alphas normalized as in ``_normalize_alphas``. A
+    ``BoundaryFluxWarning`` is given when the boundary flux's maximum
+    exceeds ``BOUNDARY_LEAK_THRESHOLD``.
 
     With ``diagnostics=False`` the run is state-only, for checks that read
     only snapshots or the final state: it records no rows, and the result's
-    ``diagnostics`` is None. It still evaluates each state's interface
-    fluxes, which the next step reuses, so its fields are bitwise those of a
-    recording run. Either way the boundary flux |F_1/2| + |F_n+1/2| of every
-    state must be finite, and a ``BoundaryFluxWarning`` is given when its
-    maximum exceeds ``BOUNDARY_LEAK_THRESHOLD``.
+    ``diagnostics`` is None. Its fields, snapshots and warnings are bitwise
+    those of a recording run.
 
     Each snapshot is kept in the result, or, when ``on_snapshot`` is given,
     handed to it in time order and not kept: the result then holds no
     snapshots, so their memory does not grow with the number requested.
     """
-    if not (math.isfinite(final_time) and final_time >= 0.0):
-        raise ValueError(f"final_time must be finite and >= 0, got {final_time}")
+    events = sorted(set(_snapshot_times(final_time, snapshot_times)) | {float(final_time)})
     if v0.time != 0.0:
         raise ValueError("initial field must carry time = 0")
-    events = sorted({float(t) for t in snapshot_times} | {float(final_time)})
-    for t in events:
-        if not (0.0 <= t <= final_time):
-            raise ValueError(f"snapshot time {t} outside [0, {final_time}]")
     alphas = _normalize_alphas(alphas)
 
-    ws = Workspace(grid.n_cells, len(alphas) if diagnostics else 0)
-    rows = []
-
-    def observe(fv: FieldV, p: NonlocalP, dt: float) -> float:
-        """The boundary flux of a new state, whose row a recording run keeps."""
-        if diagnostics:
-            row = record_diagnostics(grid, fv, p, cfg, dt, alphas, ws)
-            rows.append(row)
-            return row[BOUNDARY_COLUMN]
-        boundary = _boundary_flux(fv.values, cfg, ws)
+    ws = Workspace(grid.n_cells)
+    buffers = _RowBuffers(grid.n_cells, alphas) if diagnostics else None
+    rows, snaps = [], []
+    take = snaps.append if on_snapshot is None else on_snapshot
+    fv, dt, landing = v0, 0.0, events[0] == 0.0
+    max_boundary = 0.0
+    while True:
+        p = prefix_integral(grid, fv)
+        flux = interface_fluxes(fv.values, cfg.flux, ws)
+        boundary = float(abs(flux[0]) + abs(flux[-1]))
         if not math.isfinite(boundary):
             raise StateError(f"non-finite boundary flux at t = {fv.time:.6g}")
-        return boundary
-
-    fv = v0
-    p = prefix_integral(grid, fv)
-    max_boundary = observe(fv, p, 0.0)
-    snaps = []
-    take = snaps.append if on_snapshot is None else on_snapshot
-    if events[0] == 0.0:
-        take(_make_snapshot(grid, fv, p))
-        events.pop(0)
-
-    while events:
-        target = events[0]
-        dt_stable = cfl_dt(grid, fv, p, cfg)
-        if fv.time + dt_stable >= target:
-            dt = target - fv.time
-            landing = True
-        else:
-            dt = dt_stable
-            landing = False
-        fv = step(grid, fv, cfg, dt, p, ws)
-        if landing:
-            fv = replace(fv, time=target)
-        p = prefix_integral(grid, fv)
-        max_boundary = max(max_boundary, observe(fv, p, dt))
+        max_boundary = max(max_boundary, boundary)
+        if diagnostics:
+            rows.append(record_diagnostics(grid, fv, p, flux, cfg, dt, alphas, buffers))
         if landing:
             take(_make_snapshot(grid, fv, p))
             events.pop(0)
+            if not events:
+                break
+        target = events[0]
+        dt = cfl_dt(grid, fv, p, cfg)
+        landing = fv.time + dt >= target
+        if landing:
+            dt = target - fv.time
+        fv = step(grid, fv, cfg, dt, p, ws, flux)
+        if landing:
+            fv = replace(fv, time=target)
 
     series = DiagnosticsSeries.from_rows(rows, alphas) if diagnostics else None
     if max_boundary > BOUNDARY_LEAK_THRESHOLD:

@@ -49,9 +49,19 @@ def restrict_to_coarse(fine: np.ndarray, factor: int) -> np.ndarray:
     return fine.reshape(-1, factor).mean(axis=1)
 
 
+def _max_sample_gap(dx: float, span: float) -> float:
+    """The widest spacing the entropy quadrature accepts between samples
+    spread over ``span``: min(dx, w_t / 2), where w_t = span /
+    (ENTROPY_HATS + 1) is the half-width of its time hats, so that no hat
+    falls between two samples."""
+    return min(dx, span / (2 * (ENTROPY_HATS + 1)))
+
+
 def dense_snapshot_times(grid: GridSpec, final_time: float) -> tuple:
-    """Snapshot times spaced at most dx apart, as the entropy quadrature needs."""
-    m = max(1, math.ceil(final_time / grid.dx))
+    """Evenly spaced snapshot times from 0 to final_time, at most
+    ``_max_sample_gap`` apart, as the entropy quadrature needs."""
+    gap = _max_sample_gap(grid.dx, final_time)
+    m = max(1, math.ceil(final_time / gap)) if gap > 0.0 else 1
     return tuple(np.linspace(0.0, final_time, m + 1))
 
 
@@ -293,7 +303,7 @@ class _HatSums:
         if not t_end > t0:
             raise SparseSnapshotsError("sample times must increase")
         ifc = grid.interfaces
-        self.dx = grid.dx
+        self.max_gap = _max_sample_gap(grid.dx, t_end - t0)
         self.pair = pair
         hats = np.arange(1, ENTROPY_HATS + 1)
         self.w_t = (t_end - t0) / (ENTROPY_HATS + 1)
@@ -310,7 +320,7 @@ class _HatSums:
 
     def add(self, time: float, u: np.ndarray, p: np.ndarray | None = None) -> None:
         """Take the sample u (and P) at ``time``, which must follow the
-        previous sample by at most dx."""
+        previous sample by at most ``_max_sample_gap``."""
         eta, q, eta_prime = self.pair(u)
         f = q @ self.dhx
         if p is not None:
@@ -324,10 +334,10 @@ class _HatSums:
             t_prev, ht_prev, e_prev, f_prev = self.prev
             if not time > t_prev:
                 raise SparseSnapshotsError(f"sample time {time:.6g} does not follow {t_prev:.6g}")
-            if time - t_prev > self.dx * (1.0 + 1e-9):
+            if time - t_prev > self.max_gap * (1.0 + 1e-9):
                 raise SparseSnapshotsError(
-                    f"snapshot spacing {time - t_prev:.3e} exceeds dx = {self.dx:.3e}; "
-                    "record denser snapshots"
+                    f"snapshot spacing {time - t_prev:.3e} exceeds min(dx, w_t / 2) = "
+                    f"{self.max_gap:.3e}; record denser snapshots"
                 )
             e = (eta - self.eta0) @ self.ihx
             iht = _hat_integral(t_prev, time, self.c_t, self.w_t)
@@ -451,8 +461,8 @@ def kruzhkov_on_field(
     levels: Sequence[float] | None = None,
 ) -> EntropyReport:
     """Kruzhkov certificate on an explicit space-time sample of u (and P),
-    with times strictly increasing at most dx apart. The default levels
-    come from the first row."""
+    with times strictly increasing at most ``_max_sample_gap`` apart. The
+    default levels come from the first row."""
     times, u_matrix = _samples(grid, times, u_matrix)
     levels = _default_levels(u_matrix[0]) if levels is None else tuple(float(k) for k in levels)
     sums = _HatSums(grid, float(times[0]), float(times[-1]), _kruzhkov_pair(levels))

@@ -694,9 +694,9 @@ CLI_RESULT_GOLDEN = {
     ),
     "verify-entropy": (
         0,
-        "verify entropy: {tmp}/minimal.cfg min weak value -4.322e-02 vs tolerance -1.235e-01 "
+        "verify entropy: {tmp}/minimal.cfg min weak value -1.528e-03 vs tolerance -1.235e-01 "
         "(pass)\n",
-        {"entropy.report": "dd1ebecddefc38241db3a898692980a3e1be2bbba7701898327731febe50c7ba"},
+        {"entropy.report": "e54b5552d1a970ff4c813702d3b968d070a85315acb324b0cb84d2f891441269"},
     ),
     "verify-entropy-fixture": (
         1,

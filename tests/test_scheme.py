@@ -24,7 +24,7 @@ from exprabelo import (
 )
 from exprabelo.grid_field import InitialDataSpec, init_field
 from exprabelo.scheme import DELTA, Workspace, face_states, implicit_viscous_solve
-from exprabelo.solver import DEFAULT_ALPHAS, DiagnosticsSeries, evolve, record_diagnostics
+from exprabelo.solver import DiagnosticsSeries, evolve, record_diagnostics
 from exprabelo.verifiers import ORACLE_DOMAIN, ORACLE_FINAL_TIME, mms_forcing, mms_solution
 
 from conftest import semi_discrete_rhs
@@ -155,7 +155,9 @@ def test_dissipation_column_is_what_the_viscous_term_removes(v, eps):
     cfg = SchemeConfig(epsilon=eps, source_enabled=False)
     _, _, viscous = semi_discrete_rhs(g, fv, p, cfg)
     alphas = (0.0, 0.5, 1.0, 2.0)
-    row = DiagnosticsSeries.from_rows([record_diagnostics(g, fv, p, cfg, 0.0, alphas)], alphas)
+    flux = interface_fluxes(fv.values, cfg.flux)
+    row = record_diagnostics(g, fv, p, flux, cfg, 0.0, alphas)
+    row = DiagnosticsSeries.from_rows([row], alphas)
     for a in alphas:
         diss = row.dissipation[a][0]
         terms = (a + 1.0) * v**a * viscous * g.dx
@@ -497,8 +499,8 @@ def test_stepped_field_is_checked_in_step_only(monkeypatch):
 
 
 def test_shared_workspace_matches_a_fresh_one_bitwise():
-    # a run's workspace carries buffers and the fluxes of the last
-    # diagnostics row from call to call; none of that may leak into results
+    # a run's workspace carries its buffers from call to call; what the last
+    # call left in them may not leak into results
     rng = np.random.default_rng(83)
     g = build_grid(-2.0, 2.0, 32)
     fv = FieldV(rng.uniform(0.5, 1.5, 32), 0.0)
@@ -506,12 +508,9 @@ def test_shared_workspace_matches_a_fresh_one_bitwise():
     godunov = SchemeConfig(epsilon=1e-2)
     rusanov = SchemeConfig(flux="rusanov")
     dt = 0.5 * cfl_dt(g, fv, p, godunov)
-    ws = Workspace(g.n_cells, len(DEFAULT_ALPHAS))
-    record_diagnostics(g, fv, p, godunov, 0.0, ws=ws)
-    assert ws.flux_of[0] is fv.values  # the row left its fluxes in ws
-    # the cached godunov fluxes of fv must not serve a rusanov step
+    ws = Workspace(g.n_cells)
+    interface_fluxes(fv.values, godunov.flux, ws)  # godunov fluxes of fv in ws
     other = step(g, fv, rusanov, dt, p, ws)
-    record_diagnostics(g, fv, p, godunov, 0.0, ws=ws)
     first = step(g, fv, godunov, dt, p, ws)
     kept = first.values.copy()
     second = step(g, first, godunov, dt, None, ws)
@@ -519,6 +518,42 @@ def test_shared_workspace_matches_a_fresh_one_bitwise():
     assert np.array_equal(first.values, step(g, fv, godunov, dt, p).values)
     assert np.array_equal(other.values, step(g, fv, rusanov, dt).values)
     assert np.array_equal(second.values, step(g, first, godunov, dt).values)
+
+
+def _negative_cell_state(g):
+    """A state with one negative cell, so that the Godunov flux takes its
+    general kernel rather than the upwind branch; such a field is never
+    stepped from, but it is what an unclipped Heun stage can look like."""
+    values = np.exp(-g.centers**2)
+    values[g.n_cells // 2] = -0.25
+    return FieldV._checked(values, 0.0, 0)
+
+
+@pytest.mark.parametrize("state", ["positive", "negative-cell"])
+@pytest.mark.parametrize(
+    "cfg",
+    [SchemeConfig(), SchemeConfig(flux="rusanov"), SchemeConfig(epsilon=1e-2),
+     SchemeConfig(flux="rusanov", epsilon=1e-2),
+     SchemeConfig(epsilon=1e-2, forcing=mms_forcing(1e-2))],
+    ids=["godunov", "rusanov", "godunov-viscous", "rusanov-viscous", "mms"],
+)
+def test_handed_p_and_flux_give_a_fresh_step_bitwise(cfg, state):
+    # the run loop hands each state's P and interface fluxes to the step, the
+    # fluxes as the workspace's own buffer; the step must equal one that
+    # evaluates both itself, in a fresh workspace
+    g = build_grid(-4.0, 4.0, 64)
+    fv = FieldV(np.exp(-g.centers**2), 0.0) if state == "positive" else _negative_cell_state(g)
+    assert (fv.values.min() < 0.0) == (state == "negative-cell")
+    dt = 0.4 * g.dx / float(fv.values.max())
+    ws = Workspace(g.n_cells)
+    step(g, FieldV(np.full(g.n_cells, 2.0), 0.0), cfg, dt, None, ws)  # leave other data in ws
+    p = prefix_integral(g, fv)
+    flux = interface_fluxes(fv.values, cfg.flux, ws)
+    assert flux is ws.flux
+    handed = step(g, fv, cfg, dt, p, ws, flux)
+    fresh = step(g, fv, cfg, dt)
+    assert handed.values.tobytes() == fresh.values.tobytes()
+    assert handed.clip_count == fresh.clip_count
 
 
 def test_step_rejects_bad_dt():

@@ -30,7 +30,6 @@ from exprabelo.grid_field import FieldV, GridSpec, InitialDataSpec, init_field
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig, interface_fluxes
 from exprabelo.solver import (
-    DEFAULT_ALPHAS,
     DiagnosticsSeries,
     RunConfig,
     evolve,
@@ -57,19 +56,32 @@ def test_source_integral_telescopes_to_boundary_prefix_values(stock_run_256):
 
 
 @pytest.mark.parametrize("flux", ["godunov", "rusanov"])
-def test_boundary_flux_matches_the_full_interface_fluxes(flux):
-    # the diagnostics read the boundary fluxes from their own full
-    # evaluation, which the next step's first stage reuses; standalone they
-    # must agree bitwise with a fresh one
+def test_boundary_flux_matches_the_full_interface_fluxes(flux, monkeypatch):
+    # evolve evaluates each state's interface fluxes once, records the
+    # boundary column from them and hands them to the next step; every
+    # recorded value must agree bitwise with a fresh full evaluation
     rng = np.random.default_rng(13)
     cfg = SchemeConfig(flux=flux)
+    states = []
+    original = exprabelo.solver.step
+
+    def keep(*args, **kwargs):
+        out = original(*args, **kwargs)
+        states.append(out.values)
+        return out
+
+    monkeypatch.setattr(exprabelo.solver, "step", keep)
     for n in (4, 6, 64):
         grid = GridSpec(-1.0, 1.0, n)
-        fv = FieldV(rng.uniform(0.0, 2.0, n), 0.0)
-        row = record_diagnostics(grid, fv, prefix_integral(grid, fv), cfg, 0.0)
-        series = DiagnosticsSeries.from_rows([row], DEFAULT_ALPHAS)
-        full = interface_fluxes(fv.values, flux)
-        assert series.boundary_flux[0] == abs(full[0]) + abs(full[-1])
+        v0 = FieldV(rng.uniform(0.0, 2.0, n), 0.0)
+        states[:] = [v0.values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoundaryFluxWarning)
+            run = evolve(grid, v0, cfg, 0.25, (0.1,))
+        assert len(states) == run.diagnostics.times.size > 2
+        for v, recorded in zip(states, run.diagnostics.boundary_flux):
+            full = interface_fluxes(v, flux)
+            assert recorded == abs(full[0]) + abs(full[-1])
 
 
 def _one_sided_state():
@@ -83,7 +95,9 @@ def _one_sided_state():
 
 def _power_columns(alphas, **cfg):
     grid, fv, p = _one_sided_state()
-    row = record_diagnostics(grid, fv, p, SchemeConfig(**cfg), 0.0, alphas)
+    scheme = SchemeConfig(**cfg)
+    flux = interface_fluxes(fv.values, scheme.flux)
+    row = record_diagnostics(grid, fv, p, flux, scheme, 0.0, alphas)
     series = DiagnosticsSeries.from_rows([row], alphas)
     return {name: np.array([getattr(series, attr)[a][0] for a in alphas])
             for name, attr in exprabelo.solver.ALPHA_COLUMNS} | {"mass": series.mass[0]}
@@ -483,14 +497,15 @@ def test_state_only_run_matches_a_recording_run_bitwise(monkeypatch, case, leaky
 
 
 def test_state_only_run_keeps_the_finite_boundary_flux_check(monkeypatch):
+    # both modes check each state's boundary flux in evolve, with one message
     def overflowing(v, flux, ws=None):
         ws.flux.fill(math.inf)
-        ws.flux_of = None  # so the step evaluates its own fluxes
         return ws.flux
 
     monkeypatch.setattr(exprabelo.solver, "interface_fluxes", overflowing)
-    with pytest.raises(StateError, match="non-finite boundary flux at t = 0$"):
-        run_simulation(stock_config(64, final_time=0.125), diagnostics=False)
+    for diagnostics in (True, False):
+        with pytest.raises(StateError, match="non-finite boundary flux at t = 0$"):
+            run_simulation(stock_config(64, final_time=0.125), diagnostics=diagnostics)
 
 
 def test_traced_functions_exist_and_evolve_calls_them_through_module_bindings(monkeypatch):

@@ -90,6 +90,45 @@ def test_dense_snapshot_times_resolve_the_grid_scale():
     assert np.max(np.diff(times)) <= grid.dx * (1.0 + 1e-12)
 
 
+def test_dense_snapshot_times_resolve_the_time_hats():
+    # on a short run the time hats, of half-width T / (ENTROPY_HATS + 1),
+    # are narrower than dx; samples dx apart would step over a whole hat
+    grid = GridSpec(x_min=-8.0, x_max=8.0, n_cells=64)
+    times = np.asarray(dense_snapshot_times(grid, 0.25))
+    w_t = 0.25 / (exprabelo.verifiers.ENTROPY_HATS + 1)
+    assert times.size == 19
+    assert times[0] == 0.0 and times[-1] == 0.25
+    assert np.max(np.diff(times)) <= 0.5 * w_t * (1.0 + 1e-12) < grid.dx
+
+
+def test_kruzhkov_on_field_rejects_samples_wider_than_half_a_time_hat():
+    # the 64-cell fixture has dx = 1/32 against w_t / 2 = 0.4 / 18: samples
+    # dx apart pass the old grid rule and still miss the time hats
+    grid, _, _ = expansion_shock_field(n_cells=64)
+    times = np.linspace(0.0, 0.4, math.ceil(0.4 / grid.dx) + 1)
+    assert np.max(np.diff(times)) <= grid.dx
+    u = np.log(np.where(grid.centers[None, :] < 1.5 * times[:, None], 1.0, 2.0))
+    with pytest.raises(SparseSnapshotsError, match="exceeds min\\(dx, w_t / 2\\)"):
+        kruzhkov_on_field(grid, times, u)
+
+
+@pytest.mark.parametrize(
+    "amplitude, n_cells", [(2.0, 1024), (2.0, 2048), (2.0, 4096), (None, 2048)],
+    ids=["amplitude2-1024", "amplitude2-2048", "amplitude2-4096", "stock-2048"],
+)
+def test_kruzhkov_certifies_smooth_data_on_a_short_horizon(amplitude, n_cells):
+    # T = 0.05 lies well before the breaking time (about 0.16 at amplitude
+    # 2), so the solution is smooth and an entropy solution. With samples
+    # only dx apart the certificate failed here by 1.2-42 tolerances, since
+    # its time hats were narrower than the sample spacing
+    cfg = stock_config(n_cells, final_time=0.05)
+    if amplitude is not None:
+        cfg = replace(cfg, init=InitialDataSpec.gaussian(amplitude=amplitude))
+    report = kruzhkov_residual(cfg)
+    assert report.passed
+    assert report.margin_ratio < 0.5
+
+
 def test_run_ladder_produces_nested_grids():
     base = stock_config(n_cells=32, final_time=0.125)
     runs = run_ladder(base, (32, 64))
