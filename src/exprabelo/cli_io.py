@@ -28,7 +28,6 @@ from .verifiers import (
     EPSILON_LADDER,
     EntropyReport,
     MassBalanceReport,
-    MmsReport,
     RiemannCheck,
     StabilityReport,
     SupMonitorReport,
@@ -257,9 +256,6 @@ _REPORT_FORMATS = {
         f"shock error {r.shock_position_error:.3e} (tol {r.shock_tol:.3e}), rarefaction error "
         f"{r.rarefaction_l1_error:.3e} (tol {r.rarefaction_tol:.3e}) ({_verdict(r)})"
     )),
-    MmsReport: ("mms", "manufactured-solution L1 order", (
-        ("cells", "n_ladder"), "errors", "pair_orders", "order", ("pass", "passed"),
-    ), None, None),
     RunResult: ("run", "run summary", (
         ("T", lambda r: r.diagnostics.times[-1]), ("n_cells", lambda r: r.grid.n_cells),
         ("dx", lambda r: r.grid.dx), ("steps", lambda r: r.diagnostics.times.size - 1),

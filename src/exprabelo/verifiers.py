@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BoundaryFluxWarning, DataGapError, DomainError, SparseSnapshotsError
-from .grid_field import V_TINY, FieldV, GridSpec, build_grid, init_field, u_from_v
+from .grid_field import (
+    V_TINY, FieldV, GridSpec, InitialDataSpec, build_grid, init_field, u_from_v,
+)
 from .scheme import SchemeConfig
 from .solver import RunConfig, RunResult, evolve, run_simulation
 
@@ -32,6 +34,7 @@ SHOCK_STATES = (2.0, 1.0)  # (v_left, v_right) of the Riemann shock
 FAN_STATES = (0.0, 1.0)  # and of the rarefaction fan
 MMS_LADDER = (256, 512, 1024)
 MMS_EPSILON = 1e-2
+MMS_MIN_ORDER = 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +68,18 @@ def dense_snapshot_times(grid: GridSpec, final_time: float) -> tuple:
     return tuple(np.linspace(0.0, final_time, m + 1))
 
 
-def _mean_log2_order(values: Sequence[float]) -> float:
-    """Mean log2 ratio of successive entries of a refinement ladder."""
-    ratios = [values[i] / max(values[i + 1], 1e-300) for i in range(len(values) - 1)]
-    return float(np.mean([math.log2(r) for r in ratios]))
+def observed_order(values: Sequence[float], widths: Sequence[float]) -> float | None:
+    """Observed order of a refinement ladder: the mean over successive rungs
+    of log2(d_i / d_(i+1)) / log2(h_i / h_(i+1)), where d are the ladder's
+    values and h its widths (cell width or viscosity), so any refinement
+    ratio counts. None for fewer than two values, or for any value that is
+    not positive: such a ladder has no order."""
+    if len(values) < 2 or not all(d > 0.0 for d in values):
+        return None
+    return float(np.mean([
+        math.log2(d0 / d1) / math.log2(h0 / h1)
+        for d0, d1, h0, h1 in zip(values, values[1:], widths, widths[1:])
+    ]))
 
 
 def _run_many(configs: Sequence[RunConfig], diagnostics: bool = True) -> list[RunResult]:
@@ -154,7 +165,7 @@ def _ladder(runs: Sequence[RunResult], report_of, measure: str, levels: str):
     values = tuple(getattr(r, measure) for r in reports)
     return replace(
         reports[-1],
-        order=_mean_log2_order(values),
+        order=observed_order(values, [r.grid.dx for r in runs]),
         level_cells=tuple(r.grid.n_cells for r in runs),
         **{levels: values},
     )
@@ -638,12 +649,14 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """L1 ladder summary; ``kind`` is 'grid' or 'epsilon'.
+    """L1 ladder summary; ``kind`` is 'grid', 'epsilon' or 'mms'.
 
     For a grid ladder ``distances`` holds successive-pair distances after
-    cell-average restriction and ``order`` their log2 ratio average. For an
-    epsilon ladder ``distances`` are distances to the epsilon = 0 run and
-    ``cauchy`` the successive-pair distances.
+    cell-average restriction. For an epsilon ladder ``distances`` are
+    distances to the epsilon = 0 run and ``cauchy`` the successive-pair
+    distances. For the manufactured solution ``distances`` are the errors
+    against it, and it passes only at order >= MMS_MIN_ORDER. ``order`` is
+    the ``observed_order`` of the distances.
     """
 
     kind: str
@@ -655,7 +668,22 @@ class ConvergenceReport:
 
     @property
     def passed(self) -> bool:
+        if self.kind == "mms":
+            return self.monotone and self.order is not None and self.order >= MMS_MIN_ORDER
         return self.monotone
+
+
+def _convergence(kind: str, params, distances, widths, cauchy=None) -> ConvergenceReport:
+    """The ladder report of ``distances`` taken at ``widths``: monotone when
+    they strictly decrease, with their ``observed_order``."""
+    return ConvergenceReport(
+        kind=kind,
+        params=tuple(params),
+        distances=tuple(distances),
+        monotone=all(a > b for a, b in zip(distances, distances[1:])),
+        order=observed_order(distances, widths),
+        cauchy=cauchy,
+    )
 
 
 def grid_convergence(base: RunConfig, n_ladder: Sequence[int]) -> ConvergenceReport:
@@ -669,15 +697,7 @@ def grid_convergence(base: RunConfig, n_ladder: Sequence[int]) -> ConvergenceRep
         factor = fine.grid.n_cells // coarse.grid.n_cells
         restricted = restrict_to_coarse(fine.final_state.values, factor)
         dists.append(l1_distance(coarse.grid.dx, restricted, coarse.final_state.values))
-    order = _mean_log2_order(dists) if len(dists) >= 2 else None
-    monotone = all(a > b for a, b in zip(dists, dists[1:]))
-    return ConvergenceReport(
-        kind="grid",
-        params=tuple(ns),
-        distances=tuple(dists),
-        monotone=monotone,
-        order=order,
-    )
+    return _convergence("grid", ns, dists, [r.grid.dx for r in runs[:-1]])
 
 
 def epsilon_convergence(
@@ -688,7 +708,8 @@ def epsilon_convergence(
 
     The ladder must be strictly decreasing in epsilon; distances to the
     epsilon = 0 limit should then decrease monotonically, and successive
-    viscous runs should be Cauchy. No rate is claimed.
+    viscous runs should be Cauchy. Their order in epsilon is reported but
+    not gated: no rate is claimed.
     """
     eps = [float(e) for e in ladder]
     if not eps or any(a <= b for a, b in zip(eps, eps[1:])) or any(e <= 0.0 for e in eps):
@@ -706,15 +727,7 @@ def epsilon_convergence(
     finals = [r.final_state.values for r in viscous]
     dists = [l1_distance(dx, f, limit.final_state.values) for f in finals]
     cauchy = [l1_distance(dx, a, b) for a, b in zip(finals, finals[1:])]
-    monotone = all(a > b for a, b in zip(dists, dists[1:]))
-    return ConvergenceReport(
-        kind="epsilon",
-        params=tuple(eps),
-        distances=tuple(dists),
-        monotone=monotone,
-        order=None,
-        cauchy=tuple(cauchy),
-    )
+    return _convergence("epsilon", eps, dists, eps, cauchy=tuple(cauchy))
 
 
 # ---------------------------------------------------------------------------
@@ -858,31 +871,14 @@ def mms_forcing(epsilon: float):
     return g
 
 
-@dataclass(frozen=True)
-class MmsReport:
-    n_ladder: tuple
-    errors: tuple
-    pair_orders: tuple
-    order: float
-
-    @property
-    def passed(self) -> bool:
-        return self.order >= 1.5
-
-
-def mms_convergence() -> MmsReport:
+def mms_convergence() -> ConvergenceReport:
     """L1 errors against the manufactured solution with viscosity MMS_EPSILON
-    at ORACLE_FINAL_TIME, across the grid ladder MMS_LADDER on ORACLE_DOMAIN."""
-    errors = []
-    for n in MMS_LADDER:
-        grid = build_grid(*ORACLE_DOMAIN, n)
-        cfg = SchemeConfig(epsilon=MMS_EPSILON, forcing=mms_forcing(MMS_EPSILON))
-        v0 = FieldV(mms_solution(0.0, grid.centers), 0.0)
-        run = evolve(grid, v0, cfg, ORACLE_FINAL_TIME, diagnostics=False)
-        exact = mms_solution(ORACLE_FINAL_TIME, grid.centers)
-        errors.append(l1_distance(grid.dx, run.final_state.values, exact))
-    pair_orders = tuple(
-        math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)
-    )
-    order = math.log2(errors[0] / errors[-1]) / (len(errors) - 1)
-    return MmsReport(MMS_LADDER, tuple(errors), pair_orders, order)
+    at ORACLE_FINAL_TIME, across the grid ladder MMS_LADDER on ORACLE_DOMAIN.
+    Its initial data v*(0, x) = e^(-x^2) are the stock gaussian preset."""
+    scheme = SchemeConfig(epsilon=MMS_EPSILON, forcing=mms_forcing(MMS_EPSILON))
+    grid = build_grid(*ORACLE_DOMAIN, MMS_LADDER[0])
+    base = RunConfig(grid, InitialDataSpec.gaussian(), scheme, ORACLE_FINAL_TIME)
+    runs = run_ladder(base, MMS_LADDER, diagnostics=False)
+    exact = [mms_solution(ORACLE_FINAL_TIME, r.grid.centers) for r in runs]
+    errors = [l1_distance(r.grid.dx, r.final_state.values, e) for r, e in zip(runs, exact)]
+    return _convergence("mms", MMS_LADDER, errors, [r.grid.dx for r in runs])

@@ -45,7 +45,6 @@ from exprabelo.verifiers import (
     ConvergenceReport,
     EntropyReport,
     MassBalanceReport,
-    MmsReport,
     RiemannCheck,
     StabilityReport,
     SupMonitorReport,
@@ -331,8 +330,9 @@ def test_report_text_rejects_unknown_objects():
 
 
 def test_report_text_golden_for_every_report_class():
-    # fixed instances of all eight report classes, covering both sides of
-    # every optional block (ladder order, sup-monitor violation, cauchy)
+    # fixed instances of all seven report classes, covering both sides of
+    # every optional block (ladder order, sup-monitor violation, cauchy),
+    # and the manufactured-solution ladder that no command writes
     balance = BalanceReport(
         alpha=2.0,
         terminal_residual=1e-5,
@@ -522,13 +522,16 @@ def test_report_text_golden_for_every_report_class():
             "burgers.pass=false\n",
         ),
         (
-            MmsReport((256, 512, 1024), (1.89e-3, 4.87e-4, 1.23e-4), (1.95, 1.98), 1.97),
-            "# manufactured-solution L1 order\n"
-            "mms.cells=256,512,1024\n"
-            "mms.errors=0.00189,0.00048700000000000002,0.00012300000000000001\n"
-            "mms.pair_orders=1.95,1.98\n"
-            "mms.order=1.97\n"
-            "mms.pass=true\n",
+            ConvergenceReport("mms", (256, 512, 1024), (1.89e-3, 4.87e-4, 1.23e-4), True, 1.97),
+            "# mms ladder in L1 at final time\n"
+            "convergence.kind=mms\n"
+            "convergence.params=256,512,1024\n"
+            "convergence.distance_1=0.00189\n"
+            "convergence.distance_2=0.00048700000000000002\n"
+            "convergence.distance_3=0.00012300000000000001\n"
+            "convergence.order=1.97\n"
+            "convergence.monotone=true\n"
+            "convergence.pass=true\n",
         ),
     ]
     for report, expected in cases:
@@ -717,7 +720,7 @@ CLI_RESULT_GOLDEN = {
     "sweep-epsilon": (
         0,
         "sweep epsilon: distances [0.009371, 0.0009477] monotone=True\n",
-        {"sweep_epsilon.report": "d2bbd3126d5c505d6cf0a2f9c466480287f6f5de8fb315d012a15b25103da407"},
+        {"sweep_epsilon.report": "232296a9a3544b7a791daf00640d85af2162ce5a5f578df6ab488ccac855f5e1"},
     ),
     "burgers-sanity": (
         0,
@@ -895,6 +898,62 @@ def test_sweep_epsilon_ladder(tmp_path):
     ladder = (out / "ladder.csv").read_text().splitlines()
     assert ladder[0] == "epsilon,l1_distance_to_limit"
     assert len(ladder) == 3
+
+
+# one step of dt = 1e-300: budget residuals and ladder distances are 0 or
+# subnormal, and a ladder with a value of 0 has no order
+TINY_T = MINIMAL.replace("= 64", "= 2048").replace("0.25", "1e-300")
+
+
+@pytest.mark.parametrize("ladder", ["2048,4096,8192", "2048,4096"])
+def test_balance_ladder_with_a_zero_residual_writes_no_order(tmp_path, ladder):
+    # the alpha = 0 residual is exactly 0 on 4096 cells, so that ladder has
+    # no order and no log2 error; alpha 1 and 2 get the plain mean log2 ratio
+    # of their subnormal residuals, with no clamp of the divisor
+    out = tmp_path / "out"
+    argv = ["verify", "balance", _write_cfg(tmp_path, text=TINY_T), "--out", str(out)]
+    assert dispatch(argv + ["--ladder", ladder]) == 0
+    rep = read_report(out / "balance_a0.report")
+    assert rep["balance.level_terminals"].split(",")[1] == "0"
+    assert "balance.order" not in rep
+    for alpha in (1, 2):
+        rep = read_report(out / f"balance_a{alpha}.report")
+        levels = np.array([float(d) for d in rep["balance.level_terminals"].split(",")])
+        mean_log2 = np.mean(np.log2(levels[:-1] / levels[1:]))
+        assert float(rep["balance.order"]) == pytest.approx(mean_log2, rel=1e-12)
+
+
+def test_sweep_epsilon_with_zero_distances_fails_without_an_order(tmp_path):
+    out = tmp_path / "out"
+    assert dispatch(["sweep", "epsilon", _write_cfg(tmp_path, text=TINY_T), "--out", str(out)]) == 1
+    rep = read_report(out / "sweep_epsilon.report")
+    assert rep["convergence.distance_1"] == "0"
+    assert rep["convergence.monotone"] == "false"
+    assert "convergence.order" not in rep
+
+
+def test_ladder_orders_hold_for_any_refinement_ratio(tmp_path):
+    # rungs four times finer report the order of rungs twice as fine: each
+    # log2 ratio is divided by log2 of the cell-width ratio
+    cfg = _write_cfg(tmp_path, text=MINIMAL.replace("0.25", "1"))
+
+    def orders(command, ladder):
+        out = tmp_path / f"{command}-{ladder}"
+        assert dispatch([*command.split(), cfg, "--out", str(out), "--ladder", ladder]) == 0
+        return {
+            (path.name, key): float(value)
+            for path in out.glob("*.report")
+            for key, value in read_report(path).items() if key.endswith(".order")
+        }
+
+    for command, x2, x4 in (
+        ("verify balance", "128,256", "128,512"),
+        ("sweep grid", "128,256,512", "128,512,2048"),
+    ):
+        doubling, quadrupling = orders(command, x2), orders(command, x4)
+        assert doubling and doubling.keys() == quadrupling.keys()
+        for key, order in doubling.items():
+            assert quadrupling[key] == pytest.approx(order, rel=0.1), (command, key)
 
 
 # a steep gaussian whose v^401 overflows from the first state on

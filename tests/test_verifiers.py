@@ -16,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import exprabelo.verifiers
@@ -53,6 +55,7 @@ from exprabelo.verifiers import (
     mms_forcing,
     mms_prefix,
     mms_solution,
+    observed_order,
     restrict_to_coarse,
     riemann_initial,
     run_ladder,
@@ -162,6 +165,16 @@ def test_lp_balance_ladder_alpha0_second_order(stock_ladder_runs):
     report = lp_balance_ladder(runs, alpha=0.0)
     assert report.level_cells == (512, 1024, 2048)
     assert report.order is not None and report.order >= 1.6
+    assert report.passed
+
+
+def test_balance_ladder_of_exact_zero_residuals_has_no_order():
+    # source-free, the alpha = 0 budget closes to the last bit on both
+    # rungs, and a ladder of zero residuals has no order (nor a log2 error)
+    runs = run_ladder(stock_config(128, source_enabled=False), (128, 256))
+    report = lp_balance_ladder(runs, alpha=0.0)
+    assert report.level_terminals == (0.0, 0.0)
+    assert report.order is None
     assert report.passed
 
 
@@ -592,7 +605,49 @@ def test_epsilon_convergence_small_ladder():
     assert len(report.distances) == 2
     assert report.cauchy is not None and len(report.cauchy) == 1
     assert report.monotone
-    assert report.order is None
+    # reported, not gated: first order in eps before the breaking time
+    assert report.order is not None and 0.5 < report.order < 1.5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.floats(0.25, 4.0),
+    c=st.floats(1e-3, 1e3),
+    h0=st.floats(1e-3, 1.0),
+    ratios=st.lists(st.floats(1.01, 16.0), min_size=1, max_size=5),
+)
+def test_observed_order_recovers_a_power_law(p, c, h0, ratios):
+    widths = [h0]
+    for r in ratios:
+        widths.append(widths[-1] / r)
+    values = [c * h**p for h in widths]
+    assert observed_order(values, widths) == pytest.approx(p, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(1e-12, 1e3), min_size=2, max_size=6),
+    half_cells=st.integers(2, 512),
+)
+def test_observed_order_on_doubling_grids_is_the_mean_log2_ratio(values, half_cells):
+    # the width ratio of a doubling grid ladder is exactly 2, so its reports
+    # keep the bits of the plain mean log2 ratio
+    widths = [GridSpec(-8.0, 8.0, 2 * half_cells << i).dx for i in range(len(values))]
+    mean_log2 = float(np.mean([math.log2(a / b) for a, b in zip(values, values[1:])]))
+    assert observed_order(values, widths) == mean_log2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=5),
+    bad=st.sampled_from([0.0, -0.0, -1e-300, -2.5, math.nan]),
+    at=st.integers(0, 5),
+)
+def test_observed_order_is_none_without_two_positive_values(values, bad, at):
+    widths = [2.0**-i for i in range(len(values) + 1)]
+    assert observed_order([], []) is None
+    assert observed_order(values[:1], widths[:1]) is None
+    assert observed_order(values[:at] + [bad] + values[at:], widths) is None
 
 
 def test_epsilon_ladder_constant_is_decreasing():
