@@ -363,7 +363,11 @@ def _cmd_verify_balance(args) -> int:
     # the mass report is always written, so refuse before anything runs
     if 0.0 not in cfg.diagnostic_alphas:
         raise ConfigError("verify balance needs alpha = 0 in diag.alphas for the mass balance")
-    runs = run_ladder(cfg, _parse_list(args.ladder, int)) if args.ladder else [run_simulation(cfg)]
+    # an empty --ladder= is a ladder of no rungs, which run_ladder refuses
+    runs = (
+        [run_simulation(cfg)] if args.ladder is None
+        else run_ladder(cfg, _parse_list(args.ladder, int))
+    )
     reports = [lp_balance_ladder(runs, a) for a in cfg.diagnostic_alphas]
     return _finish(args, "verify balance:", [*reports, mass_balance_ladder(runs)])
 
@@ -386,12 +390,12 @@ def _cmd_verify_stability(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _load_evolving_config(args.config, f"sweep {args.axis}")
     if args.axis == "epsilon":
-        ladder = _parse_list(args.ladder, float) if args.ladder else EPSILON_LADDER
+        ladder = EPSILON_LADDER if args.ladder is None else _parse_list(args.ladder, float)
         rep = epsilon_convergence(cfg, ladder)
         header, fmt = "epsilon,l1_distance_to_limit", "%.17g"
     else:
         n = cfg.grid.n_cells
-        ns = _parse_list(args.ladder, int) if args.ladder else (n, 2 * n, 4 * n)
+        ns = (n, 2 * n, 4 * n) if args.ladder is None else _parse_list(args.ladder, int)
         rep = grid_convergence(cfg, ns)
         header, fmt = "n_cells_coarse,l1_distance_to_refined", ("%d", "%.17g")
     cols = (rep.params[: len(rep.distances)], rep.distances)

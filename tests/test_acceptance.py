@@ -25,8 +25,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from exprabelo.verifiers import (
     EPSILON_LADDER,
-    burgers_rarefaction_error,
-    burgers_shock_position_error,
+    burgers_sanity,
     epsilon_convergence,
     expansion_shock_field,
     kruzhkov_on_field,
@@ -116,14 +115,16 @@ def test_criterion_03_pure_burgers_sanity():
     """With source and viscosity off, the shock lands within 2 dx and the
     rarefaction within 5 dx in L1 at 1024 cells."""
     with _Clock(30.0):
-        shock_err, dx = burgers_shock_position_error(1024)
-        fan_err, _ = burgers_rarefaction_error(1024)
+        check = burgers_sanity(1024)
         print(
-            f"criterion 03: shock error {shock_err:.3e} (tol {2 * dx:.3e}), "
-            f"rarefaction L1 {fan_err:.3e} (tol {5 * dx:.3e})"
+            f"criterion 03: shock error {check.shock_position_error:.3e} "
+            f"(tol {check.shock_tol:.3e}), rarefaction L1 "
+            f"{check.rarefaction_l1_error:.3e} (tol {check.rarefaction_tol:.3e})"
         )
-        assert shock_err <= 2.0 * dx
-        assert fan_err <= 5.0 * dx
+        # the gates are the criterion's own, so they cannot move unseen
+        assert check.shock_tol == 2.0 * check.dx
+        assert check.rarefaction_tol == 5.0 * check.dx
+        assert check.passed
 
 
 def test_criterion_04_lp_balance(stock_ladder_runs):

@@ -9,10 +9,14 @@ shock fields whose admissibility is known in advance.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from exprabelo.verifiers import (
     EPSILON_LADDER,
     EPSILON_LADDER_MIN_CELLS,
     _HatSums,
+    _chord_speed,
     _default_levels,
     _entropy_report,
     _hat_at,
@@ -176,6 +181,18 @@ def test_balance_ladder_of_exact_zero_residuals_has_no_order():
     assert report.level_terminals == (0.0, 0.0)
     assert report.order is None
     assert report.passed
+
+
+def test_budget_ladders_of_rounding_level_residuals_have_no_order():
+    # at T = 1e-300 the residuals are rounding, 6.1e-316 and 5.6e-317 for
+    # alpha = 1 and 1.6e-15 and 1.8e-15 for the mass rate, and read as
+    # orders 3.46 and -0.19 without the floor
+    runs = run_ladder(stock_config(final_time=1e-300), (2048, 4096))
+    reports = [lp_balance_ladder(runs, a) for a in (0.0, 1.0, 2.0)]
+    reports.append(mass_balance_ladder(runs))
+    assert [r.order for r in reports] == [None] * 4
+    assert all(r.level_cells == (2048, 4096) for r in reports)
+    assert reports[1].level_terminals[0] > 0.0 and reports[3].level_maxima[0] > 0.0
 
 
 def test_mass_balance_identity_closes(stock_run_256):
@@ -518,12 +535,12 @@ def test_stability_runs_both_configs_to_the_first_configs_final_time(monkeypatch
     cfg_w = stock_config(n_cells=64, epsilon=1e-2, final_time=3.0, init=perturbed_gaussian())
     ends = []
 
-    def recorded_run(cfg, **kwargs):
-        run = run_simulation(cfg, **kwargs)
+    def recorded_run(*args, **kwargs):
+        run = evolve(*args, **kwargs)
         ends.append(run.final_state.time)
         return run
 
-    monkeypatch.setattr(exprabelo.verifiers, "run_simulation", recorded_run)
+    monkeypatch.setattr(exprabelo.verifiers, "evolve", recorded_run)
     report = l1_stability_check(cfg_u, cfg_w, R=2.0)
     assert ends == [0.25, 0.25]
     assert report == l1_stability_check(cfg_u, replace(cfg_w, final_time=0.25), R=2.0)
@@ -672,6 +689,24 @@ def test_burgers_oracle_shock_sides():
     np.testing.assert_array_equal(got, [2.0, 1.0])
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1e3), min_size=2, max_size=2, unique=True).map(sorted),
+    st.floats(1e-3, 1e3),
+)
+def test_burgers_oracle_shock_moves_at_the_rankine_hugoniot_speed(states, t):
+    # the shared shock speed s meets s [v] = [v^2 / 2] to 4 ulp, in exact
+    # rationals, and the oracle jumps from v_left to v_right at x = s t
+    v_right, v_left = states
+    s = _chord_speed(v_left, v_right)
+    a, b = Fraction(v_left), Fraction(v_right)
+    jump = (a * a - b * b) / 2
+    assert abs(Fraction(s) * (a - b) - jump) <= 4 * math.ulp(float(jump))
+    x = s * t
+    got = burgers_riemann_oracle(v_left, v_right, t, [math.nextafter(x, -math.inf), x])
+    assert got.tolist() == [v_left, v_right]
+
+
 def test_burgers_oracle_fan_profile():
     t = 2.0
     x = np.linspace(-3.0, 5.0, 401)
@@ -685,6 +720,13 @@ def test_burgers_oracle_rejects_bad_states():
         burgers_riemann_oracle(-1.0, 1.0, 1.0, np.array([0.0]))
     with pytest.raises(DomainError):
         burgers_riemann_oracle(1.0, 1.0, -1.0, np.array([0.0]))
+    # the oracle and the initial data share one state check
+    grid = GridSpec(x_min=-2.0, x_max=2.0, n_cells=8)
+    for states in [(math.nan, 1.0), (1.0, math.inf), (-1.0, 1.0)]:
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            burgers_riemann_oracle(*states, 1.0, np.array([0.0]))
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            riemann_initial(grid, *states)
 
 
 def test_riemann_initial_places_the_step():
@@ -741,3 +783,18 @@ def test_mms_forcing_matches_finite_differences():
         v = mms_solution(t, x)
         want = vt + fx + v * mms_prefix(t, x) - eps * v * vxx
         assert g(t, x)[0] == pytest.approx(want[0], rel=1e-5, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the README's verifier table
+# ---------------------------------------------------------------------------
+
+def test_readme_verifier_table_names_exist():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    start = lines.index("| property | verifier |") + 2  # skip the header rule
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    names = [n for row in rows for n in re.findall(r"`([^`]+)`", row.split("|")[-2])]
+    assert len(names) >= 10
+    missing = [n for n in names if not hasattr(exprabelo.verifiers, n)]
+    assert missing == []
