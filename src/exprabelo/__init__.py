@@ -30,7 +30,6 @@ from .errors import (
     StateError,
 )
 from .grid_field import (
-    FieldU,
     FieldV,
     GridSpec,
     InitialDataSpec,
@@ -70,7 +69,6 @@ __all__ = [
     "ShapeError",
     "SparseSnapshotsError",
     "StateError",
-    "FieldU",
     "FieldV",
     "GridSpec",
     "InitialDataSpec",

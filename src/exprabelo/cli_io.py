@@ -177,7 +177,7 @@ def _write_csv(path, header: str, cols, fmt) -> None:
 
 def write_snapshot_csv(snapshot: Snapshot, path) -> None:
     """One row per cell: t,x,v,u,P at 17 significant digits, LF endings."""
-    cols = (snapshot.x, snapshot.field_v.values, snapshot.field_u.values, snapshot.p.cell_values)
+    cols = (snapshot.x, snapshot.field_v.values, snapshot.u, snapshot.p.cell_values)
     _write_csv(path, CSV_HEADER, (np.full(snapshot.x.size, snapshot.time), *cols), "%.17g")
 
 

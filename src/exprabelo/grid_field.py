@@ -137,26 +137,11 @@ class FieldV:
         return fv
 
 
-@dataclass(frozen=True)
-class FieldU:
-    """Cell values of u = ln v at a fixed time."""
-
-    values: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ShapeError("FieldU values must be a non-empty 1-D array")
-        if not np.all(np.isfinite(vals)):
-            raise ShapeError("FieldU values must be finite")
-        object.__setattr__(self, "values", _readonly(vals))
-        object.__setattr__(self, "time", float(self.time))
-
-
-def u_from_v(fv: FieldV) -> FieldU:
-    """u_i = ln v_i, floored only where v_i underflows: u_i >= ln V_TINY."""
-    return FieldU(np.log(np.maximum(fv.values, V_TINY)), fv.time)
+def u_from_v(fv: FieldV) -> np.ndarray:
+    """u_i = ln v_i as a read-only array, floored only where v_i underflows:
+    u_i >= ln V_TINY. A FieldV is finite and >= 0, so u is finite wherever
+    v is: the floor keeps v = 0 from giving -inf."""
+    return _readonly(np.log(np.maximum(fv.values, V_TINY)))
 
 
 @dataclass(frozen=True)

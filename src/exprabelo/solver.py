@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BoundaryFluxWarning, DataGapError, ShapeError, StateError
-from .grid_field import V_TINY, FieldU, FieldV, GridSpec, InitialDataSpec, init_field, u_from_v
+from .grid_field import V_TINY, FieldV, GridSpec, InitialDataSpec, init_field, u_from_v
 from .nonlocal_op import NonlocalP, prefix_integral
 from .scheme import SchemeConfig, Workspace, cfl_dt, interface_fluxes, step
 
@@ -76,13 +76,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """State at one instant: cell centers, v, u = ln v (floored only where v
-    underflows), and the prefix integral, self-contained for serialization."""
+    """State at one instant, self-contained for serialization: cell centers,
+    v, u = ln v (a read-only array, floored only where v underflows) and P."""
 
     time: float
     x: np.ndarray
     field_v: FieldV
-    field_u: FieldU
+    u: np.ndarray
     p: NonlocalP
 
 
@@ -194,10 +194,11 @@ def record_diagnostics(
     evaluates no fluxes itself. ``buffers`` are the run's work arrays for
     these alphas (fresh ones when omitted).
 
-    An integer power v^(a+1) up to ``CHAIN_MAX_POWER`` is a chain of
-    products from the left, v^3 = (v v) v, continued from the previous
-    integer alpha's row, so a column's bits depend only on its own alpha;
-    every other alpha takes ``np.power``. ``lp_a0`` is the mass sum itself.
+    An integer power v^k, k = a + 1 up to ``CHAIN_MAX_POWER``, is the
+    product v v ... v taken from the left, v^3 = (v v) v: the previous row
+    times v when that row holds v^(k-1), else built from v. Either way a
+    column's bits depend only on its own alpha; every other alpha takes
+    ``np.power``. ``lp_a0`` is the mass sum itself.
     """
     if buffers is None:
         buffers = _RowBuffers(grid.n_cells, alphas)
@@ -213,20 +214,16 @@ def record_diagnostics(
     # forward difference over every interface. Each row reduces on its own.
     pad = buffers.power_pad
     powers = pad[:, 1:-1]
-    chain, k_chain = v, 1  # the last integer power computed, v^k_chain
-    for power, a in zip(powers, alphas):
+    for j, a in enumerate(alphas):
         k = a + 1.0
         if not (k.is_integer() and k <= CHAIN_MAX_POWER):
-            np.power(v, k, out=power)
-        elif k == 1.0:
-            np.copyto(power, v)
+            np.power(v, k, out=powers[j])
+        elif j and alphas[j - 1] + 1.0 == k - 1.0:  # row j-1 holds v^(k-1)
+            np.multiply(powers[j - 1], v, out=powers[j])
         else:
-            if k_chain >= k:  # alphas not in increasing order
-                chain, k_chain = v, 1
-            np.multiply(chain, v, out=power)
-            for _ in range(int(k) - k_chain - 1):
-                power *= v
-            chain, k_chain = power, int(k)
+            np.copyto(powers[j], v)
+            for _ in range(int(k) - 1):
+                powers[j] *= v
     # normalized alphas put 0 first; its norm is the mass, bit for bit
     skip = 1 if alphas[0] == 0.0 else 0
     lp = [mass] * skip + [s * dx for s in np.add.reduce(powers[skip:], axis=1).tolist()]
@@ -278,7 +275,7 @@ class RunResult:
 
 
 def _make_snapshot(grid: GridSpec, fv: FieldV, p: NonlocalP) -> Snapshot:
-    return Snapshot(time=fv.time, x=grid.centers, field_v=fv, field_u=u_from_v(fv), p=p)
+    return Snapshot(time=fv.time, x=grid.centers, field_v=fv, u=u_from_v(fv), p=p)
 
 
 def evolve(

@@ -18,7 +18,7 @@ from .grid_field import (
     V_TINY, FieldV, GridSpec, InitialDataSpec, build_grid, init_field, u_from_v,
 )
 from .scheme import SchemeConfig
-from .solver import RunConfig, RunResult, evolve, run_simulation
+from .solver import DiagnosticsSeries, RunConfig, RunResult, evolve, run_simulation
 
 SQRT_PI = math.sqrt(math.pi)
 EPSILON_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -85,6 +85,14 @@ def observed_order(values: Sequence[float], widths: Sequence[float]) -> float | 
     ]))
 
 
+def _recorded(run: RunResult, check: str) -> DiagnosticsSeries:
+    """The run's per-step diagnostics series, which ``check`` reads; a
+    state-only run has none, and raises DataGapError."""
+    if run.diagnostics is None:
+        raise DataGapError(f"{check} needs per-step diagnostics; the run is state-only")
+    return run.diagnostics
+
+
 def _run_many(configs: Sequence[RunConfig], diagnostics: bool = True) -> list[RunResult]:
     """Run a batch of configurations one after another, in input order;
     ``diagnostics=False`` makes every run state-only (see ``evolve``).
@@ -137,7 +145,7 @@ class BalanceReport:
 
 def lp_balance_residual(run: RunResult, alpha: float) -> BalanceReport:
     """|N_a(t) - N_a(0) + int_0^t (D_a + S_a) ds| with trapezoid time quadrature."""
-    diag = run.diagnostics
+    diag = _recorded(run, "the power balance")
     if alpha not in diag.alphas:
         raise DataGapError(
             f"alpha = {alpha} was not recorded; available: {diag.alphas}"
@@ -214,7 +222,7 @@ def mass_balance_identity(run: RunResult) -> MassBalanceReport:
     midpoint-collocated prefix integral, so the residual isolates the time
     discretization and closes at second order in dt.
     """
-    diag = run.diagnostics
+    diag = _recorded(run, "mass balance")
     if 0.0 not in diag.alphas:
         raise DataGapError("mass balance needs alpha = 0 diagnostics")
     if diag.times.size < 2:
@@ -257,8 +265,9 @@ class SupMonitorReport:
 
 
 def sup_principle_monitor(run: RunResult) -> SupMonitorReport:
-    """Watch sup u(t) against sup u(0) + SUP_MONITOR_TOL; reports, never raises."""
-    diag = run.diagnostics
+    """Watch sup u(t) against sup u(0) + SUP_MONITOR_TOL; a violation is
+    reported, never raised."""
+    diag = _recorded(run, "the sup monitor")
     s0 = float(diag.sup_u[0])
     excess = diag.sup_u - s0
     worst = float(np.max(excess))
@@ -501,13 +510,12 @@ def kruzhkov_residual(cfg: RunConfig) -> EntropyReport:
         raise ValueError("the entropy certificate applies to epsilon = 0 runs")
     grid = cfg.grid
     v0 = init_field(grid, cfg.init)
-    u0 = u_from_v(v0).values
-    levels = _default_levels(u0)
+    levels = _default_levels(u_from_v(v0))
     sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels))
     source = cfg.scheme.source_enabled
 
     def take(snap):
-        sums.add(snap.time, snap.field_u.values, snap.p.cell_values if source else None)
+        sums.add(snap.time, snap.u, snap.p.cell_values if source else None)
 
     evolve(
         grid, v0, cfg.scheme, cfg.final_time, dense_snapshot_times(grid, cfg.final_time),
@@ -612,7 +620,7 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
         evolve(grid, start, c.scheme, T, sample_times, diagnostics=False)
         for start, c in ((start_u, cfg_u), (start_w, cfg_w))
     ]
-    initial_gap = np.abs(u_from_v(start_u).values - u_from_v(start_w).values)
+    initial_gap = np.abs(u_from_v(start_u) - u_from_v(start_w))
     abs_x = np.abs(grid.centers)
 
     def l1_in(gap: np.ndarray, radius: float) -> float:
@@ -621,7 +629,7 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
 
     # evolve also lands T when it is not a sample time: pair the samples only
     pairs = zip(*(r.snapshots[: len(sample_times)] for r in runs))
-    measured = tuple(l1_in(np.abs(a.field_u.values - b.field_u.values), R) for a, b in pairs)
+    measured = tuple(l1_in(np.abs(a.u - b.u), R) for a, b in pairs)
     grow = [math.exp(c_of_t * t) for t in sample_times]
     bound = tuple(g * l1_in(initial_gap, R + c0 * t) for g, t in zip(grow, sample_times))
     wide = [R + c_of_t * t for t in sample_times]

@@ -310,7 +310,7 @@ def test_criterion_11_determinism_and_io(tmp_path):
         t, x, v, u, p = read_snapshot_csv(out_a / "snapshot_0001.csv")
         roundtrip = (
             np.array_equal(v, snap.field_v.values)
-            and np.array_equal(u, snap.field_u.values)
+            and np.array_equal(u, snap.u)
             and np.array_equal(p, snap.p.cell_values)
             and np.array_equal(x, run.grid.centers)
             and np.all(t == 0.5)

@@ -203,7 +203,7 @@ def test_snapshot_csv_round_trip_is_bitwise(tmp_path):
     assert np.all(t == 0.25)
     np.testing.assert_array_equal(x, run.grid.centers)
     np.testing.assert_array_equal(v, snap.field_v.values)
-    np.testing.assert_array_equal(u, snap.field_u.values)
+    np.testing.assert_array_equal(u, snap.u)
     np.testing.assert_array_equal(p, snap.p.cell_values)
 
 
@@ -219,8 +219,12 @@ def test_snapshot_p_column_is_the_prefix_integral(tmp_path):
 
 @pytest.mark.parametrize(
     "text, cause",
-    [("time,x,v,u,P\n0,0,1,0,0\n", "missing snapshot header"), ("t,x,v,u,P\n", "has no rows")],
-    ids=["wrong header", "header only"],
+    [
+        ("time,x,v,u,P\n0,0,1,0,0\n", "missing snapshot header"),
+        ("t,x,v,u,P\n", "has no rows"),
+        ("t,x,v,u,P\n0,1,2\n", "expected 5 columns"),
+    ],
+    ids=["wrong header", "header only", "three columns"],
 )
 def test_read_snapshot_rejects_tampered_header(tmp_path, text, cause):
     path = tmp_path / "snap.csv"
@@ -1119,6 +1123,14 @@ def test_zero_final_time_is_rejected_naming_run_T(tmp_path, capsys, argv):
     out = tmp_path / "d"
     assert dispatch(argv[:2] + [cfg, "--out", str(out)] + argv[2:]) == 2
     assert "needs run.T > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_non_finite_init_parameter(tmp_path, capsys, no_evolve):
+    cfg = _write_cfg(tmp_path, text=MINIMAL + "init.amplitude = inf\n")
+    out = tmp_path / "d"
+    assert dispatch(["simulate", cfg, "--out", str(out)]) == 2
+    assert "parameter 'amplitude' must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

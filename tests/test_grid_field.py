@@ -82,12 +82,14 @@ def test_u_from_v_floors_and_counts():
     tiny = sys.float_info.min
     fv = FieldV(np.array([1.0, 1e-40, 1e-300, tiny, 5e-324, 0.0]), 0.25)
     fu = u_from_v(fv)
-    assert fu.values[0] == 0.0
-    assert fu.values[1] == math.log(1e-40)
-    assert fu.values[2] == math.log(1e-300)
-    assert fu.values[3] == fu.values[4] == fu.values[5] == math.log(tiny)
-    assert fu.values[5] == pytest.approx(-708.396, abs=1e-3)
-    assert fu.time == 0.25
+    assert fu[0] == 0.0
+    assert fu[1] == math.log(1e-40)
+    assert fu[2] == math.log(1e-300)
+    assert fu[3] == fu[4] == fu[5] == math.log(tiny)
+    assert fu[5] == pytest.approx(-708.396, abs=1e-3)
+    assert not fu.flags.writeable
+    with pytest.raises(ValueError):
+        fu[0] = 1.0
     with pytest.raises(TypeError):
         u_from_v(fv, 1e-12)  # the floor is not a parameter
 

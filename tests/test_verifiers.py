@@ -31,7 +31,7 @@ from exprabelo.errors import (
     DomainError,
     SparseSnapshotsError,
 )
-from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field, u_from_v
+from exprabelo.grid_field import GridSpec, InitialDataSpec, build_grid, init_field, u_from_v
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig
 from exprabelo.solver import evolve, run_simulation
@@ -201,6 +201,28 @@ def test_mass_balance_identity_closes(stock_run_256):
     assert report.passed
 
 
+@pytest.mark.parametrize("epsilon, bound", [(0.0, 1e-12), (1e-2, 1e-2)])
+def test_source_free_mass_balance_closes_on_the_dissipation_alone(epsilon, bound):
+    # with the source off the closure drops (P_R^2 - P_L^2)/2; kept on the
+    # same data it misses the mass rate by about 0.21 relative
+    run = run_simulation(
+        stock_config(256, epsilon=epsilon, final_time=0.5, source_enabled=False)
+    )
+    report = mass_balance_identity(run)
+    assert report.relative_max <= bound and report.passed
+    relabelled = replace(run, scheme=replace(run.scheme, source_enabled=True))
+    assert not mass_balance_identity(relabelled).passed
+
+
+def test_budget_checks_refuse_a_state_only_run():
+    # a state-only run has no diagnostics series for these checks to read
+    run = run_simulation(stock_config(64, final_time=0.1), diagnostics=False)
+    for check in (lambda r: lp_balance_residual(r, 1.0), mass_balance_identity,
+                  sup_principle_monitor):
+        with pytest.raises(DataGapError, match="the run is state-only"):
+            check(run)
+
+
 def test_mass_balance_ladder_order(stock_ladder_runs):
     runs = [stock_ladder_runs[(n, 0.0)] for n in (512, 1024, 2048)]
     report = mass_balance_ladder(runs)
@@ -286,6 +308,20 @@ def test_kruzhkov_rejects_sparse_snapshots():
     grid, times, u = expansion_shock_field(n_cells=64)
     with pytest.raises(SparseSnapshotsError):
         kruzhkov_on_field(grid, times[::2], u[::2])
+    with pytest.raises(SparseSnapshotsError, match="need at least two snapshots in time"):
+        kruzhkov_on_field(grid, times[:1], u[:1])
+    with pytest.raises(SparseSnapshotsError, match="does not match times x cells"):
+        kruzhkov_on_field(grid, times, u[:, :-1])
+
+
+def test_kruzhkov_certifies_a_constant_field_on_flat_range_levels():
+    # a constant u gives no range to spread the levels in, so they spread
+    # over u - 1 to u + 1; a constant solves the law, so the minimum is 0
+    grid = build_grid(-1.0, 1.0, 64)
+    times = np.array(dense_snapshot_times(grid, 0.5))
+    report = kruzhkov_on_field(grid, times, np.full((times.size, grid.n_cells), -0.5))
+    assert report.levels == (-1.25, -1.0, -0.75, -0.5, -0.25, 0.0, 0.25)
+    assert abs(report.min_value) <= 1e-15 and report.passed
 
 
 @pytest.mark.parametrize("order", ["reversed", "repeated", "swapped"])
@@ -330,7 +366,7 @@ def test_streamed_certificate_matches_the_dense_quadrature():
     report = kruzhkov_residual(cfg)
     run = run_simulation(replace(cfg, snapshot_times=dense_snapshot_times(cfg.grid, 1.0)))
     times = np.array([s.time for s in run.snapshots])
-    u = np.stack([s.field_u.values for s in run.snapshots])
+    u = np.stack([s.u for s in run.snapshots])
     p = np.stack([s.p.cell_values for s in run.snapshots])
     for k, got in zip(report.levels, report.min_by_level):
         assert got == pytest.approx(_dense_kruzhkov_minimum(cfg.grid, times, u, p, k), rel=1e-10)
@@ -424,7 +460,7 @@ def test_riemann_shock_certificate_holds_at_2048_cells():
     with warnings.catch_warnings():  # the data touch the boundary by design
         warnings.simplefilter("ignore", BoundaryFluxWarning)
         run = evolve(grid, riemann_initial(grid, 2.0, 1.0, x0=-1.0), cfg, 1.0, times)
-    u = np.stack([s.field_u.values for s in run.snapshots])
+    u = np.stack([s.u for s in run.snapshots])
     report = kruzhkov_on_field(grid, np.array(times), u, levels=(-1.0,))
     assert report.passed
 
@@ -481,7 +517,7 @@ def test_stock_v_form_kruzhkov_minimum_shrinks_under_refinement_past_the_shock()
     for n in (1024, 2048, 4096):
         cfg = stock_config(n, final_time=3.0)
         v0 = init_field(cfg.grid, cfg.init)
-        levels = [math.exp(k) for k in _default_levels(u_from_v(v0).values)]
+        levels = [math.exp(k) for k in _default_levels(u_from_v(v0))]
         report = v_form_certificate(cfg.grid, v0, cfg.scheme, 3.0, levels)
         deficits.append(max(0.0, -report.min_value))
     assert all(1.5 * b <= a for a, b in zip(deficits, deficits[1:])), deficits
