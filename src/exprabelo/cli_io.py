@@ -55,40 +55,33 @@ def _fmt(x: float) -> str:
 # config documents
 # ---------------------------------------------------------------------------
 
-_SCALAR_KEYS = {
-    "grid.x_min": float,
-    "grid.x_max": float,
-    "grid.n_cells": int,
-    "init.preset": str,
-    "scheme.flux": str,
-    "scheme.epsilon": float,
-    "scheme.cfl": float,
-    "run.T": float,
-    "run.snapshots": "float_list",
-    "diag.alphas": "float_list",
-}
-_REQUIRED_KEYS = ("grid.x_min", "grid.x_max", "grid.n_cells", "init.preset", "run.T")
-
-
 def _parse_list(raw: str, kind) -> tuple:
     """A comma list of ``kind`` values; empty entries are skipped."""
     return tuple(kind(tok) for tok in raw.split(",") if tok.strip())
 
 
-def _parse_scalar(kind, key: str, raw: str, line_no: int):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            value = float(raw)
-            if value != value:
-                raise ValueError("nan")
-            return value
-        if kind == "float_list":
-            return _parse_list(raw, float)
-    except ValueError:
-        raise ConfigError(f"malformed value {raw!r} for {key}", line_no) from None
-    return raw
+def _parse_float(raw: str) -> float:
+    """A float that is not NaN."""
+    value = float(raw)
+    if value != value:
+        raise ValueError("nan")
+    return value
+
+
+# config key -> its value's parser, which raises ValueError; init.* keys take _parse_float
+_SCALAR_KEYS = {
+    "grid.x_min": _parse_float,
+    "grid.x_max": _parse_float,
+    "grid.n_cells": int,
+    "init.preset": str,
+    "scheme.flux": str,
+    "scheme.epsilon": _parse_float,
+    "scheme.cfl": _parse_float,
+    "run.T": _parse_float,
+    "run.snapshots": partial(_parse_list, kind=float),
+    "diag.alphas": partial(_parse_list, kind=float),
+}
+_REQUIRED_KEYS = ("grid.x_min", "grid.x_max", "grid.n_cells", "init.preset", "run.T")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -129,7 +122,10 @@ def parse_config(text: str) -> RunConfig:
 
     def get(key: str):
         raw, line_no = pairs[key]
-        return _parse_scalar(_SCALAR_KEYS.get(key, float), key, raw, line_no)
+        try:
+            return _SCALAR_KEYS.get(key, _parse_float)(raw)
+        except ValueError:
+            raise ConfigError(f"malformed value {raw!r} for {key}", line_no) from None
 
     def given(keys: dict) -> dict:
         """{argument: parsed value} for the document keys that are present, so
@@ -161,13 +157,13 @@ def load_config(path) -> RunConfig:
 # CSV emission
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header: str, cols, fmt) -> None:
-    """The bytes ``np.savetxt(fh, np.column_stack(cols), fmt=fmt, delimiter=",",
-    header=header, comments="")`` writes, one ``%`` format and one ``write``
-    per chunk of rows instead of per row. ``%d`` takes the whole floats of
-    the stacked table, as it does in savetxt."""
+def _write_csv(path, header: str, cols) -> None:
+    """The bytes ``np.savetxt(fh, np.column_stack(cols), fmt="%.17g",
+    delimiter=",", header=header, comments="")`` writes, one ``%`` format and
+    one ``write`` per chunk of rows instead of per row. A whole number below
+    2^53, such as a count, prints as an integer, as ``%d`` would print it."""
     table = np.column_stack(cols)
-    line = ",".join([fmt] * table.shape[1] if isinstance(fmt, str) else fmt) + "\n"
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for start in range(0, len(table), CSV_CHUNK_ROWS):
@@ -178,7 +174,7 @@ def _write_csv(path, header: str, cols, fmt) -> None:
 def write_snapshot_csv(snapshot: Snapshot, path) -> None:
     """One row per cell: t,x,v,u,P at 17 significant digits, LF endings."""
     cols = (snapshot.x, snapshot.field_v.values, snapshot.u, snapshot.p.cell_values)
-    _write_csv(path, CSV_HEADER, (np.full(snapshot.x.size, snapshot.time), *cols), "%.17g")
+    _write_csv(path, CSV_HEADER, (np.full(snapshot.x.size, snapshot.time), *cols))
 
 
 def read_snapshot_csv(path) -> tuple:
@@ -197,10 +193,9 @@ def read_snapshot_csv(path) -> tuple:
 
 def write_diagnostics_csv(series: DiagnosticsSeries, path) -> None:
     """Per-step diagnostics table, one CSV column per ``series.columns()``
-    entry; integer columns are written as integers."""
+    entry; the clip counts print as integers."""
     names, cols = zip(*series.columns())
-    fmt = ["%d" if col.dtype.kind == "i" else "%.17g" for col in cols]
-    _write_csv(path, ",".join(names), cols, fmt)
+    _write_csv(path, ",".join(names), cols)
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +387,14 @@ def _cmd_sweep(args) -> int:
     if args.axis == "epsilon":
         ladder = EPSILON_LADDER if args.ladder is None else _parse_list(args.ladder, float)
         rep = epsilon_convergence(cfg, ladder)
-        header, fmt = "epsilon,l1_distance_to_limit", "%.17g"
+        header = "epsilon,l1_distance_to_limit"
     else:
         n = cfg.grid.n_cells
         ns = (n, 2 * n, 4 * n) if args.ladder is None else _parse_list(args.ladder, int)
         rep = grid_convergence(cfg, ns)
-        header, fmt = "n_cells_coarse,l1_distance_to_refined", ("%d", "%.17g")
+        header = "n_cells_coarse,l1_distance_to_refined"
     cols = (rep.params[: len(rep.distances)], rep.distances)
-    ladder_csv = ("ladder.csv", lambda path: _write_csv(path, header, cols, fmt))
+    ladder_csv = ("ladder.csv", partial(_write_csv, header=header, cols=cols))
     return _finish(args, f"sweep {args.axis}:", [rep], [ladder_csv])
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -18,7 +18,6 @@ from .nonlocal_op import NonlocalP, prefix_integral
 from .scheme import SchemeConfig, Workspace, cfl_dt, interface_fluxes, step
 
 BOUNDARY_LEAK_THRESHOLD = 1e-8
-SNAPSHOT_RTOL = 1e-12  # relative gap at which snapshot_at accepts a snapshot time
 DEFAULT_ALPHAS = (0.0, 1.0, 2.0)
 # integer powers up to v^4 are chained products in the diagnostics row; a
 # longer chain would cost more multiplies than np.power takes, round more
@@ -262,8 +261,9 @@ class RunResult:
     diagnostics: DiagnosticsSeries | None
 
     def snapshot_at(self, t: float) -> Snapshot:
+        """The snapshot at exactly t, as ``evolve`` lands each requested time."""
         for snap in self.snapshots:
-            if snap.time == t or abs(snap.time - t) <= SNAPSHOT_RTOL * max(1.0, abs(t)):
+            if snap.time == t:
                 return snap
         raise DataGapError(f"no snapshot at t = {t}")
 
@@ -272,10 +272,6 @@ class RunResult:
         if not self.snapshots:  # evolve always lands a final snapshot
             raise DataGapError("no final state: the snapshots went to on_snapshot")
         return self.snapshots[-1].field_v
-
-
-def _make_snapshot(grid: GridSpec, fv: FieldV, p: NonlocalP) -> Snapshot:
-    return Snapshot(time=fv.time, x=grid.centers, field_v=fv, u=u_from_v(fv), p=p)
 
 
 def evolve(
@@ -333,7 +329,7 @@ def evolve(
         if diagnostics:
             rows.append(record_diagnostics(grid, fv, p, flux, cfg, dt, alphas, buffers))
         if landing:
-            take(_make_snapshot(grid, fv, p))
+            take(Snapshot(time=fv.time, x=grid.centers, field_v=fv, u=u_from_v(fv), p=p))
             events.pop(0)
             if not events:
                 break
@@ -343,8 +339,8 @@ def evolve(
         if landing:
             dt = target - fv.time
         fv = step(grid, fv, cfg, dt, p, ws, flux)
-        if landing:
-            fv = replace(fv, time=target)
+        if landing:  # step has checked the values; relabel them, not rescan
+            fv = FieldV._checked(fv.values, target, fv.clip_count)
 
     series = DiagnosticsSeries.from_rows(rows, alphas) if diagnostics else None
     if max_boundary > BOUNDARY_LEAK_THRESHOLD:

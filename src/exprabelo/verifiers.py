@@ -38,6 +38,7 @@ MMS_MIN_ORDER = 1.5
 # budget ladders give no order below this relative residual: rounding alone
 # leaves about 1e-15 (one-step runs), the stock T = 1 ladder at least 4.08e-7
 ORDER_RESIDUAL_FLOOR = 1e-12
+LN_MAX_DOUBLE = math.log(np.finfo(np.float64).max)  # about 709.78; e^x overflows above
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +157,8 @@ def lp_balance_residual(run: RunResult, alpha: float) -> BalanceReport:
     residuals = np.abs(norm - norm[0] + np.concatenate(([0.0], integral)))
     terminal = float(residuals[-1])
     initial = float(norm[0])
+    if not initial > 0.0:  # v^(alpha+1) underflowed: no relative residual
+        raise DomainError(f"power balance at alpha = {alpha:g} needs a positive initial norm")
     return BalanceReport(
         alpha=float(alpha),
         terminal_residual=terminal,
@@ -588,7 +591,7 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
     snapshot times t of ``cfg_u``, whose final time is T. ``cfg_w`` must
     reach the last of them; both configs then run to T. Before either run,
     the domain must contain the widened window (-R - C0 T, R + C0 T), which
-    covers every sample's window.
+    covers every sample's window, and e^(C(T) t) must not overflow.
     """
     if not (math.isfinite(R) and R > 0.0):
         # an empty window would certify nothing yet pass
@@ -611,6 +614,9 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
     c0 = math.exp(sup_u0) + math.exp(sup_w0)
     c_of_t = 2.0 * R + 2.0 * c0 * T
     reach = R + c0 * T
+    exponent = c_of_t * sample_times[-1]
+    if exponent > LN_MAX_DOUBLE:  # an infinite envelope would certify nothing
+        raise DomainError(f"Gronwall factor e^(C(T) t) = e^{exponent:.4g} overflows; shrink R/T")
     if reach > half_domain + 1e-12:
         raise DomainError(
             f"widened window radius {reach:.4g} exceeds the domain "

@@ -259,8 +259,8 @@ def test_diagnostics_csv_header_lists_alpha_blocks(tmp_path):
 
 @pytest.mark.parametrize("rows", [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1])
 def test_csv_writer_matches_savetxt_bytes(tmp_path, rows):
-    # the chunked writer must give exactly savetxt's bytes, an integer %d
-    # column (stacked as whole floats) included, with LF endings
+    # the chunked writer must give exactly savetxt's bytes, with LF endings;
+    # its one %.17g prints a count column as savetxt's %d does
     rng = np.random.default_rng(rows)
     floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     floats[0] = -0.0
@@ -271,7 +271,7 @@ def test_csv_writer_matches_savetxt_bytes(tmp_path, rows):
     }
     for name, (header, cols, fmt) in cases.items():
         ours, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
-        _write_csv(ours, header, cols, fmt)
+        _write_csv(ours, header, cols)
         with open(ref, "w", encoding="utf-8", newline="\n") as fh:
             np.savetxt(fh, np.column_stack(cols), fmt=fmt, delimiter=",", header=header,
                        comments="")
@@ -1033,6 +1033,17 @@ def test_non_finite_viscosity_rung_is_named_on_stderr(tmp_path, capsys):
     assert "error: epsilon must be finite and nonnegative, got inf" in capsys.readouterr().err
 
 
+# a domain wide enough for a stability window of R = 1000, where C0 = 2
+WIDE = """
+grid.x_min = -2048
+grid.x_max = 2048
+grid.n_cells = 4096
+init.preset = gaussian
+run.T = 0.5
+run.snapshots = 0.5
+"""
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1060,6 +1071,7 @@ def test_non_finite_viscosity_rung_is_named_on_stderr(tmp_path, capsys):
         ["verify", "stability", "{cfg}", "--cfg2", "{short}"],
         ["verify", "stability", "{short}", "--cfg2", "{short}"],  # no positive snapshot
         ["verify", "stability", "{cfg}", "--cfg2", "{cfg}", "--R", "7.6"],  # R + C0 T > 8
+        ["verify", "stability", "{wide}", "--cfg2", "{wide}", "--R", "1000"],  # e^1001 overflows
         # a zero cell count, which the nesting test divides by
         ["sweep", "grid", "{cfg}", "--ladder", "0,64"],
         # an option of another check, or both of entropy's sources
@@ -1084,6 +1096,7 @@ def test_rejected_command_leaves_no_output_directory(tmp_path, no_evolve, argv):
         "coarse": MINIMAL.replace("= 64", "= 128"),
         "short": MINIMAL.replace("0.25", "0.1"),  # ends before {cfg}'s snapshot at 0.25
         "fine": MINIMAL.replace("= 64", "= 2048"),
+        "wide": WIDE,
     }
     paths = {k: _write_cfg(tmp_path, name=f"{k}.cfg", text=t) for k, t in texts.items()}
     out = tmp_path / "d"
@@ -1132,6 +1145,32 @@ def test_simulate_refuses_a_non_finite_init_parameter(tmp_path, capsys, no_evolv
     assert dispatch(["simulate", cfg, "--out", str(out)]) == 2
     assert "parameter 'amplitude' must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+# v <= e^-300 on 64 cells: v^3 underflows to 0, v^2 and v do not
+UNDERFLOW = MINIMAL.replace("run.T = 0.25", "run.T = 0.5") + "init.amplitude = -300\n"
+
+
+# the exit-status contract on input that parses but that the arithmetic cannot
+# use: (config text or None, command, status, a phrase of the status lines).
+# 0 passes, 1 is a failed verification, 2 is unusable input with no output.
+@pytest.mark.parametrize(
+    "text, command, status, says",
+    [
+        (UNDERFLOW, ["verify", "balance"], 2, "alpha = 2 needs a positive initial norm"),
+        (MINIMAL + "init.amplitude = -746\n", ["simulate"], 2, "max v must be positive"),
+        (UNDERFLOW + "diag.alphas = 0, 1\n", ["verify", "balance"], 0, "(pass)"),
+        (None, ["verify", "entropy", "--fixture", "expansion-shock"], 1, "(FAIL)"),
+    ],
+    ids=["zero initial norm", "v underflows", "positive norms", "expansion shock"],
+)
+def test_hostile_input_gets_its_documented_exit_status(tmp_path, capsys, text, command,
+                                                       status, says):
+    argv = command if text is None else [*command, _write_cfg(tmp_path, text=text)]
+    out = tmp_path / "out"
+    assert dispatch([*argv, "--out", str(out)]) == status
+    assert says in capsys.readouterr().err
+    assert out.exists() == (status != 2)
 
 
 def test_module_entry_point_sets_the_exit_status(tmp_path):

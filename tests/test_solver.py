@@ -160,6 +160,27 @@ def test_snapshots_land_bitwise_on_requested_times(stock_run_256):
         assert want in times  # equality, not approx: dt is shortened to land
 
 
+def test_landed_fields_are_not_rescanned(monkeypatch):
+    # step checks each field it makes once; relabelling a landed field with
+    # its requested time must not run FieldV's validating constructor again
+    grid = GridSpec(x_min=-8.0, x_max=8.0, n_cells=64)
+    v0 = init_field(grid, InitialDataSpec.gaussian())
+    scans = []
+    original = FieldV.__post_init__
+    monkeypatch.setattr(FieldV, "__post_init__", lambda self: scans.append(original(self)))
+    times = (0.1, 0.2, 0.3)
+    run = evolve(grid, v0, SchemeConfig(), final_time=0.3, snapshot_times=times)
+    assert [snap.time for snap in run.snapshots] == list(times)
+    assert scans == []
+    assert not run.final_state.values.flags.writeable
+
+
+def test_snapshot_at_matches_the_exact_time_only(stock_run_256):
+    assert stock_run_256.snapshot_at(0.5).time == 0.5
+    with pytest.raises(DataGapError, match="no snapshot at t = 0.5000000000000001"):
+        stock_run_256.snapshot_at(math.nextafter(0.5, 1.0))
+
+
 def test_final_time_always_snapshotted():
     cfg = stock_config(n_cells=64, final_time=0.125, snapshot_times=())
     run = run_simulation(cfg)

@@ -34,7 +34,7 @@ from exprabelo.errors import (
 from exprabelo.grid_field import GridSpec, InitialDataSpec, build_grid, init_field, u_from_v
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig
-from exprabelo.solver import evolve, run_simulation
+from exprabelo.solver import RunConfig, evolve, run_simulation
 from exprabelo.verifiers import (
     EPSILON_LADDER,
     EPSILON_LADDER_MIN_CELLS,
@@ -221,6 +221,28 @@ def test_budget_checks_refuse_a_state_only_run():
                   sup_principle_monitor):
         with pytest.raises(DataGapError, match="the run is state-only"):
             check(run)
+
+
+def test_power_balance_refuses_an_underflowed_initial_norm():
+    # v <= e^-300, so v^3 <= e^-900 underflows to 0: the relative residual
+    # has no denominator. alpha = 0 and 1 keep a positive norm and pass.
+    run = run_simulation(
+        stock_config(64, final_time=0.5, init=InitialDataSpec.gaussian(amplitude=-300.0))
+    )
+    with pytest.raises(DomainError, match="alpha = 2 needs a positive initial norm"):
+        lp_balance_residual(run, 2.0)
+    assert all(lp_balance_residual(run, a).passed for a in (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "alphas, final_time, cause",
+    [((1.0,), 0.1, "needs alpha = 0 diagnostics"), ((0.0,), 0.0, "needs at least one step")],
+    ids=["no alpha 0", "T = 0"],
+)
+def test_mass_balance_refuses_a_run_it_cannot_close(alphas, final_time, cause):
+    run = run_simulation(stock_config(64, final_time=final_time, alphas=alphas))
+    with pytest.raises(DataGapError, match=cause):
+        mass_balance_identity(run)
 
 
 def test_mass_balance_ladder_order(stock_ladder_runs):
@@ -596,6 +618,16 @@ def test_stability_rejects_window_leaving_domain(no_evolve):
     # R + C0 T = 7.6 + 2 e^(sup u0) 0.25, about 8.1, leaves [-8, 8]
     with pytest.raises(DomainError, match="widened window"):
         l1_stability_check(cfg, cfg, R=7.6)
+
+
+def test_stability_rejects_an_overflowing_envelope(no_evolve):
+    # C0 = 2, so C(T) t = (2R + 2) 0.5 = 1001 at R = 1000: e^1001 is no double
+    cfg = RunConfig(
+        grid=build_grid(-2048.0, 2048.0, 4096), init=InitialDataSpec.gaussian(),
+        final_time=0.5, snapshot_times=(0.5,),
+    )
+    with pytest.raises(DomainError, match=r"e\^1001 overflows"):
+        l1_stability_check(cfg, cfg, R=1000.0)
 
 
 @pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
