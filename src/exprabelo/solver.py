@@ -85,56 +85,52 @@ class Snapshot:
     p: NonlocalP
 
 
-# diagnostics.csv columns in file order, as (csv name, DiagnosticsSeries
-# attribute): the fixed columns, then one block per alpha whose names carry
-# the suffix _a%g and whose attributes are dicts keyed by alpha
+# diagnostics.csv columns in file order: the fixed columns, then one block
+# per alpha whose names carry the suffix _a%g
 FIXED_COLUMNS = (
-    ("time", "times"), ("dt", "dts"), ("sup_u", "sup_u"), ("sup_u_x", "sup_u_x"),
-    ("mass", "mass"), ("boundary_flux", "boundary_flux"), ("p_left", "p_left"),
-    ("p_right", "p_right"), ("clip_count", "clip_counts"),
+    "time", "dt", "sup_u", "sup_u_x", "mass", "boundary_flux", "p_left", "p_right", "clip_count",
 )
-ALPHA_COLUMNS = (("lp", "lp_norms"), ("dissipation", "dissipation"), ("source", "source_integral"))
+ALPHA_COLUMNS = ("lp", "dissipation", "source")
+
+
+def column_names(alphas) -> tuple:
+    """The diagnostics.csv header for these alphas, in file order: the one
+    statement of the layout of a diagnostics row and of a series."""
+    return FIXED_COLUMNS + tuple(f"{name}_a{a:g}" for a in alphas for name in ALPHA_COLUMNS)
 
 
 @dataclass(frozen=True)
 class DiagnosticsSeries:
-    """Per-step time series; the per-alpha columns are keyed by alpha value.
+    """Per-step time series: ``columns`` maps each diagnostics.csv header
+    name, in ``column_names(alphas)`` order, to one entry per time. Read a
+    column as ``series["mass"]``, and a per-alpha one as ``series.of("lp", a)``.
 
-    lp_norms[a][m]        =  sum_i v_i^(a+1) dx                  at time m
-    dissipation[a][m]     =  eps (a+1) sum D+(v^(a+1)) D+v dx    (forward
-                             differences over the n+1 interfaces, with zero
-                             ghost values on both sides)
-    source_integral[a][m] =  (a+1) sum v^(a+1) P dx  (zero when the source
-                             term is disabled, so the budget matches the
-                             dynamics actually run)
+    lp_a<a>[m]          =  sum_i v_i^(a+1) dx                  at time m
+    dissipation_a<a>[m] =  eps (a+1) sum D+(v^(a+1)) D+v dx    (forward
+                           differences over the n+1 interfaces, with zero
+                           ghost values on both sides)
+    source_a<a>[m]      =  (a+1) sum v^(a+1) P dx  (zero when the source
+                           term is disabled, so the budget matches the
+                           dynamics actually run)
 
     Both rate columns are what the semi-discrete scheme removes from
     N_a = sum v^(a+1) dx: summing (a+1) v^a times the viscous term
     eps v D+D-v by parts against the zero ghosts gives exactly -dissipation,
-    and (a+1) v^a times the source -v P gives exactly -source_integral.
+    and (a+1) v^a times the source -v P gives exactly -source.
     """
 
     alphas: tuple
-    times: np.ndarray
-    dts: np.ndarray
-    sup_u: np.ndarray
-    sup_u_x: np.ndarray
-    mass: np.ndarray
-    boundary_flux: np.ndarray
-    p_left: np.ndarray
-    p_right: np.ndarray
-    clip_counts: np.ndarray
-    lp_norms: dict
-    dissipation: dict
-    source_integral: dict
+    columns: dict
 
     def __post_init__(self):
-        t = np.asarray(self.times)
+        if tuple(self.columns) != column_names(self.alphas):
+            raise ShapeError(f"diagnostic columns must be {column_names(self.alphas)}")
+        t = np.asarray(self["time"])
         if t.size == 0:
             raise DataGapError("diagnostics series is empty")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise StateError("diagnostic times must be strictly increasing")
-        for name, col in self.columns():
+        for name, col in self.columns.items():
             if np.shape(col) != t.shape:  # the CSV writer zips the columns
                 raise ShapeError("every diagnostic column needs one entry per time")
             finite = np.isfinite(col)
@@ -142,23 +138,20 @@ class DiagnosticsSeries:
                 first = t[int(np.argmin(finite))]
                 raise StateError(f"non-finite diagnostic entry: {name} at t = {first:.6g}")
 
-    def columns(self) -> list:
-        """(csv name, column) pairs in diagnostics.csv order."""
-        cols = [(name, getattr(self, attr)) for name, attr in FIXED_COLUMNS]
-        for a in self.alphas:
-            cols += [(f"{name}_a{a:g}", getattr(self, attr)[a]) for name, attr in ALPHA_COLUMNS]
-        return cols
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def of(self, name: str, alpha: float) -> np.ndarray:
+        """The column ``name`` of the block of ``alpha``, ``<name>_a<alpha>``."""
+        return self.columns[f"{name}_a{alpha:g}"]
 
     @classmethod
     def from_rows(cls, rows: list, alphas: tuple) -> "DiagnosticsSeries":
-        """Transpose rows laid out like ``columns()`` into a series."""
+        """Transpose rows laid out like ``column_names(alphas)`` into a series."""
         data = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
-        fields = {attr: col for (_, attr), col in zip(FIXED_COLUMNS, data)}
-        fields["clip_counts"] = fields["clip_counts"].astype(np.int64)
-        blocks = data[len(FIXED_COLUMNS):].reshape(len(alphas), len(ALPHA_COLUMNS), -1)
-        for j, (_, attr) in enumerate(ALPHA_COLUMNS):
-            fields[attr] = dict(zip(alphas, blocks[:, j]))
-        return cls(alphas=tuple(alphas), **fields)
+        columns = dict(zip(column_names(alphas), data))
+        columns["clip_count"] = columns["clip_count"].astype(np.int64)
+        return cls(alphas=tuple(alphas), columns=columns)
 
 
 class _RowBuffers:
@@ -186,7 +179,7 @@ def record_diagnostics(
     buffers: _RowBuffers | None = None,
 ) -> list:
     """Compute one diagnostics row for the current state, laid out like
-    ``DiagnosticsSeries.columns()``.
+    ``column_names(alphas)``.
 
     ``p`` and ``flux`` are the state's prefix integral and interface fluxes;
     the row reads the boundary flux |F_1/2| + |F_n+1/2| from ``flux`` and

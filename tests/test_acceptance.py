@@ -172,8 +172,8 @@ def test_criterion_05_mass_balance(stock_ladder_runs):
 
         even = run_simulation(stock_config(n_cells=512, source_enabled=False))
         d = even.diagnostics
-        drift = abs(float(d.mass[-1] - d.mass[0]))
-        leaked = float(cumulative_trapezoid(d.boundary_flux, d.times, initial=0.0)[-1])
+        drift = abs(float(d["mass"][-1] - d["mass"][0]))
+        leaked = float(cumulative_trapezoid(d["boundary_flux"], d["time"], initial=0.0)[-1])
         print(f"; even-case mass drift {drift:.3e} (tol 1e-08 + {leaked:.3e})")
         assert drift <= 1e-8 + leaked
 

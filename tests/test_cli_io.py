@@ -246,7 +246,7 @@ def test_diagnostics_csv_header_lists_alpha_blocks(tmp_path):
         "lp_a2,dissipation_a2,source_a2"
     )
     n_rows = len(path.read_text().splitlines()) - 1
-    assert n_rows == run.diagnostics.times.size
+    assert n_rows == run.diagnostics["time"].size
 
     cfg = stock_config(n_cells=64, final_time=0.25, alphas=(0, 0.5, 2))
     write_diagnostics_csv(run_simulation(cfg).diagnostics, path)
@@ -287,9 +287,9 @@ def test_diagnostics_csv_round_trip_is_bitwise(tmp_path):
     write_diagnostics_csv(series, path)
     header, *lines = path.read_text().splitlines()
     texts = zip(*(line.split(",") for line in lines))
-    assert header.split(",") == [name for name, _ in series.columns()]
-    assert series.clip_counts.dtype == np.int64
-    for (name, col), text in zip(series.columns(), texts, strict=True):
+    assert header.split(",") == list(series.columns)
+    assert series["clip_count"].dtype == np.int64
+    for (name, col), text in zip(series.columns.items(), texts, strict=True):
         parse = int if name == "clip_count" else float
         back = np.array([parse(tok) for tok in text], dtype=col.dtype)
         assert back.tobytes() == np.ascontiguousarray(col).tobytes(), name
@@ -979,9 +979,9 @@ def test_state_only_checks_ignore_an_overflowing_diagnostic_column(tmp_path, cap
             "monotone=True\n")
         assert dispatch(["verify", "entropy", cfg, "--out", str(tmp_path / "entropy")]) != 2
     capsys.readouterr()
-    # simulate records that column and names it, with its first time
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = dispatch(["simulate", cfg, "--out", str(tmp_path / "simulate")])
+    # simulate records that column and names it, with its first time, and
+    # no numpy warning escapes
+    code = dispatch(["simulate", cfg, "--out", str(tmp_path / "simulate")])
     assert (code, capsys.readouterr().err) == (
         2, "error: non-finite diagnostic entry: lp_a400 at t = 0\n")
 
@@ -1149,11 +1149,15 @@ def test_simulate_refuses_a_non_finite_init_parameter(tmp_path, capsys, no_evolv
 
 # v <= e^-300 on 64 cells: v^3 underflows to 0, v^2 and v do not
 UNDERFLOW = MINIMAL.replace("run.T = 0.25", "run.T = 0.5") + "init.amplitude = -300\n"
+# ((x - c) / sigma)^2 overflows, so the profile is 0 everywhere
+TINY_SIGMA = MINIMAL + "init.sigma = 1e-300\n"
 
 
 # the exit-status contract on input that parses but that the arithmetic cannot
 # use: (config text or None, command, status, a phrase of the status lines).
 # 0 passes, 1 is a failed verification, 2 is unusable input with no output.
+# Where numpy overflows on the way, the program's own check names the value,
+# and no numpy warning escapes (the suite turns warnings into errors).
 @pytest.mark.parametrize(
     "text, command, status, says",
     [
@@ -1161,8 +1165,14 @@ UNDERFLOW = MINIMAL.replace("run.T = 0.25", "run.T = 0.5") + "init.amplitude = -
         (MINIMAL + "init.amplitude = -746\n", ["simulate"], 2, "max v must be positive"),
         (UNDERFLOW + "diag.alphas = 0, 1\n", ["verify", "balance"], 0, "(pass)"),
         (None, ["verify", "entropy", "--fixture", "expansion-shock"], 1, "(FAIL)"),
+        (TINY_SIGMA, ["simulate"], 2, "max v must be positive"),
+        (MINIMAL + "init.amplitude = 800\n", ["simulate"], 2, "FieldV values must be finite"),
+        (MINIMAL + "init.amplitude = 700\n", ["simulate"], 2, "non-finite boundary flux at t = 0"),
+        (MINIMAL + "init.amplitude = 200\n", ["simulate"], 2,
+         "non-finite value in cell 3 at t = 7.32677e-87"),
     ],
-    ids=["zero initial norm", "v underflows", "positive norms", "expansion shock"],
+    ids=["zero initial norm", "v underflows", "positive norms", "expansion shock",
+         "profile overflows", "v overflows", "flux overflows", "blow-up"],
 )
 def test_hostile_input_gets_its_documented_exit_status(tmp_path, capsys, text, command,
                                                        status, says):
@@ -1180,6 +1190,15 @@ def test_module_entry_point_sets_the_exit_status(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "exprabelo", *argv], capture_output=True, text=True)
     assert proc.returncode == 1, proc.stderr
     assert read_report(out / "entropy.report")["entropy.pass"] == "false"
+    # outside pytest's warning filters too, an overflow reaches stderr only
+    # as the one error line of the check that refuses it
+    cfg = _write_cfg(tmp_path, text=TINY_SIGMA)
+    argv = ["simulate", cfg, "--out", str(tmp_path / "tiny")]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "exprabelo", *argv],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: max v must be positive to size a time step\n")
+    assert not (tmp_path / "tiny").exists()
 
 
 # Runs in one fresh interpreter: after each step it prints the scipy modules

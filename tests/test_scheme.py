@@ -159,11 +159,11 @@ def test_dissipation_column_is_what_the_viscous_term_removes(v, eps):
     row = record_diagnostics(g, fv, p, flux, cfg, 0.0, alphas)
     row = DiagnosticsSeries.from_rows([row], alphas)
     for a in alphas:
-        diss = row.dissipation[a][0]
+        diss = row.of("dissipation", a)[0]
         terms = (a + 1.0) * v**a * viscous * g.dx
         scale = np.sum(np.abs(terms))
         assert abs(diss + np.sum(terms)) <= 1e-12 * scale + 1e-300
-    assert [row.source_integral[a][0] for a in alphas] == [0.0] * len(alphas)
+    assert [row.of("source", a)[0] for a in alphas] == [0.0] * len(alphas)
 
 
 def euler_step(g, fv, cfg, dt):

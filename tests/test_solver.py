@@ -50,8 +50,8 @@ def test_source_integral_telescopes_to_boundary_prefix_values(stock_run_256):
     # cumulative integral of v, v_i P_i dx = P interface differences
     # times the midpoint value, which collapses to (P_R^2 - P_L^2) / 2.
     diag = stock_run_256.diagnostics
-    s0 = diag.source_integral[0.0]
-    expected = 0.5 * (diag.p_right**2 - diag.p_left**2)
+    s0 = diag.of("source", 0.0)
+    expected = 0.5 * (diag["p_right"]**2 - diag["p_left"]**2)
     np.testing.assert_allclose(s0, expected, rtol=1e-12, atol=1e-13)
 
 
@@ -78,8 +78,8 @@ def test_boundary_flux_matches_the_full_interface_fluxes(flux, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryFluxWarning)
             run = evolve(grid, v0, cfg, 0.25, (0.1,))
-        assert len(states) == run.diagnostics.times.size > 2
-        for v, recorded in zip(states, run.diagnostics.boundary_flux):
+        assert len(states) == run.diagnostics["time"].size > 2
+        for v, recorded in zip(states, run.diagnostics["boundary_flux"]):
             full = interface_fluxes(v, flux)
             assert recorded == abs(full[0]) + abs(full[-1])
 
@@ -99,8 +99,8 @@ def _power_columns(alphas, **cfg):
     flux = interface_fluxes(fv.values, scheme.flux)
     row = record_diagnostics(grid, fv, p, flux, scheme, 0.0, alphas)
     series = DiagnosticsSeries.from_rows([row], alphas)
-    return {name: np.array([getattr(series, attr)[a][0] for a in alphas])
-            for name, attr in exprabelo.solver.ALPHA_COLUMNS} | {"mass": series.mass[0]}
+    return {name: np.array([series.of(name, a)[0] for a in alphas])
+            for name in exprabelo.solver.ALPHA_COLUMNS} | {"mass": series["mass"][0]}
 
 
 def _np_power_columns(alphas, epsilon):
@@ -189,7 +189,7 @@ def test_final_time_always_snapshotted():
 
 
 def test_diagnostic_times_strictly_increase_and_end_at_final_time(stock_run_256):
-    t = stock_run_256.diagnostics.times
+    t = stock_run_256.diagnostics["time"]
     assert np.all(np.diff(t) > 0)
     assert t[-1] == 0.5
 
@@ -199,8 +199,8 @@ def test_zero_duration_run_records_initial_state_only():
     v0 = init_field(grid, InitialDataSpec.gaussian())
     cfg = SchemeConfig()
     result = evolve(grid, v0, cfg, final_time=0.0, snapshot_times=(0.0,))
-    assert result.diagnostics.times.shape == (1,)
-    assert result.diagnostics.dts[0] == 0.0
+    assert result.diagnostics["time"].shape == (1,)
+    assert result.diagnostics["dt"][0] == 0.0
     assert len(result.snapshots) == 1
     np.testing.assert_array_equal(result.snapshots[0].field_v.values, v0.values)
 
@@ -248,56 +248,55 @@ def test_stock_run_is_warning_free():
 
 def test_diagnostics_series_rejects_bad_rows():
     good = dict(
-        times=np.array([0.0, 0.1]),
-        dts=np.array([0.1, 0.1]),
+        time=np.array([0.0, 0.1]),
+        dt=np.array([0.1, 0.1]),
         sup_u=np.zeros(2),
         sup_u_x=np.zeros(2),
         mass=np.ones(2),
         boundary_flux=np.zeros(2),
         p_left=np.zeros(2),
         p_right=np.ones(2),
-        clip_counts=np.zeros(2, dtype=np.int64),
-        alphas=(0.0,),
-        lp_norms={0.0: np.ones(2)},
-        dissipation={0.0: np.zeros(2)},
-        source_integral={0.0: np.zeros(2)},
+        clip_count=np.zeros(2, dtype=np.int64),
+        lp_a0=np.ones(2),
+        dissipation_a0=np.zeros(2),
+        source_a0=np.zeros(2),
     )
-    DiagnosticsSeries(**good)  # sanity: the template itself is valid
+    DiagnosticsSeries((0.0,), good)  # sanity: the template itself is valid
 
-    empty = {
-        k: (v[:0] if isinstance(v, np.ndarray) else v) for k, v in good.items()
-    }
-    empty["lp_norms"] = {0.0: np.ones(0)}
-    empty["dissipation"] = {0.0: np.zeros(0)}
-    empty["source_integral"] = {0.0: np.zeros(0)}
     with pytest.raises(DataGapError):
-        DiagnosticsSeries(**empty)
+        DiagnosticsSeries((0.0,), {k: v[:0] for k, v in good.items()})
 
     decreasing = dict(good)
-    decreasing["times"] = np.array([0.1, 0.0])
+    decreasing["time"] = np.array([0.1, 0.0])
     with pytest.raises(StateError):
-        DiagnosticsSeries(**decreasing)
+        DiagnosticsSeries((0.0,), decreasing)
 
     tainted = dict(good)
     tainted["mass"] = np.array([1.0, math.nan])
     with pytest.raises(StateError, match=r"entry: mass at t = 0\.1$"):
-        DiagnosticsSeries(**tainted)
+        DiagnosticsSeries((0.0,), tainted)
     # the first tainted column in file order is named, at its first bad time
-    tainted["source_integral"] = {0.0: np.array([math.inf, math.inf])}
+    tainted["source_a0"] = np.array([math.inf, math.inf])
     tainted["boundary_flux"] = np.array([0.0, math.inf])
     with pytest.raises(StateError, match=r"entry: mass at t = 0\.1$"):
-        DiagnosticsSeries(**tainted)
+        DiagnosticsSeries((0.0,), tainted)
     tainted["mass"] = np.ones(2)
     with pytest.raises(StateError, match=r"entry: boundary_flux at t = 0\.1$"):
-        DiagnosticsSeries(**tainted)
+        DiagnosticsSeries((0.0,), tainted)
     tainted["boundary_flux"] = np.zeros(2)
     with pytest.raises(StateError, match=r"entry: source_a0 at t = 0$"):
-        DiagnosticsSeries(**tainted)
+        DiagnosticsSeries((0.0,), tainted)
 
     ragged = dict(good)
-    ragged["dissipation"] = {0.0: np.zeros(3)}
+    ragged["dissipation_a0"] = np.zeros(3)
     with pytest.raises(ShapeError):
-        DiagnosticsSeries(**ragged)
+        DiagnosticsSeries((0.0,), ragged)
+
+    # the columns are exactly column_names(alphas), in order
+    reordered = {"dt": good["dt"]} | good
+    for columns, alphas in ((good, (1.0,)), (reordered, (0.0,)), ({}, (0.0,))):
+        with pytest.raises(ShapeError, match="diagnostic columns must be"):
+            DiagnosticsSeries(alphas, columns)
 
 
 def test_cancelling_forcing_freezes_field_exactly():
@@ -321,7 +320,8 @@ def test_run_simulation_normalizes_diagnostic_alphas():
     cfg = stock_config(n_cells=64, final_time=0.25, alphas=(2, 0, 1, 1))
     run = run_simulation(cfg)
     assert run.diagnostics.alphas == (0.0, 1.0, 2.0)
-    assert set(run.diagnostics.lp_norms) == {0.0, 1.0, 2.0}
+    assert [name for name in run.diagnostics.columns if name.startswith("lp_")] == [
+        "lp_a0", "lp_a1", "lp_a2"]
 
 
 def test_evolve_normalizes_alphas_as_run_config_does():
@@ -330,7 +330,7 @@ def test_evolve_normalizes_alphas_as_run_config_does():
     grid = GridSpec(x_min=-8.0, x_max=8.0, n_cells=64)
     v0 = init_field(grid, InitialDataSpec.gaussian())
     names = [
-        [name for name, _ in evolve(grid, v0, SchemeConfig(), 0.1, alphas=a).diagnostics.columns()]
+        list(evolve(grid, v0, SchemeConfig(), 0.1, alphas=a).diagnostics.columns)
         for a in ((2, 1), (1, 2), (1.0, 2.0, 2))
     ]
     assert names[0] == names[1] == names[2]
@@ -363,7 +363,7 @@ def test_run_config_normalizes_and_validates():
 
 
 def test_clip_counts_are_integer_valued(stock_run_256):
-    counts = stock_run_256.diagnostics.clip_counts
+    counts = stock_run_256.diagnostics["clip_count"]
     assert np.issubdtype(counts.dtype, np.integer)
     assert np.all(counts >= 0)
 
@@ -374,7 +374,7 @@ def test_sup_location_tracks_moving_maximum():
     # than one cell and should end strictly right of where it started.
     cfg = stock_config(n_cells=256, final_time=1.0)
     run = run_simulation(cfg)
-    xs = run.diagnostics.sup_u_x
+    xs = run.diagnostics["sup_u_x"]
     assert np.all(np.diff(xs) >= -run.grid.dx * 1.5)
     assert xs[-1] > xs[0]
 
@@ -415,7 +415,7 @@ GOLDEN_DIGESTS = {
 def _output_digest(run) -> str:
     """sha256 over the final v, every diagnostics column in file order and
     every snapshot's u and prefix integral."""
-    cols = [run.final_state.values] + [col for _, col in run.diagnostics.columns()]
+    cols = [run.final_state.values, *run.diagnostics.columns.values()]
     for snap in run.snapshots:
         cols += [snap.u, snap.p.interface_values, snap.p.cell_values]
     h = hashlib.sha256()
@@ -502,7 +502,7 @@ def test_state_only_run_matches_a_recording_run_bitwise(monkeypatch, case, leaky
     recorded, state_only = runs[True], runs[False]
 
     assert state_only.diagnostics is None
-    steps = recorded.diagnostics.times.size - 1
+    steps = recorded.diagnostics["time"].size - 1
     assert calls["step", False] == calls["step", True] == steps
     assert calls["interface_fluxes", False] == calls["interface_fluxes", True] == 2 * steps + 1
     assert state_only.final_state.values.tobytes() == recorded.final_state.values.tobytes()
@@ -547,7 +547,7 @@ def test_traced_functions_exist_and_evolve_calls_them_through_module_bindings(mo
         count(exprabelo.solver, name)
     count(exprabelo.scheme, "interface_fluxes")  # the second stage of each step
     run = run_simulation(stock_config(64, epsilon=1e-2, final_time=0.25, snapshot_times=(0.125,)))
-    rows = run.diagnostics.times.size
+    rows = run.diagnostics["time"].size
     steps = rows - 1
     assert steps > 2
     # one flux evaluation per diagnostics row, reused by the next step's

@@ -234,6 +234,17 @@ def test_power_balance_refuses_an_underflowed_initial_norm():
     assert all(lp_balance_residual(run, a).passed for a in (0.0, 1.0))
 
 
+def test_mass_balance_refuses_an_underflowed_initial_mass():
+    # v <= e^-745 underflows to 0 in every cell, so the mass is 0 and the
+    # relative residual has no denominator
+    run = run_simulation(
+        stock_config(64, final_time=0.5, init=InitialDataSpec.gaussian(amplitude=-745.0))
+    )
+    assert run.diagnostics["mass"][0] == 0.0
+    with pytest.raises(DomainError, match="mass balance needs a positive initial mass"):
+        mass_balance_identity(run)
+
+
 @pytest.mark.parametrize(
     "alphas, final_time, cause",
     [((1.0,), 0.1, "needs alpha = 0 diagnostics"), ((0.0,), 0.0, "needs at least one step")],
@@ -503,6 +514,27 @@ def test_stock_kruzhkov_minimum_shrinks_under_refinement_past_the_shock():
     assert all(1.5 * b <= a for a, b in zip(deficits, deficits[1:])), deficits
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the scheme conserves v, so past the breaking time its shock misses "
+    "the Rankine-Hugoniot speed in u",
+)
+def test_two_bump_preset_passes_the_certificate_at_the_stock_final_time():
+    # The default two-bump preset breaks at t = 0.868, before the stock
+    # T = 1, so `verify entropy` on it fails at 4096 cells: min weak value
+    # -9.08e-3 against the tolerance 7.72e-3 (margin 1.18).
+    report = kruzhkov_residual(stock_config(4096, init=InitialDataSpec.two_bump()))
+    assert report.passed, (report.min_value, report.tolerance)
+
+
+def test_two_bump_preset_passes_the_certificate_before_it_breaks():
+    # the same data at T = 0.8, before breaking: min weak value -1.18e-4,
+    # margin 0.019
+    report = kruzhkov_residual(stock_config(4096, final_time=0.8, init=InitialDataSpec.two_bump()))
+    assert report.passed, (report.min_value, report.tolerance)
+
+
 def v_form_certificate(grid, v0, scheme, final_time, levels):
     """The certificate of the v-form Kruzhkov pairs at the v levels
     ``levels``, through the same weak-form sums, on a run streamed at
@@ -553,7 +585,7 @@ def test_expansion_shock_field_is_the_advertised_weak_solution():
     vals = np.unique(u)
     np.testing.assert_allclose(vals, [0.0, math.log(2.0)], atol=1e-12)
     k = times.size // 2
-    jump_x = 1.5 * times[k]
+    jump_x = _chord_speed(1.0, 2.0) * times[k]
     row = u[k]
     left = row[grid.centers < jump_x - grid.dx]
     right = row[grid.centers > jump_x + grid.dx]
@@ -583,7 +615,7 @@ def test_stability_reads_its_window_from_the_first_config():
     assert report.T == 0.5
     assert report.sample_times == (0.25,)
     # sup u0 is the first diagnostics row's, bit for bit
-    assert report.sup_u0 == run_simulation(cfg_u).diagnostics.sup_u[0]
+    assert report.sup_u0 == run_simulation(cfg_u).diagnostics["sup_u"][0]
 
 
 def test_stability_runs_both_configs_to_the_first_configs_final_time(monkeypatch):
