@@ -298,8 +298,10 @@ def _hat_at(x, c, w: float):
 
 
 def _hat_antideriv(x, c, w: float):
-    t1 = np.clip(np.asarray(x, dtype=np.float64) - (c - w), 0.0, w)
-    t2 = np.clip(np.asarray(x, dtype=np.float64) - c, 0.0, w)
+    # np.minimum(np.maximum(...)) is np.clip bit for bit, and cheaper per call
+    x = np.asarray(x, dtype=np.float64)
+    t1 = np.minimum(np.maximum(x - (c - w), 0.0), w)
+    t2 = np.minimum(np.maximum(x - c, 0.0), w)
     return t1 * t1 / (2.0 * w) + t2 - t2 * t2 / (2.0 * w)
 
 
@@ -319,10 +321,15 @@ class _HatSums:
 
     using cellwise-constant u per slab between samples (endpoint average in
     time) and exact integration of the piecewise-linear phi. ``pair(u)``
-    returns the (pairs, n) blocks eta(u), q(u) and eta'(u). Each sample is
+    returns the (pairs, n) blocks eta(u), q(u) and eta'(u); they need only
+    be valid until the next call, and ``_HatSums`` only reads them, so a
+    pair may reuse its buffers or return read-only arrays. Each sample is
     projected onto the x-hats at once and only the previous sample's
     projections are kept, so memory is O(pairs * n) whatever the number of
-    samples. Nonnegative values are what an entropy solution must produce.
+    samples. The first sample's eta is copied, and eta - eta0 and eta' P
+    are formed in one (pairs, n) work array, so a sample allocates no
+    block of that size. Nonnegative values are what an entropy solution
+    must produce.
 
     eta enters relative to the first sample: the time hats telescope, so of
     eta(u(t0)) only its product with phi(t_end) remains, and cells where u
@@ -347,23 +354,28 @@ class _HatSums:
         self.dhx = _hat_at(right, c_x, w_x) - _hat_at(left, c_x, w_x)
         self.phi_mass = self.w_t * w_x
         self.eta0 = None
+        self.work = None  # (pairs, n) scratch for eta - eta0 and eta' P
         self.sums = None  # (pairs, x-hats, t-hats), without the eta(u(t0)) term
-        self.prev = None  # time, t-hat values and projections of the last sample
+        # time, t-hat values and antiderivatives, and projections of the last sample
+        self.prev = None
 
     def add(self, time: float, u: np.ndarray, p: np.ndarray | None = None) -> None:
         """Take the sample u (and P) at ``time``, which must follow the
         previous sample by at most ``_max_sample_gap``."""
         eta, q, eta_prime = self.pair(u)
+        if self.prev is None:
+            self.eta0 = eta.copy()
+            self.work = np.empty(eta.shape)
         f = q @ self.dhx
         if p is not None:
-            f -= (eta_prime * p) @ self.ihx
+            f -= np.multiply(eta_prime, p, out=self.work) @ self.ihx
         ht = _hat_at(time, self.c_t, self.w_t)
+        at = _hat_antideriv(time, self.c_t, self.w_t)
         if self.prev is None:
-            self.eta0 = eta
             e = np.zeros_like(f)
             self.sums = np.zeros(f.shape + ht.shape)
         else:
-            t_prev, ht_prev, e_prev, f_prev = self.prev
+            t_prev, ht_prev, at_prev, e_prev, f_prev = self.prev
             if not time > t_prev:
                 raise SparseSnapshotsError(f"sample time {time:.6g} does not follow {t_prev:.6g}")
             if time - t_prev > self.max_gap * (1.0 + 1e-9):
@@ -371,11 +383,10 @@ class _HatSums:
                     f"snapshot spacing {time - t_prev:.3e} exceeds min(dx, w_t / 2) = "
                     f"{self.max_gap:.3e}; record denser snapshots"
                 )
-            e = (eta - self.eta0) @ self.ihx
-            iht = _hat_integral(t_prev, time, self.c_t, self.w_t)
+            e = np.subtract(eta, self.eta0, out=self.work) @ self.ihx
             self.sums += 0.5 * (e_prev + e)[:, :, None] * (ht - ht_prev)
-            self.sums += 0.5 * (f_prev + f)[:, :, None] * iht
-        self.prev = (time, ht, e, f)
+            self.sums += 0.5 * (f_prev + f)[:, :, None] * (at - at_prev)
+        self.prev = (time, ht, at, e, f)
 
     def add_rows(self, times: np.ndarray, u_matrix: np.ndarray, p_matrix) -> None:
         for i, t in enumerate(times.tolist()):
@@ -387,15 +398,22 @@ class _HatSums:
         return self.sums + (self.eta0 @ self.ihx)[:, :, None] * ht_end
 
 
-def _samples(grid: GridSpec, times, u_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Times and u as float arrays, checked for one row of u per time."""
+def _samples(
+    grid: GridSpec, times, u_matrix, p_matrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Times, u and P (or None) as float arrays, checked for one row of u
+    and of P per time."""
     times = np.asarray(times, dtype=np.float64)
     u_matrix = np.asarray(u_matrix, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
         raise SparseSnapshotsError("need at least two snapshots in time")
     if u_matrix.shape != (times.size, grid.n_cells):
         raise SparseSnapshotsError("u sample shape does not match times x cells")
-    return times, u_matrix
+    if p_matrix is not None:
+        p_matrix = np.asarray(p_matrix, dtype=np.float64)
+        if p_matrix.shape != u_matrix.shape:
+            raise SparseSnapshotsError("P sample shape does not match times x cells")
+    return times, u_matrix, p_matrix
 
 
 def entropy_weak_values(
@@ -410,7 +428,7 @@ def entropy_weak_values(
     """Weak-form values of one entropy pair on an explicit space-time sample
     of u (and P), as ``_HatSums`` computes them; the return includes the
     common integral of phi for tolerance scaling."""
-    times, u_matrix = _samples(grid, times, u_matrix)
+    times, u_matrix, p_matrix = _samples(grid, times, u_matrix, p_matrix)
 
     def pair(u):
         return eta(u)[None], flux_q(u)[None], eta_prime(u)[None]
@@ -453,18 +471,21 @@ def _default_levels(u0: np.ndarray) -> tuple:
     return tuple(lo + (hi - lo) * j / 8.0 for j in range(1, 8))
 
 
-def _kruzhkov_pair(levels: tuple):
+def _kruzhkov_pair(levels: tuple, n_cells: int):
     """The Kruzhkov pairs |u - k|, sign(u - k)(e^u - e^k) and the derivative
-    sign(u - k), one row per level k."""
+    sign(u - k), one row per level k, for u of ``n_cells`` cells. Each call
+    fills the same three (levels, n_cells) buffers and returns them, so a
+    block is valid only until the next call."""
     k = np.array(levels)[:, None]
     ek = np.array([math.exp(c) for c in levels])[:, None]
+    d, sgn, q = (np.empty((len(levels), n_cells)) for _ in range(3))
+    exp_u = np.empty(n_cells)
 
     def pair(u):
-        d = u - k
-        sgn = np.sign(d)
-        q = np.exp(u) - ek
-        q *= sgn
-        return np.abs(d, out=d), q, sgn
+        np.subtract(u, k, out=d)
+        np.sign(d, out=sgn)
+        np.subtract(np.exp(u, out=exp_u), ek, out=q)
+        return np.abs(d, out=d), np.multiply(q, sgn, out=q), sgn
 
     return pair
 
@@ -495,9 +516,11 @@ def kruzhkov_on_field(
     """Kruzhkov certificate on an explicit space-time sample of u (and P),
     with times strictly increasing at most ``_max_sample_gap`` apart. The
     default levels come from the first row."""
-    times, u_matrix = _samples(grid, times, u_matrix)
+    times, u_matrix, p_matrix = _samples(grid, times, u_matrix, p_matrix)
     levels = _default_levels(u_matrix[0]) if levels is None else tuple(float(k) for k in levels)
-    sums = _HatSums(grid, float(times[0]), float(times[-1]), _kruzhkov_pair(levels))
+    sums = _HatSums(
+        grid, float(times[0]), float(times[-1]), _kruzhkov_pair(levels, grid.n_cells)
+    )
     sums.add_rows(times, u_matrix, p_matrix)
     return _entropy_report(grid, levels, sums)
 
@@ -516,7 +539,7 @@ def kruzhkov_residual(cfg: RunConfig) -> EntropyReport:
     grid = cfg.grid
     v0 = init_field(grid, cfg.init)
     levels = _default_levels(u_from_v(v0))
-    sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels))
+    sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels, grid.n_cells))
     source = cfg.scheme.source_enabled
 
     def take(snap):

@@ -751,6 +751,20 @@ def test_cli_reports_status_lines_and_exit_codes_are_golden(tmp_path, capsys):
     assert results == CLI_RESULT_GOLDEN
 
 
+# entropy.report of the stock gaussian at 4096 cells and T = 1, the size at
+# which the certificate's (levels x cells) work arrays, 229 KB each, lie
+# above the allocator's mmap threshold; the goldens above stay below it
+ENTROPY_4096_GOLDEN = "e7d0c7eeba6301815a18c4f112a9a20c9ec68633d4907e45148b47d012922daf"
+
+
+def test_entropy_report_at_4096_cells_is_golden(tmp_path, capsys):
+    text = MINIMAL.replace("n_cells = 64", "n_cells = 4096").replace("run.T = 0.25", "run.T = 1")
+    cfg = _write_cfg(tmp_path, text=text)
+    assert dispatch(["verify", "entropy", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    report = (tmp_path / "out" / "entropy.report").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == ENTROPY_4096_GOLDEN
+
+
 # the commands whose checks read the diagnostics series; every other one
 # runs state-only
 RECORDING_RUNS = {"simulate", "verify-balance", "verify-balance-ladder"}

@@ -44,6 +44,7 @@ from exprabelo.verifiers import (
     _entropy_report,
     _hat_at,
     _hat_integral,
+    _kruzhkov_pair,
     burgers_riemann_oracle,
     burgers_sanity,
     dense_snapshot_times,
@@ -345,6 +346,64 @@ def test_kruzhkov_rejects_sparse_snapshots():
         kruzhkov_on_field(grid, times[:1], u[:1])
     with pytest.raises(SparseSnapshotsError, match="does not match times x cells"):
         kruzhkov_on_field(grid, times, u[:, :-1])
+
+
+@pytest.mark.parametrize("shape", ["one-row", "extra-row", "interfaces"])
+def test_kruzhkov_on_field_rejects_p_that_is_not_times_by_cells(shape):
+    # one row of n cells would give sample i the scalar p[i] as its whole
+    # source, an extra row would be ignored, and an interface block would
+    # not broadcast against the cells
+    grid, times, u = expansion_shock_field(n_cells=64)
+    p = {
+        "one-row": np.ones(grid.n_cells),
+        "extra-row": np.ones((times.size + 1, grid.n_cells)),
+        "interfaces": np.ones((times.size, grid.n_cells + 1)),
+    }[shape]
+    with pytest.raises(SparseSnapshotsError, match="P sample shape does not match times x cells"):
+        kruzhkov_on_field(grid, times, u, p)
+
+
+def test_hat_sums_allocate_no_block_per_sample():
+    # one (levels x cells) float64 block is 229 KB at 4096 cells; blocks
+    # that large are mapped afresh and faulted in again on every sample
+    grid = GridSpec(x_min=-8.0, x_max=8.0, n_cells=4096)
+    levels = tuple(np.linspace(-3.0, -0.5, 7).tolist())
+    rng = np.random.default_rng(0)
+    u = rng.uniform(-4.0, 0.0, (3, grid.n_cells))
+    p = rng.uniform(0.0, 1.0, (3, grid.n_cells))
+    times = dense_snapshot_times(grid, 1.0)[:3]
+    sums = _HatSums(grid, 0.0, 1.0, _kruzhkov_pair(levels, grid.n_cells))
+    sums.add(times[0], u[0], p[0])
+    sums.add(times[1], u[1], p[1])
+    tracemalloc.start()
+    try:
+        sums.add(times[2], u[2], p[2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(levels) * grid.n_cells * 8
+
+
+@pytest.mark.parametrize("with_p", [False, True])
+def test_hat_sums_only_read_the_pair_blocks(with_p):
+    # a pair may return read-only blocks, and the reused buffers of
+    # _kruzhkov_pair must give the same bits as fresh copies of them
+    grid, times, u = expansion_shock_field()
+    p = np.cos(grid.centers)[None, :] * times[:, None] if with_p else None
+    direct = _kruzhkov_pair(_default_levels(u[0]), grid.n_cells)
+
+    def read_only(u_row):
+        blocks = tuple(b.copy() for b in direct(u_row))
+        for b in blocks:
+            b.setflags(write=False)
+        return blocks
+
+    values = []
+    for pair in (direct, read_only):
+        sums = _HatSums(grid, float(times[0]), float(times[-1]), pair)
+        sums.add_rows(times, u, p)
+        values.append(sums.values().tobytes())
+    assert values[0] == values[1]
 
 
 def test_kruzhkov_certifies_a_constant_field_on_flat_range_levels():
