@@ -54,5 +54,14 @@ def prefix_integral(grid: GridSpec, fv: FieldV) -> NonlocalP:
 
 
 def p_sup(p: NonlocalP) -> float:
-    """Max |P| over cell midpoints; feeds the source branch of the CFL bound."""
-    return float(np.abs(p.cell_values).max())
+    """Max |P| over cell midpoints; feeds the source branch of the CFL bound.
+
+    P of a field v >= 0 is nondecreasing in floating point, not only in exact
+    arithmetic: the prefix sums add nonnegative masses, and subtracting the
+    anchor value and averaging neighbours are monotone roundings. So max |P|
+    is |P| at one of the two end cells, and this equals
+    ``np.abs(p.cell_values).max()`` bit for bit; the outer abs turns the -0.0
+    that max(-0.0, 0.0) gives on an all-zero P into 0.0.
+    """
+    cells = p.cell_values
+    return abs(max(-float(cells[0]), float(cells[-1])))

@@ -239,17 +239,20 @@ def _rate(
     rate = np.subtract(flux[:-1], flux[1:], out=ws.rate)
     rate /= grid.dx
 
+    # rate - (v P - g) is rate + ((-v) P + g) bit for bit: (-v) P = -(v P),
+    # and x - y = -(y - x) except that both are +0 when x = y. Adding and
+    # subtracting +0 differ only on a rate of -0, which no flux difference
+    # gives, since no flux kernel returns -0
     source = ws.source
     if cfg.source_enabled:
         if p_cells is None:
             _, p_cells = _prefix_arrays(grid, v, ws.p_interface, ws.p_cells)
-        np.negative(v, out=source)
-        source *= p_cells
+        np.multiply(v, p_cells, out=source)
     else:
         source.fill(0.0)
     if cfg.forcing is not None:
-        source += cfg.forcing(t, grid.centers)
-    return np.add(rate, source, out=rate)
+        source -= cfg.forcing(t, grid.centers)
+    return np.subtract(rate, source, out=rate)
 
 
 def implicit_viscous_solve(
@@ -377,10 +380,13 @@ def step(
         r2 *= 0.5
         np.multiply(v, 0.5, out=out)
         out += r2                        # 0.5 v + 0.5 (stage + dt r2)
+    # a minimum >= 0 (not NaN) and a finite maximum clear the output in two
+    # reductions; only a field that fails them is scanned cell by cell
+    if out.min() >= 0.0 and out.max() < math.inf:
+        return FieldV._checked(out, fv.time + dt, 0)
     finite = np.isfinite(out, out=ws.mask)
     if not finite.all():
         raise BlowUpError(int(np.argmin(finite)), fv.time + dt)
     clip_count = int(np.count_nonzero(np.less(out, 0.0, out=ws.mask)))
-    if clip_count:
-        np.maximum(out, 0.0, out=out)
+    np.maximum(out, 0.0, out=out)
     return FieldV._checked(out, fv.time + dt, clip_count)

@@ -155,17 +155,17 @@ class DiagnosticsSeries:
 
 
 class _RowBuffers:
-    """Work arrays of ``record_diagnostics`` for one grid size, one row per
-    alpha: v and its powers zero-padded by one ghost on each side, their
-    forward differences, and powers times P."""
+    """Work arrays of ``record_diagnostics`` for one grid size, one row each
+    whatever the alphas: v and one power of v, zero-padded by one ghost on
+    each side, their forward differences, and the power times P."""
 
-    def __init__(self, n_cells: int, alphas: tuple):
-        n, rows = n_cells, len(alphas)
+    def __init__(self, n_cells: int):
+        n = n_cells
         self.v_pad = np.zeros(n + 2)
         self.dv = np.empty(n + 1)
-        self.power_pad = np.zeros((rows, n + 2))
-        self.dw = np.empty((rows, n + 1))
-        self.weighted = np.empty((rows, n))
+        self.power_pad = np.zeros(n + 2)
+        self.dw = np.empty(n + 1)
+        self.weighted = np.empty(n)
 
 
 def record_diagnostics(
@@ -183,17 +183,18 @@ def record_diagnostics(
 
     ``p`` and ``flux`` are the state's prefix integral and interface fluxes;
     the row reads the boundary flux |F_1/2| + |F_n+1/2| from ``flux`` and
-    evaluates no fluxes itself. ``buffers`` are the run's work arrays for
-    these alphas (fresh ones when omitted).
+    evaluates no fluxes itself. ``buffers`` are the run's work arrays (fresh
+    ones when omitted).
 
-    An integer power v^k, k = a + 1 up to ``CHAIN_MAX_POWER``, is the
-    product v v ... v taken from the left, v^3 = (v v) v: the previous row
-    times v when that row holds v^(k-1), else built from v. Either way a
+    The alphas are taken one at a time in one power row. An integer power
+    v^k, k = a + 1 up to ``CHAIN_MAX_POWER``, is the product v v ... v taken
+    from the left, v^3 = (v v) v: the row times v when the row holds
+    v^(k-1), else built from v, and v itself when k = 1. Either way a
     column's bits depend only on its own alpha; every other alpha takes
     ``np.power``. ``lp_a0`` is the mass sum itself.
     """
     if buffers is None:
-        buffers = _RowBuffers(grid.n_cells, alphas)
+        buffers = _RowBuffers(grid.n_cells)
     v = fv.values
     dx = grid.dx
     imax = int(v.argmax())
@@ -201,44 +202,35 @@ def record_diagnostics(
     sup_u_x = float(grid.centers[imax])
     mass = float(v.sum()) * dx
     boundary = float(abs(flux[0]) + abs(flux[-1]))
+    row = [fv.time, float(dt), sup_u, sup_u_x, mass, boundary,
+           float(p.interface_values[0]), float(p.interface_values[-1]), fv.clip_count]
 
-    # one zero-padded row per alpha holds v^(a+1); D+ of a padded row is the
-    # forward difference over every interface. Each row reduces on its own.
+    # the power row is zero-padded by one ghost on each side, so its D+ is
+    # the forward difference over every interface
     pad = buffers.power_pad
-    powers = pad[:, 1:-1]
-    for j, a in enumerate(alphas):
-        k = a + 1.0
-        if not (k.is_integer() and k <= CHAIN_MAX_POWER):
-            np.power(v, k, out=powers[j])
-        elif j and alphas[j - 1] + 1.0 == k - 1.0:  # row j-1 holds v^(k-1)
-            np.multiply(powers[j - 1], v, out=powers[j])
-        else:
-            np.copyto(powers[j], v)
-            for _ in range(int(k) - 1):
-                powers[j] *= v
-    # normalized alphas put 0 first; its norm is the mass, bit for bit
-    skip = 1 if alphas[0] == 0.0 else 0
-    lp = [mass] * skip + [s * dx for s in np.add.reduce(powers[skip:], axis=1).tolist()]
     if cfg.epsilon > 0.0:
         buffers.v_pad[1:-1] = v
         dv = np.subtract(buffers.v_pad[1:], buffers.v_pad[:-1], out=buffers.dv)
-        dw = np.subtract(pad[:, 1:], pad[:, :-1], out=buffers.dw)
-        dw *= dv
-        sums = np.add.reduce(dw, axis=1).tolist()
-        diss = [cfg.epsilon * (a + 1.0) * s / dx for a, s in zip(alphas, sums)]
-    else:
-        diss = [0.0] * len(alphas)
-    if cfg.source_enabled:
-        weighted = np.multiply(powers, p.cell_values, out=buffers.weighted)
-        sums = np.add.reduce(weighted, axis=1).tolist()
-        src = [(a + 1.0) * s * dx for a, s in zip(alphas, sums)]
-    else:
-        src = [0.0] * len(alphas)
-
-    row = [fv.time, float(dt), sup_u, sup_u_x, mass, boundary,
-           float(p.interface_values[0]), float(p.interface_values[-1]), fv.clip_count]
-    for block in zip(lp, diss, src):
-        row += block
+    power, held = v, 1.0  # power holds v^held; None after np.power
+    for a in alphas:
+        k = a + 1.0
+        if not (k.is_integer() and k <= CHAIN_MAX_POWER):
+            power, held = np.power(v, k, out=pad[1:-1]), None
+        else:
+            if held != k - 1.0:
+                power, held = v, 1.0
+            while held < k:
+                power, held = np.multiply(power, v, out=pad[1:-1]), held + 1.0
+        lp = mass if power is v else float(np.add.reduce(power)) * dx
+        diss = src = 0.0
+        if cfg.epsilon > 0.0:
+            dpow = dv if power is v else np.subtract(pad[1:], pad[:-1], out=buffers.dw)
+            s = float(np.add.reduce(np.multiply(dpow, dv, out=buffers.dw)))
+            diss = cfg.epsilon * (a + 1.0) * s / dx
+        if cfg.source_enabled:
+            s = float(np.add.reduce(np.multiply(power, p.cell_values, out=buffers.weighted)))
+            src = (a + 1.0) * s * dx
+        row += (lp, diss, src)
     return row
 
 
@@ -307,7 +299,7 @@ def evolve(
     alphas = _normalize_alphas(alphas)
 
     ws = Workspace(grid.n_cells)
-    buffers = _RowBuffers(grid.n_cells, alphas) if diagnostics else None
+    buffers = _RowBuffers(grid.n_cells) if diagnostics else None
     rows, snaps = [], []
     take = snaps.append if on_snapshot is None else on_snapshot
     fv, dt, landing = v0, 0.0, events[0] == 0.0

@@ -1,8 +1,9 @@
 """Shared fixtures: the stock run configurations, a session-level cache so
 expensive ladders are computed once for the whole suite, a guard that fails
 a test which runs a simulation, the scheme's right-hand side written out part
-by part for the tests that check against it, and the Kruzhkov pairs of the
-v-form law that the scheme conserves."""
+by part for the tests that check against it, a diagnostics row computed one
+block of rows per alpha set for the tests of the one-row recorder, and the
+Kruzhkov pairs of the v-form law that the scheme conserves."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import exprabelo.solver
 import exprabelo.verifiers
 from exprabelo import InitialDataSpec, RunConfig, SchemeConfig, build_grid, prefix_integral
 from exprabelo.scheme import interface_fluxes
-from exprabelo.solver import run_simulation
+from exprabelo.grid_field import V_TINY
+from exprabelo.solver import CHAIN_MAX_POWER, run_simulation
 from exprabelo.verifiers import run_ladder
 
 STOCK_DOMAIN = (-8.0, 8.0)
@@ -110,6 +112,49 @@ def cancelling_forcing(grid, v0, cfg):
         return g
 
     return forcing
+
+
+def reference_diagnostics_row(grid, fv, p, flux, cfg, dt, alphas):
+    """A diagnostics row as ``record_diagnostics`` built it from one
+    (alphas x n) block per quantity: every power row first, each row of
+    v^(a+1) chained from the row before it when that row holds v^a, and
+    each block reduced along its rows. The one-row recorder must give these
+    bits."""
+    v = fv.values
+    n, dx = v.size, grid.dx
+    imax = int(v.argmax())
+    mass = float(v.sum()) * dx
+    pad = np.zeros((len(alphas), n + 2))
+    powers = pad[:, 1:-1]
+    for j, a in enumerate(alphas):
+        k = a + 1.0
+        if not (k.is_integer() and k <= CHAIN_MAX_POWER):
+            np.power(v, k, out=powers[j])
+        elif j and alphas[j - 1] + 1.0 == k - 1.0:
+            np.multiply(powers[j - 1], v, out=powers[j])
+        else:
+            np.copyto(powers[j], v)
+            for _ in range(int(k) - 1):
+                powers[j] *= v
+    skip = 1 if alphas[0] == 0.0 else 0
+    lp = [mass] * skip + [s * dx for s in np.add.reduce(powers[skip:], axis=1).tolist()]
+    if cfg.epsilon > 0.0:
+        dv = np.diff(np.concatenate(([0.0], v, [0.0])))
+        sums = np.add.reduce((pad[:, 1:] - pad[:, :-1]) * dv, axis=1).tolist()
+        diss = [cfg.epsilon * (a + 1.0) * s / dx for a, s in zip(alphas, sums)]
+    else:
+        diss = [0.0] * len(alphas)
+    if cfg.source_enabled:
+        sums = np.add.reduce(powers * p.cell_values, axis=1).tolist()
+        src = [(a + 1.0) * s * dx for a, s in zip(alphas, sums)]
+    else:
+        src = [0.0] * len(alphas)
+    row = [fv.time, float(dt), math.log(max(float(v[imax]), V_TINY)), float(grid.centers[imax]),
+           mass, float(abs(flux[0]) + abs(flux[-1])),
+           float(p.interface_values[0]), float(p.interface_values[-1]), fv.clip_count]
+    for block in zip(lp, diss, src):
+        row += block
+    return row
 
 
 def v_form_kruzhkov_pair(levels):

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
 from exprabelo import (
@@ -100,6 +103,26 @@ def test_p_sup():
     g = build_grid(-8.0, 8.0, 64)
     p = prefix_integral(g, FieldV(np.ones(64), 0.0))
     assert p_sup(p) == np.max(np.abs(g.centers))
+
+
+@given(
+    data=st.data(),
+    n=st.integers(4, 200),
+    dx=st.sampled_from((1.0, 0.25, 0.1)),
+    scale=st.sampled_from((1.0, 1e-300, 1e300)),
+)
+@settings(max_examples=200, deadline=None)
+def test_p_sup_reads_the_end_cells_bitwise(data, n, dx, scale):
+    # P of a field >= 0 is nondecreasing in floating point, so its largest
+    # |P| sits in an end cell; zeros, values near 1e-300 and 1e300, and an
+    # anchor at or next to either end of the grid may not move a bit
+    anchor = data.draw(st.sampled_from((1, 2, n // 2, n - 2, n - 1)))
+    g = build_grid(-anchor * dx, (n - anchor) * dx, n)
+    values = data.draw(arrays(np.float64, n, elements=st.one_of(
+        st.just(0.0), st.floats(0.0, 1.0), st.floats(1e-320, 1e-300))))
+    p = prefix_integral(g, FieldV(values * scale, 0.0))
+    expected = np.abs(p.cell_values).max()
+    assert np.array(p_sup(p)).tobytes() == expected.tobytes()
 
 
 def test_arrays_read_only():

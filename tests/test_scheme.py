@@ -23,7 +23,7 @@ from exprabelo import (
     step,
 )
 from exprabelo.grid_field import InitialDataSpec, init_field
-from exprabelo.scheme import DELTA, Workspace, face_states, implicit_viscous_solve
+from exprabelo.scheme import DELTA, Workspace, _rate, face_states, implicit_viscous_solve
 from exprabelo.solver import DiagnosticsSeries, evolve, record_diagnostics
 from exprabelo.verifiers import ORACLE_DOMAIN, ORACLE_FINAL_TIME, mms_forcing, mms_solution
 
@@ -465,6 +465,68 @@ def test_blow_up_reports_first_cell_and_time():
         step(g, fv, cfg, 1e-3)
     assert exc.value.cell_index == 3
     assert exc.value.time == pytest.approx(1e-3)
+
+
+def test_blow_up_to_plus_inf_alone_names_the_first_inf_cell():
+    # the forcing turns on only at stage two's time, when it sends cells 3
+    # and 5 to +inf and nothing to NaN: the output's minimum is finite and
+    # >= 0, its maximum is inf, and the error names cell 3
+    g = build_grid(-2.0, 2.0, 8)
+    fv = FieldV(np.ones(8), 0.0)
+
+    def late_inf(t, x):
+        out = np.zeros_like(x)
+        if t > 0.0:
+            out[[3, 5]] = np.inf
+        return out
+
+    for source_enabled in (True, False):
+        with pytest.raises(BlowUpError) as exc:
+            step(g, fv, SchemeConfig(forcing=late_inf, source_enabled=source_enabled), 1e-3)
+        assert exc.value.cell_index == 3
+        assert exc.value.time == 1e-3
+
+
+def test_negative_zero_output_is_kept_and_not_clipped():
+    # on a zero field whose cell 3 holds -0.0, a forcing of minus the
+    # smallest subnormal at stage two's time leaves stage two at -5e-324,
+    # which halves to -0.0; 0.5 (-0.0) + (-0.0) is -0.0. That cell is not
+    # below 0, so it is neither clipped nor counted, and keeps its sign bit
+    g = build_grid(-2.0, 2.0, 8)
+    v = np.zeros(8)
+    v[3] = -0.0
+
+    def tiny_sink(t, x):
+        out = np.zeros_like(x)
+        if t > 0.0:
+            out[3] = -5e-324
+        return out
+
+    out = step(g, FieldV(v, 0.0), SchemeConfig(forcing=tiny_sink), 1.0)
+    assert out.clip_count == 0
+    assert out.values[3] == 0.0 and np.signbit(out.values[3])
+    assert not np.any(np.signbit(np.delete(out.values, 3)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 200), forced=st.booleans(),
+       source_enabled=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_rate_equals_flux_divergence_plus_negated_source_bitwise(seed, n, forced, source_enabled):
+    # _rate subtracts v P - g; it must give the bits of rate + ((-v) P + g),
+    # with zeros for v P when the source is off. A third of the cells have
+    # g = v P exactly, where the source is a signed zero
+    rng = np.random.default_rng(seed)
+    g = build_grid(-0.25 * (n // 2), 0.25 * (n - n // 2), n)
+    v = rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.8)
+    fv = FieldV(v, 0.5)
+    p = prefix_integral(g, fv)
+    forcing_values = np.where(rng.random(n) < 1 / 3, v * p.cell_values, rng.normal(size=n))
+    cfg = SchemeConfig(forcing=(lambda t, x: forcing_values) if forced else None,
+                       source_enabled=source_enabled)
+    flux_div, source, _ = semi_discrete_rhs(g, fv, p, cfg)
+    expected = flux_div + source
+    got = _rate(g, fv.values, fv.time, None, cfg, Workspace(n))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_stepped_field_is_checked_in_step_only(monkeypatch):

@@ -17,6 +17,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import exprabelo.scheme
 import exprabelo.solver
@@ -31,6 +34,7 @@ from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig, interface_fluxes
 from exprabelo.solver import (
     DiagnosticsSeries,
+    _RowBuffers,
     RunConfig,
     evolve,
     record_diagnostics,
@@ -42,7 +46,7 @@ from exprabelo.verifiers import (
     riemann_initial,
 )
 
-from conftest import cancelling_forcing, stock_config
+from conftest import cancelling_forcing, reference_diagnostics_row, stock_config
 
 
 def test_source_integral_telescopes_to_boundary_prefix_values(stock_run_256):
@@ -152,6 +156,54 @@ def test_unchained_alpha_columns_keep_np_power_bitwise():
     keep = [0, 1, 3, 4]
     for name in ("lp", "dissipation", "source"):
         assert cols[name][keep].tobytes() == ref[name][keep].tobytes(), name
+
+
+# nonnegative fields with exact zeros, long enough for numpy's pairwise sums
+_fields = arrays(
+    np.float64,
+    st.integers(4, 300),
+    elements=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e-3)),
+)
+
+
+@given(
+    v=_fields,
+    alphas=st.lists(st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0, 5.0)),
+                    min_size=1, max_size=5, unique=True),
+    epsilon=st.sampled_from((0.0, 1e-2)),
+    source_enabled=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_one_row_recorder_gives_the_block_rows_bitwise(v, alphas, epsilon, source_enabled):
+    # alpha sets with gaps such as (0, 2) and (1, 3), non-integer alphas and
+    # ones past CHAIN_MAX_POWER, sorted as evolve passes them or in any order
+    # a direct caller lists them; the float bits are compared, so a -0.0 for
+    # a 0.0 would fail
+    alphas = tuple(alphas)
+    grid = GridSpec(-0.25 * (v.size // 2), 0.25 * (v.size - v.size // 2), v.size)
+    fv = FieldV(v, 0.25, 3)
+    p = prefix_integral(grid, fv)
+    cfg = SchemeConfig(epsilon=epsilon, source_enabled=source_enabled)
+    flux = interface_fluxes(fv.values, cfg.flux)
+    buffers = _RowBuffers(v.size)
+    for _ in range(2):  # the second row runs on the buffers the first left behind
+        row = record_diagnostics(grid, fv, p, flux, cfg, 1e-3, alphas, buffers)
+        ref = reference_diagnostics_row(grid, fv, p, flux, cfg, 1e-3, alphas)
+        assert np.array(row).view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
+
+
+def test_row_buffers_hold_five_rows_whatever_the_alphas():
+    grid = GridSpec(-2.0, 2.0, 64)
+    fv = FieldV(np.linspace(0.0, 2.0, 64), 0.0)
+    p = prefix_integral(grid, fv)
+    cfg = SchemeConfig(epsilon=1e-2)
+    flux = interface_fluxes(fv.values, cfg.flux)
+    held = []
+    for alphas in ((1.0,), (0.0, 0.5, 1.0, 2.0, 3.0)):
+        buffers = _RowBuffers(grid.n_cells)
+        record_diagnostics(grid, fv, p, flux, cfg, 0.0, alphas, buffers)
+        held.append(sum(a.nbytes for a in vars(buffers).values()))
+    assert held[0] == held[1] <= 5 * (grid.n_cells + 2) * 8
 
 
 def test_snapshots_land_bitwise_on_requested_times(stock_run_256):
