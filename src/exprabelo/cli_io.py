@@ -78,8 +78,8 @@ _SCALAR_KEYS = {
     "scheme.epsilon": _parse_float,
     "scheme.cfl": _parse_float,
     "run.T": _parse_float,
-    "run.snapshots": partial(_parse_list, kind=float),
-    "diag.alphas": partial(_parse_list, kind=float),
+    "run.snapshots": partial(_parse_list, kind=_parse_float),
+    "diag.alphas": partial(_parse_list, kind=_parse_float),
 }
 _REQUIRED_KEYS = ("grid.x_min", "grid.x_max", "grid.n_cells", "init.preset", "run.T")
 
@@ -448,7 +448,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv and run one subcommand; returns the process exit status.
 
     0 means every requested check passed, 1 means a verification failed, and
-    2 means the invocation or configuration was unusable.
+    2 means the invocation or configuration was unusable, including a
+    grid whose arrays the machine refuses to allocate.
     """
     try:
         args = _build_parser().parse_args(argv)
@@ -458,7 +459,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         # the program's own checks refuse and name every overflow or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             return args.run(args)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,18 +52,26 @@ class GridSpec:
     x_min: float
     x_max: float
     n_cells: int
+    # cell width and the index of the interface at x = 0, set by the check
+    dx: float = field(init=False, repr=False, compare=False)
+    anchor_index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise GridAlignmentError("grid endpoints must be finite")
         if self.n_cells < 4:
             raise GridSizeError(f"n_cells must be at least 4, got {self.n_cells}")
+        if self.n_cells > 2**53:  # where float64 cell indices stop being exact
+            raise GridSizeError(f"n_cells must be at most 2^53, got {self.n_cells}")
         if not (self.x_min < 0.0 < self.x_max):
             raise GridAlignmentError(
                 f"x = 0 must lie strictly inside the domain, got "
                 f"[{self.x_min}, {self.x_max}]"
             )
         dx = (self.x_max - self.x_min) / self.n_cells
+        if not 0.0 < dx < math.inf:
+            raise GridSizeError(f"cell width {dx} of [{self.x_min}, {self.x_max}] with "
+                                f"{self.n_cells} cells must be positive and finite")
         ratio = -self.x_min / dx
         nearest = round(ratio)
         if abs(ratio - nearest) > ALIGNMENT_RTOL * max(1.0, abs(ratio)):
@@ -76,15 +84,8 @@ class GridSpec:
                 f"nearest admissible endpoints are x_min = {sx_min:.17g}, "
                 f"x_max = {sx_max:.17g}"
             )
-
-    @cached_property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.n_cells
-
-    @cached_property
-    def anchor_index(self) -> int:
-        # interface index whose coordinate is exactly 0
-        return round(-self.x_min / self.dx)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "anchor_index", nearest)
 
     @cached_property
     def interfaces(self) -> np.ndarray:

@@ -30,8 +30,6 @@ from .errors import BlowUpError, StateError
 from .grid_field import FieldV, GridSpec
 from .nonlocal_op import NonlocalP, _prefix_arrays, p_sup
 
-FLUXES = ("godunov", "rusanov")
-
 # ARS(2,2,2): the implicit diagonal gamma and the explicit weight delta
 GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
@@ -97,7 +95,6 @@ class Workspace:
         self.diag = np.empty(n)          # implicit viscous solve
         self.p_interface = np.empty(n + 1)
         self.p_cells = np.empty(n)
-        self.mask = np.empty(n, dtype=bool)
 
 
 # The flux kernels evaluate f(v) = v^2 / 2 as (0.5 v) v into ``out``, using
@@ -129,6 +126,7 @@ def _rusanov(a, b, out, tmp):
 
 
 _FLUX_FN = {"godunov": _godunov, "rusanov": _rusanov}
+FLUXES = tuple(_FLUX_FN)
 
 
 def _pointwise_flux(kernel, a, b):
@@ -384,9 +382,9 @@ def step(
     # reductions; only a field that fails them is scanned cell by cell
     if out.min() >= 0.0 and out.max() < math.inf:
         return FieldV._checked(out, fv.time + dt, 0)
-    finite = np.isfinite(out, out=ws.mask)
+    finite = np.isfinite(out)
     if not finite.all():
         raise BlowUpError(int(np.argmin(finite)), fv.time + dt)
-    clip_count = int(np.count_nonzero(np.less(out, 0.0, out=ws.mask)))
+    clip_count = int(np.count_nonzero(out < 0.0))
     np.maximum(out, 0.0, out=out)
     return FieldV._checked(out, fv.time + dt, clip_count)

@@ -366,15 +366,14 @@ class _HatSums:
         if self.prev is None:
             self.eta0 = eta.copy()
             self.work = np.empty(eta.shape)
+            self.sums = np.zeros((len(eta), self.ihx.shape[1], self.c_t.size))
         f = q @ self.dhx
         if p is not None:
             f -= np.multiply(eta_prime, p, out=self.work) @ self.ihx
+        e = np.subtract(eta, self.eta0, out=self.work) @ self.ihx
         ht = _hat_at(time, self.c_t, self.w_t)
         at = _hat_antideriv(time, self.c_t, self.w_t)
-        if self.prev is None:
-            e = np.zeros_like(f)
-            self.sums = np.zeros(f.shape + ht.shape)
-        else:
+        if self.prev is not None:
             t_prev, ht_prev, at_prev, e_prev, f_prev = self.prev
             if not time > t_prev:
                 raise SparseSnapshotsError(f"sample time {time:.6g} does not follow {t_prev:.6g}")
@@ -383,7 +382,6 @@ class _HatSums:
                     f"snapshot spacing {time - t_prev:.3e} exceeds min(dx, w_t / 2) = "
                     f"{self.max_gap:.3e}; record denser snapshots"
                 )
-            e = np.subtract(eta, self.eta0, out=self.work) @ self.ihx
             self.sums += 0.5 * (e_prev + e)[:, :, None] * (ht - ht_prev)
             self.sums += 0.5 * (f_prev + f)[:, :, None] * (at - at_prev)
         self.prev = (time, ht, at, e, f)

@@ -138,6 +138,8 @@ def test_parse_full_config():
         ("scheme.flux = upwindish", "unknown flux"),
         ("run.snapshots = 0, banana", "banana"),
         ("scheme.epsilon = nan", "nan"),
+        ("run.snapshots = 0.5, nan", "run.snapshots"),
+        ("diag.alphas = 0, nan", "diag.alphas"),
     ],
 )
 def test_parse_rejects_bad_lines_with_line_number(mutation, fragment):
@@ -1165,6 +1167,11 @@ def test_simulate_refuses_a_non_finite_init_parameter(tmp_path, capsys, no_evolv
 UNDERFLOW = MINIMAL.replace("run.T = 0.25", "run.T = 0.5") + "init.amplitude = -300\n"
 # ((x - c) / sigma)^2 overflows, so the profile is 0 everywhere
 TINY_SIGMA = MINIMAL + "init.sigma = 1e-300\n"
+# a cell count beyond 2^53, where the float64 cell indices stop being exact
+HUGE_COUNT = "1" + "0" * 400
+# 4 cells on [-5e-324, 5e-324]: the cell width underflows to 0
+ZERO_WIDTH = (MINIMAL.replace("x_min = -8", "x_min = -5e-324")
+              .replace("x_max = 8", "x_max = 5e-324").replace("n_cells = 64", "n_cells = 4"))
 
 
 # the exit-status contract on input that parses but that the arithmetic cannot
@@ -1184,17 +1191,30 @@ TINY_SIGMA = MINIMAL + "init.sigma = 1e-300\n"
         (MINIMAL + "init.amplitude = 700\n", ["simulate"], 2, "non-finite boundary flux at t = 0"),
         (MINIMAL + "init.amplitude = 200\n", ["simulate"], 2,
          "non-finite value in cell 3 at t = 7.32677e-87"),
+        (ZERO_WIDTH, ["simulate"], 2,
+         "cell width 0.0 of [-5e-324, 5e-324] with 4 cells must be positive"),
+        (MINIMAL.replace("n_cells = 64", f"n_cells = {HUGE_COUNT}"), ["simulate"], 2,
+         "n_cells must be at most 2^53"),
+        (None, ["burgers-sanity", "--cells", HUGE_COUNT], 2, "n_cells must be at most 2^53"),
+        # 8e15 bytes lie beyond the address space: the first allocation is
+        # refused outright, before any page is touched
+        (MINIMAL.replace("n_cells = 64", "n_cells = 1000000000000000"), ["simulate"], 2,
+         "Unable to allocate 7.11 PiB"),
     ],
     ids=["zero initial norm", "v underflows", "positive norms", "expansion shock",
-         "profile overflows", "v overflows", "flux overflows", "blow-up"],
+         "profile overflows", "v overflows", "flux overflows", "blow-up", "width underflows",
+         "count past 2^53", "burgers count past 2^53", "allocation refused"],
 )
 def test_hostile_input_gets_its_documented_exit_status(tmp_path, capsys, text, command,
                                                        status, says):
     argv = command if text is None else [*command, _write_cfg(tmp_path, text=text)]
     out = tmp_path / "out"
     assert dispatch([*argv, "--out", str(out)]) == status
-    assert says in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert says in err
     assert out.exists() == (status != 2)
+    if status == 2:  # one error line, no traceback
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_module_entry_point_sets_the_exit_status(tmp_path):

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, expit
 
@@ -15,6 +17,7 @@ from exprabelo import (
     FieldV,
     GridAlignmentError,
     GridSizeError,
+    GridSpec,
     InitialDataSpec,
     build_grid,
     init_field,
@@ -51,6 +54,35 @@ def test_grid_size_and_sign_validation():
         build_grid(1.0, 2.0, 8)  # zero not interior
     with pytest.raises(ValueError):
         build_grid(-math.inf, 1.0, 8)
+    # the float64 cell indices are exact up to 2^53 cells, and no further
+    assert build_grid(-1.0, 1.0, 2**53).anchor_index == 2**52
+    with pytest.raises(GridSizeError, match=r"at most 2\^53"):
+        build_grid(-1.0, 1.0, 2**53 + 2)
+    # a cell width that underflows to 0 or overflows to inf
+    for x_min, x_max in ((-5e-324, 5e-324), (-1e308, 1e308)):
+        with pytest.raises(GridSizeError, match="must be positive and finite"):
+            build_grid(x_min, x_max, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_cells=st.integers(4, 4096),
+    share=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    width=st.floats(1e-300, 1e300),
+)
+def test_grid_width_and_anchor_come_from_the_endpoints(n_cells, share, width):
+    k = min(max(round(share * n_cells), 1), n_cells - 1)
+    h = width / n_cells
+    x_min, x_max = -k * h, (n_cells - k) * h
+    g = GridSpec(x_min, x_max, n_cells)
+    assert g.dx.hex() == ((x_max - x_min) / n_cells).hex()
+    assert g.anchor_index == round(-x_min / g.dx) == k
+    # equality, hash and repr see the three defining fields only, even once
+    # one of two equal grids has cached its arrays
+    twin = GridSpec(x_min, x_max, n_cells)
+    assert g.interfaces[k] == 0.0
+    assert g == twin and hash(g) == hash(twin) == hash((x_min, x_max, n_cells))
+    assert repr(g) == repr(twin) == f"GridSpec(x_min={x_min!r}, x_max={x_max!r}, n_cells={n_cells})"
 
 
 def test_grid_arrays_are_read_only():
