@@ -36,10 +36,30 @@ DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
 
 ForcingFn = Callable[[float, np.ndarray], np.ndarray]
 
-# LAPACK's tridiagonal solver, imported by the first viscous solve: loading
-# scipy.linalg costs a process about 0.2 s and 26 MB, which an inviscid run
-# never needs
+# LAPACK's tridiagonal solver, loaded by the first viscous solve, which an
+# inviscid run never makes. Importing it from scipy.linalg.lapack would run
+# scipy.linalg's package init for this one routine: 85 scipy modules where
+# this needs 11, about 0.4 s and 23 MB per process. So _load_dgtsv loads the
+# extension module scipy/linalg/_flapack by path under its own name; a later
+# import of scipy.linalg.lapack finds it in sys.modules and hands out the same
+# dgtsv. The path is private to scipy and was checked on scipy 1.17.1 only.
 _dgtsv = None
+
+
+def _load_dgtsv() -> Callable:
+    import os
+    import sys
+    from importlib import machinery, util
+
+    import scipy  # its init loads the OpenBLAS that _flapack links against
+
+    name = "scipy.linalg._flapack"
+    suffix = machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
+    spec = util.spec_from_file_location(name, path, loader=machinery.ExtensionFileLoader(name, path))
+    module = sys.modules[name] = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.dgtsv
 
 
 @dataclass(frozen=True)
@@ -269,11 +289,13 @@ def implicit_viscous_solve(
     rhs >= 0 gives x >= 0. Each row is divided by its diagonal first. Its
     off-diagonals then lie in [-1/2, 0], so the elimination never swaps rows
     and only ever adds nonnegative terms, and x >= 0 holds in floating point
-    too. ``out`` may be ``w`` itself, which is read before ``out`` is written.
+    too. ``out`` may be ``w`` itself, which is read before ``out`` is written;
+    an ``out`` that is not a C-contiguous float64 array gets the solution
+    copied in, since LAPACK then solves in a converted copy.
     """
     global _dgtsv
     if _dgtsv is None:
-        from scipy.linalg.lapack import dgtsv as _dgtsv
+        _dgtsv = _load_dgtsv()
     if ws is None:
         ws = Workspace(w.size)
     if out is None:
@@ -284,7 +306,9 @@ def implicit_viscous_solve(
     off /= diag
     np.divide(rhs, diag, out=out)
     diag.fill(1.0)
-    _dgtsv(off[1:], diag, off[:-1], out, overwrite_d=1, overwrite_b=1)
+    x = _dgtsv(off[1:], diag, off[:-1], out, overwrite_d=1, overwrite_b=1)[3]
+    if x is not out:
+        out[...] = x
     return out
 
 

@@ -1235,17 +1235,19 @@ def test_module_entry_point_sets_the_exit_status(tmp_path):
     assert not (tmp_path / "tiny").exists()
 
 
-# Runs in one fresh interpreter: after each step it prints the scipy modules
-# loaded so far. Of these CLI steps only the viscous solve (LAPACK's dgtsv)
-# and the plateau profile (expit) may load scipy, each when first needed.
-COLD_START = """
-import sys
-import exprabelo.cli_io
-import exprabelo.solver
-
+LOADED_SCIPY = """
 def loaded(step):
     names = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
     print(step, *names)
+"""
+
+# Runs in one fresh interpreter: after each step it prints the scipy modules
+# loaded so far. Of these CLI steps only the viscous solve (LAPACK's dgtsv)
+# and the plateau profile (expit) may load scipy, each when first needed.
+COLD_START = LOADED_SCIPY + """
+import sys
+import exprabelo.cli_io
+import exprabelo.solver
 
 loaded("import")
 for step, argv in [
@@ -1278,7 +1280,14 @@ def test_cold_start_loads_scipy_only_where_it_is_used(tmp_path):
     assert list(loaded) == ["import", "simulate", "entropy", "viscous", "plateau"]
     for step in ("import", "simulate", "entropy"):
         assert loaded[step] == set(), step
-    assert "scipy.linalg" in loaded["viscous"]
+    # the viscous step loads dgtsv's extension module and what import scipy
+    # loads by itself, but never runs scipy.linalg's package init
+    code = LOADED_SCIPY + "import sys, scipy\nloaded('scipy')\n"
+    bare = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert bare.returncode == 0, bare.stderr
+    _, *bare_scipy = bare.stdout.split()
+    assert loaded["viscous"] - set(bare_scipy) == {"scipy.linalg._flapack"}
+    assert not {"scipy.linalg", "scipy.linalg.lapack"} & loaded["viscous"]
     assert not {"scipy.special", "scipy.integrate", "scipy.optimize"} & loaded["viscous"]
     assert "scipy.special" in loaded["plateau"]
 

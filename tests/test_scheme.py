@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -287,6 +289,57 @@ def test_implicit_viscous_solve_replays(w, rhs, coef):
     # draws that once failed the property above; @example cannot carry the
     # st.data() draw of the right-hand side, so they are pinned here
     check_nonnegative_exact_solve(np.array(w), np.array(rhs), coef)
+
+
+@settings(max_examples=100, deadline=None)
+@given(implicit_cells, st.data(), st.floats(0.0, 1e6, allow_subnormal=False))
+def test_implicit_viscous_solve_is_lapack_dgtsv(w, data, coef):
+    # the by-path loader hands out scipy's own routine: the same row-scaled
+    # system, solved by scipy.linalg.lapack.dgtsv, agrees bit for bit
+    from scipy.linalg.lapack import dgtsv
+
+    rhs = np.array(data.draw(st.lists(
+        st.floats(0.0, 1e6, allow_subnormal=False), min_size=w.size, max_size=w.size
+    )))
+    off = w * -coef
+    diag = off * -2.0 + 1.0
+    off = off / diag
+    *_, expected, info = dgtsv(off[1:], np.ones(w.size), off[:-1], rhs / diag)
+    assert info == 0
+    assert implicit_viscous_solve(w, rhs, coef).tobytes() == expected.tobytes()
+
+
+def test_implicit_viscous_solve_writes_every_out():
+    # LAPACK solves a strided or float32 out in a converted copy, which the
+    # solve must copy back rather than leave out holding rhs / diag
+    w = np.linspace(0.5, 1.5, 6)
+    rhs = np.linspace(1.0, 2.0, 6)
+    expected = implicit_viscous_solve(w, rhs, 0.5)
+    strided = np.zeros(12)[::2]
+    assert implicit_viscous_solve(w, rhs, 0.5, strided) is strided
+    assert strided.tobytes() == expected.tobytes()
+    single = np.zeros(6, dtype=np.float32)
+    assert implicit_viscous_solve(w, rhs, 0.5, single) is single
+    np.testing.assert_allclose(single, expected, rtol=1e-6)
+    same = w.copy()
+    assert implicit_viscous_solve(same, rhs, 0.5, same) is same
+    assert same.tobytes() == expected.tobytes()
+
+
+SOLVE = "exprabelo.scheme.implicit_viscous_solve(np.ones(4), np.ones(4), 0.5)"
+LAPACK = "import scipy.linalg.lapack"
+
+
+@pytest.mark.parametrize("first, then", [(SOLVE, LAPACK), (LAPACK, SOLVE)],
+                         ids=["solve-first", "lapack-first"])
+def test_dgtsv_is_scipys_in_either_import_order(first, then):
+    # whichever comes first, scipy.linalg.lapack and the scheme share one
+    # dgtsv, and loading it raises no warning
+    code = "\n".join(["import numpy as np", "import exprabelo.scheme", first, then, LAPACK,
+                      "assert scipy.linalg.lapack.dgtsv is exprabelo.scheme._dgtsv"])
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def time_orders(eps):
