@@ -448,8 +448,8 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
     """Parse argv and run one subcommand; returns the process exit status.
 
     0 means every requested check passed, 1 means a verification failed, and
-    2 means the invocation or configuration was unusable, including a
-    grid whose arrays the machine refuses to allocate.
+    2 means the invocation, configuration or installation was unusable: a
+    grid the machine cannot allocate, or a scipy piece that cannot be imported.
     """
     try:
         args = _build_parser().parse_args(argv)
@@ -459,7 +459,7 @@ def dispatch(argv: Sequence[str] | None = None) -> int:
         # the program's own checks refuse and name every overflow or NaN
         with np.errstate(over="ignore", invalid="ignore"):
             return args.run(args)
-    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,8 +36,7 @@ def _prefix_arrays(
     anchor = grid.anchor_index
     interface[0] = 0.0
     np.add.accumulate(np.multiply(v, grid.dx, out=cells), out=interface[1:])
-    interface -= interface[anchor]
-    interface[anchor] = 0.0  # anchored exactly, independent of rounding
+    interface -= interface[anchor]  # x - x is +0.0 for any finite x: anchored exactly
     np.add(interface[:-1], interface[1:], out=cells)
     cells *= 0.5
     return interface, cells

@@ -20,6 +20,7 @@ then comes from the convective and source limits alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -39,14 +40,13 @@ ForcingFn = Callable[[float, np.ndarray], np.ndarray]
 # LAPACK's tridiagonal solver, loaded by the first viscous solve, which an
 # inviscid run never makes. Importing it from scipy.linalg.lapack would run
 # scipy.linalg's package init for this one routine: 85 scipy modules where
-# this needs 11, about 0.4 s and 23 MB per process. So _load_dgtsv loads the
-# extension module scipy/linalg/_flapack by path under its own name; a later
-# import of scipy.linalg.lapack finds it in sys.modules and hands out the same
-# dgtsv. The path is private to scipy and was checked on scipy 1.17.1 only.
-_dgtsv = None
-
-
-def _load_dgtsv() -> Callable:
+# this needs 11, about 0.4 s and 23 MB per process. So _dgtsv asks the path
+# finder for the extension module scipy.linalg._flapack in scipy's linalg
+# directory, under any extension suffix, and loads it under its own name; a
+# later import of scipy.linalg.lapack reuses it and its dgtsv. The location is
+# private to scipy and was checked on scipy 1.17.1 only.
+@functools.cache
+def _dgtsv() -> Callable:
     import os
     import sys
     from importlib import machinery, util
@@ -54,9 +54,9 @@ def _load_dgtsv() -> Callable:
     import scipy  # its init loads the OpenBLAS that _flapack links against
 
     name = "scipy.linalg._flapack"
-    suffix = machinery.EXTENSION_SUFFIXES[0]
-    path = os.path.join(scipy.__path__[0], "linalg", "_flapack" + suffix)
-    spec = util.spec_from_file_location(name, path, loader=machinery.ExtensionFileLoader(name, path))
+    spec = machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"no {name} in scipy {scipy.__version__}", name=name)
     module = sys.modules[name] = util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.dgtsv
@@ -293,9 +293,6 @@ def implicit_viscous_solve(
     an ``out`` that is not a C-contiguous float64 array gets the solution
     copied in, since LAPACK then solves in a converted copy.
     """
-    global _dgtsv
-    if _dgtsv is None:
-        _dgtsv = _load_dgtsv()
     if ws is None:
         ws = Workspace(w.size)
     if out is None:
@@ -306,7 +303,7 @@ def implicit_viscous_solve(
     off /= diag
     np.divide(rhs, diag, out=out)
     diag.fill(1.0)
-    x = _dgtsv(off[1:], diag, off[:-1], out, overwrite_d=1, overwrite_b=1)[3]
+    x = _dgtsv()(off[1:], diag, off[:-1], out, overwrite_d=1, overwrite_b=1)[3]
     if x is not out:
         out[...] = x
     return out

@@ -2,12 +2,16 @@
 expensive ladders are computed once for the whole suite, a guard that fails
 a test which runs a simulation, the scheme's right-hand side written out part
 by part for the tests that check against it, a diagnostics row computed one
-block of rows per alpha set for the tests of the one-row recorder, and the
-Kruzhkov pairs of the v-form law that the scheme conserves."""
+block of rows per alpha set for the tests of the one-row recorder, the
+Kruzhkov pairs of the v-form law that the scheme conserves, and the numpy and
+OpenBLAS kernels that a golden digest mismatch names."""
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -169,3 +173,43 @@ def v_form_kruzhkov_pair(levels):
         return np.abs(v - k), sgn * (v * v - k * k) / 2.0, sgn * v
 
     return pair
+
+
+# numpy's exp, log and power and OpenBLAS's matrix products give different
+# last bits on different kernels, so the golden digests pin these kernels too
+GOLDEN_HOST = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR, OpenBLAS SkylakeX"
+
+
+def _simd_targets() -> str:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return " ".join(t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t))
+
+
+def _openblas_core() -> str:
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))[0])
+    corename = lib.scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def host_kernels() -> str:
+    """numpy's version, the SIMD targets it dispatches and the OpenBLAS core
+    of numpy's bundled library, each "unknown" where its lookup fails; laid
+    out as ``GOLDEN_HOST``."""
+    facts = []
+    for label, lookup in (("numpy", lambda: np.__version__), ("SIMD", _simd_targets),
+                          ("OpenBLAS", _openblas_core)):
+        try:
+            facts.append(f"{label} {lookup()}")
+        except (ImportError, AttributeError, OSError, IndexError):
+            facts.append(f"{label} unknown")
+    return ", ".join(facts)
+
+
+def golden_host_note() -> str:
+    """The assertion message of a golden digest: the pins' host and this one."""
+    return f"pins taken on {GOLDEN_HOST}; this host: {host_kernels()}"

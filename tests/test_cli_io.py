@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import exprabelo.cli_io
+import exprabelo.scheme
 import exprabelo.solver
 from exprabelo.errors import BoundaryFluxWarning, ConfigError, GridAlignmentError
 from exprabelo.grid_field import GridSpec, InitialDataSpec, init_field
@@ -58,7 +59,7 @@ from exprabelo.verifiers import (
 )
 from exprabelo.solver import evolve
 
-from conftest import cancelling_forcing, stock_config
+from conftest import cancelling_forcing, golden_host_note, stock_config
 
 MINIMAL = """
 grid.x_min = -8
@@ -636,7 +637,7 @@ def test_cli_outputs_are_bitwise_golden(tmp_path):
         for path in out.iterdir():
             digests[f"{case}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     pinned = {k: v for k, v in digests.items() if k.startswith("simulate/") or "ladder" in k}
-    assert pinned == CLI_GOLDEN_DIGESTS
+    assert pinned == CLI_GOLDEN_DIGESTS, golden_host_note()
 
 
 # every command's result path: the report files it writes, one stderr status
@@ -750,7 +751,7 @@ def test_cli_reports_status_lines_and_exit_codes_are_golden(tmp_path, capsys):
             for p in sorted(out.iterdir()) if p.suffix == ".report"
         }
         results[case] = (code, err, digests)
-    assert results == CLI_RESULT_GOLDEN
+    assert results == CLI_RESULT_GOLDEN, golden_host_note()
 
 
 # entropy.report of the stock gaussian at 4096 cells and T = 1, the size at
@@ -764,7 +765,7 @@ def test_entropy_report_at_4096_cells_is_golden(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, text=text)
     assert dispatch(["verify", "entropy", str(cfg), "--out", str(tmp_path / "out")]) == 0
     report = (tmp_path / "out" / "entropy.report").read_bytes()
-    assert hashlib.sha256(report).hexdigest() == ENTROPY_4096_GOLDEN
+    assert hashlib.sha256(report).hexdigest() == ENTROPY_4096_GOLDEN, golden_host_note()
 
 
 # the commands whose checks read the diagnostics series; every other one
@@ -1215,6 +1216,49 @@ def test_hostile_input_gets_its_documented_exit_status(tmp_path, capsys, text, c
     assert out.exists() == (status != 2)
     if status == 2:  # one error line, no traceback
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _no_flapack():
+    raise ImportError("no scipy.linalg._flapack in scipy 0.0")
+
+
+VISCOUS = MINIMAL + "scheme.epsilon = 1e-2\n"
+PLATEAU = MINIMAL.replace("init.preset = gaussian", "init.preset = plateau")
+
+
+# a scipy piece that cannot be imported makes the installation unusable, which
+# is exit 2, not a failed verification
+@pytest.mark.parametrize(
+    "text, unload",
+    [
+        (VISCOUS, lambda mp: mp.setattr(exprabelo.scheme, "_dgtsv", _no_flapack)),
+        (PLATEAU, lambda mp: mp.setitem(sys.modules, "scipy.special", None)),
+    ],
+    ids=["no dgtsv", "no scipy.special"],
+)
+def test_a_missing_scipy_piece_exits_two(tmp_path, capsys, monkeypatch, text, unload):
+    unload(monkeypatch)
+    out = tmp_path / "out"
+    assert dispatch(["simulate", _write_cfg(tmp_path, text=text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_a_scipy_without_flapack_is_named_and_exits_two(tmp_path):
+    # the path finder finds no _flapack under an empty linalg directory; the
+    # error names the module and the scipy version
+    import scipy
+
+    (tmp_path / "linalg").mkdir()
+    out = tmp_path / "out"
+    code = (f"import scipy\nscipy.__path__ = [{str(tmp_path)!r}]\n"
+            "from exprabelo.cli_io import main\n"
+            f"main(['simulate', {_write_cfg(tmp_path, text=VISCOUS)!r}, '--out', {str(out)!r}])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (
+        2, f"error: no scipy.linalg._flapack in scipy {scipy.__version__}\n")
+    assert not out.exists()
 
 
 def test_module_entry_point_sets_the_exit_status(tmp_path):

@@ -18,6 +18,7 @@ from exprabelo import (
     p_sup,
     prefix_integral,
 )
+from exprabelo.nonlocal_op import _prefix_arrays
 
 
 def brute_force_prefix(grid, v):
@@ -59,6 +60,42 @@ def test_anchor_value_exactly_zero_for_random_fields():
         v = rng.uniform(0.0, 3.0, size=n)
         p = prefix_integral(g, FieldV(v, 0.0))
         assert p.interface_values[g.anchor_index] == 0.0
+
+
+def stored_anchor_prefix(grid, v):
+    """_prefix_arrays with 0.0 stored at the anchor after the subtraction."""
+    interface = np.empty(grid.n_cells + 1)
+    interface[0] = 0.0
+    np.add.accumulate(v * grid.dx, out=interface[1:])
+    interface -= interface[grid.anchor_index]
+    interface[grid.anchor_index] = 0.0
+    return interface, 0.5 * (interface[:-1] + interface[1:])
+
+
+FIELDS = {
+    "signed zeros": st.sampled_from((0.0, -0.0)),
+    "zeros and positive": st.one_of(st.sampled_from((0.0, -0.0)), st.floats(0.0, 2.0)),
+    "negative cells": st.floats(-2.0, 2.0),  # as an unclipped Heun stage has
+}
+
+
+@given(
+    data=st.data(),
+    n=st.integers(4, 200),
+    dx=st.sampled_from((1.0, 0.25, 0.1)),
+    kind=st.sampled_from(sorted(FIELDS)),
+)
+@settings(max_examples=300, deadline=None)
+def test_anchor_is_positive_zero_without_a_store(data, n, dx, kind):
+    # x - x is +0.0 for every finite x, -0.0 included: the subtraction alone
+    # leaves +0.0 at the anchor, and a store of 0.0 after it moves no bit
+    anchor = data.draw(st.integers(1, n - 1))
+    g = build_grid(-anchor * dx, (n - anchor) * dx, n)
+    v = data.draw(arrays(np.float64, n, elements=FIELDS[kind]))
+    interface, cells = _prefix_arrays(g, v, np.empty(n + 1), np.empty(n))
+    assert interface[anchor].tobytes() == np.float64(0.0).tobytes()
+    expected = stored_anchor_prefix(g, v)
+    assert (interface.tobytes(), cells.tobytes()) == tuple(a.tobytes() for a in expected)
 
 
 def test_gaussian_tail_reaches_half_sqrt_pi():

@@ -336,7 +336,7 @@ def test_dgtsv_is_scipys_in_either_import_order(first, then):
     # whichever comes first, scipy.linalg.lapack and the scheme share one
     # dgtsv, and loading it raises no warning
     code = "\n".join(["import numpy as np", "import exprabelo.scheme", first, then, LAPACK,
-                      "assert scipy.linalg.lapack.dgtsv is exprabelo.scheme._dgtsv"])
+                      "assert scipy.linalg.lapack.dgtsv is exprabelo.scheme._dgtsv()"])
     proc = subprocess.run([sys.executable, "-W", "error", "-c", code],
                           capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (0, "")

@@ -46,7 +46,13 @@ from exprabelo.verifiers import (
     riemann_initial,
 )
 
-from conftest import cancelling_forcing, reference_diagnostics_row, stock_config
+from conftest import (
+    cancelling_forcing,
+    golden_host_note,
+    host_kernels,
+    reference_diagnostics_row,
+    stock_config,
+)
 
 
 def test_source_integral_telescopes_to_boundary_prefix_values(stock_run_256):
@@ -491,7 +497,7 @@ def test_outputs_are_bitwise_golden(case):
     )
     base = stock_config(n_cells, final_time=0.5, snapshot_times=(0.0, 0.25, 0.5))
     run = run_simulation(replace(base, scheme=scheme))
-    assert _output_digest(run) == GOLDEN_DIGESTS[case]
+    assert _output_digest(run) == GOLDEN_DIGESTS[case], golden_host_note()
 
 
 def test_snapshot_hook_receives_the_golden_snapshots():
@@ -503,7 +509,16 @@ def test_snapshot_hook_receives_the_golden_snapshots():
                  base.snapshot_times, base.diagnostic_alphas, on_snapshot=seen.append)
     assert run.snapshots == ()
     assert [snap.time for snap in seen] == [0.0, 0.25, 0.5]
-    assert _output_digest(replace(run, snapshots=tuple(seen))) == GOLDEN_DIGESTS["stock"]
+    assert _output_digest(replace(run, snapshots=tuple(seen))) == GOLDEN_DIGESTS["stock"], (
+        golden_host_note())
+
+
+def test_a_golden_mismatch_names_three_kernel_facts_or_unknown(monkeypatch, tmp_path):
+    facts = host_kernels().split(", ")
+    assert [fact.split()[0] for fact in facts] == ["numpy", "SIMD", "OpenBLAS"]
+    # a numpy without the bundled library next to it: that fact reads unknown
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    assert host_kernels() == ", ".join([*facts[:2], "OpenBLAS unknown"])
 
 
 def test_final_state_of_a_hook_run_names_where_the_snapshots_went():
