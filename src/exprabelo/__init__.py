@@ -53,6 +53,7 @@ from .solver import (
     RunResult,
     Snapshot,
     evolve,
+    landings,
     run_simulation,
 )
 
@@ -90,6 +91,7 @@ __all__ = [
     "RunResult",
     "Snapshot",
     "evolve",
+    "landings",
     "run_simulation",
     "__version__",
 ]

@@ -1,6 +1,7 @@
-"""Time integration driver: snapshots at exact requested times plus, unless
-the run is state-only, a per-step diagnostics series recording the
-quantities the budget verifiers consume.
+"""Time integration driver: one time loop, ``_march``, with two consumers.
+``evolve`` keeps snapshots at exact requested times and a per-step
+diagnostics series recording the quantities the budget verifiers consume;
+``landings`` streams the snapshots and keeps nothing.
 """
 
 from __future__ import annotations
@@ -8,7 +9,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -237,13 +237,12 @@ def record_diagnostics(
 @dataclass(frozen=True)
 class RunResult:
     """Everything a verifier needs: the grid, the scheme that produced the
-    data, snapshots at the requested times, and the per-step diagnostics,
-    which are None for a state-only run."""
+    data, snapshots at the requested times, and the per-step diagnostics."""
 
     grid: GridSpec
     scheme: SchemeConfig
     snapshots: tuple
-    diagnostics: DiagnosticsSeries | None
+    diagnostics: DiagnosticsSeries
 
     def snapshot_at(self, t: float) -> Snapshot:
         """The snapshot at exactly t, as ``evolve`` lands each requested time."""
@@ -254,54 +253,30 @@ class RunResult:
 
     @property
     def final_state(self) -> FieldV:
-        if not self.snapshots:  # evolve always lands a final snapshot
-            raise DataGapError("no final state: the snapshots went to on_snapshot")
-        return self.snapshots[-1].field_v
+        return self.snapshots[-1].field_v  # evolve always lands a final snapshot
 
 
-def evolve(
-    grid: GridSpec,
-    v0: FieldV,
-    cfg: SchemeConfig,
-    final_time: float,
-    snapshot_times: tuple = (),
-    alphas: tuple = DEFAULT_ALPHAS,
-    on_snapshot: Callable[[Snapshot], None] | None = None,
-    *,
-    diagnostics: bool = True,
-) -> RunResult:
-    """March v0 to final_time, landing exactly on every requested snapshot time.
+def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, snapshot_times):
+    """March v0 to final_time, landing exactly on every requested snapshot
+    time, and yield ``(fv, p, flux, dt, landed)`` for the initial state and
+    after every step: the state, its prefix integral P and interface fluxes
+    F, the step that reached it (0 at first), and whether it lands on a
+    snapshot time or the final time.
 
     The CFL-stable step is shortened (never stretched) to hit snapshot times
-    and the final time, so snapshot timestamps equal the requests bitwise.
-
-    Each state's facts are computed once, as it arrives: its prefix integral
-    P, its interface fluxes F and its boundary flux |F_1/2| + |F_n+1/2|,
-    which must be finite. The next ``step`` takes P and F as arguments and
-    evaluates only its later stages. A diagnostics row, built from the same
-    P and F, is recorded for the initial state and after every step, with
-    the alphas normalized as in ``_normalize_alphas``. A
-    ``BoundaryFluxWarning`` is given when the boundary flux's maximum
+    and the final time, so landed timestamps equal the requests bitwise.
+    Each state's P and F are computed once, as it arrives, and its boundary
+    flux |F_1/2| + |F_n+1/2| must be finite; the next ``step`` takes P and F
+    as arguments and evaluates only its later stages. A
+    ``BoundaryFluxWarning``, pointing at the caller of ``evolve`` or
+    ``landings``, is given at the end when the boundary flux's maximum
     exceeds ``BOUNDARY_LEAK_THRESHOLD``.
-
-    With ``diagnostics=False`` the run is state-only, for checks that read
-    only snapshots or the final state: it records no rows, and the result's
-    ``diagnostics`` is None. Its fields, snapshots and warnings are bitwise
-    those of a recording run.
-
-    Each snapshot is kept in the result, or, when ``on_snapshot`` is given,
-    handed to it in time order and not kept: the result then holds no
-    snapshots, so their memory does not grow with the number requested.
     """
     events = sorted(set(_snapshot_times(final_time, snapshot_times)) | {float(final_time)})
     if v0.time != 0.0:
         raise ValueError("initial field must carry time = 0")
-    alphas = _normalize_alphas(alphas)
 
     ws = Workspace(grid.n_cells)
-    buffers = _RowBuffers(grid.n_cells) if diagnostics else None
-    rows, snaps = [], []
-    take = snaps.append if on_snapshot is None else on_snapshot
     fv, dt, landing = v0, 0.0, events[0] == 0.0
     max_boundary = 0.0
     while True:
@@ -311,10 +286,8 @@ def evolve(
         if not math.isfinite(boundary):
             raise StateError(f"non-finite boundary flux at t = {fv.time:.6g}")
         max_boundary = max(max_boundary, boundary)
-        if diagnostics:
-            rows.append(record_diagnostics(grid, fv, p, flux, cfg, dt, alphas, buffers))
+        yield fv, p, flux, dt, landing
         if landing:
-            take(Snapshot(time=fv.time, x=grid.centers, field_v=fv, u=u_from_v(fv), p=p))
             events.pop(0)
             if not events:
                 break
@@ -327,32 +300,55 @@ def evolve(
         if landing:  # step has checked the values; relabel them, not rescan
             fv = FieldV._checked(fv.values, target, fv.clip_count)
 
-    series = DiagnosticsSeries.from_rows(rows, alphas) if diagnostics else None
     if max_boundary > BOUNDARY_LEAK_THRESHOLD:
         warnings.warn(
             f"boundary flux reached {max_boundary:.3e} "
             f"(threshold {BOUNDARY_LEAK_THRESHOLD:g}); the domain may be too small",
             BoundaryFluxWarning,
-            stacklevel=2,
+            stacklevel=3,  # past this generator and the consumer that iterates it
         )
-    return RunResult(
-        grid=grid,
-        scheme=cfg,
-        snapshots=tuple(snaps),
-        diagnostics=series,
-    )
 
 
-def run_simulation(cfg: RunConfig, *, diagnostics: bool = True) -> RunResult:
-    """Build the grid and initial data from a RunConfig and evolve it; with
-    ``diagnostics=False`` the run is state-only, as in ``evolve``."""
+def _snapshot(grid: GridSpec, fv: FieldV, p: NonlocalP) -> Snapshot:
+    return Snapshot(time=fv.time, x=grid.centers, field_v=fv, u=u_from_v(fv), p=p)
+
+
+def evolve(
+    grid: GridSpec,
+    v0: FieldV,
+    cfg: SchemeConfig,
+    final_time: float,
+    snapshot_times: tuple = (),
+    alphas: tuple = DEFAULT_ALPHAS,
+) -> RunResult:
+    """Run v0 to final_time as ``_march`` does, keeping a snapshot at every
+    requested time and at the final time, and a diagnostics row, built from
+    each state's own P and F, for the initial state and after every step,
+    with the alphas normalized as in ``_normalize_alphas``."""
+    alphas = _normalize_alphas(alphas)
+    buffers = _RowBuffers(grid.n_cells)
+    rows, snaps = [], []
+    for fv, p, flux, dt, landed in _march(grid, v0, cfg, final_time, snapshot_times):
+        rows.append(record_diagnostics(grid, fv, p, flux, cfg, dt, alphas, buffers))
+        if landed:
+            snaps.append(_snapshot(grid, fv, p))
+    return RunResult(grid, cfg, tuple(snaps), DiagnosticsSeries.from_rows(rows, alphas))
+
+
+def landings(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float,
+             snapshot_times: tuple = ()):
+    """Yield, in time order, the snapshot of each requested time and of the
+    final time of the run ``evolve`` makes, bitwise, and keep none of them,
+    nor any diagnostics: memory does not grow with the number of snapshots.
+    The boundary-flux warning comes with the last one, when the generator
+    is exhausted."""
+    for fv, p, _, _, landed in _march(grid, v0, cfg, final_time, snapshot_times):
+        if landed:
+            yield _snapshot(grid, fv, p)
+
+
+def run_simulation(cfg: RunConfig) -> RunResult:
+    """Build the grid and initial data from a RunConfig and evolve it."""
     v0 = init_field(cfg.grid, cfg.init)
-    return evolve(
-        cfg.grid,
-        v0,
-        cfg.scheme,
-        cfg.final_time,
-        cfg.snapshot_times,
-        cfg.diagnostic_alphas,
-        diagnostics=diagnostics,
-    )
+    return evolve(cfg.grid, v0, cfg.scheme, cfg.final_time, cfg.snapshot_times,
+                  cfg.diagnostic_alphas)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .grid_field import (
     V_TINY, FieldV, GridSpec, InitialDataSpec, build_grid, init_field, u_from_v,
 )
 from .scheme import SchemeConfig
-from .solver import DiagnosticsSeries, RunConfig, RunResult, evolve, run_simulation
+from .solver import RunConfig, RunResult, Snapshot, landings, run_simulation
 
 SQRT_PI = math.sqrt(math.pi)
 EPSILON_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -86,40 +86,39 @@ def observed_order(values: Sequence[float], widths: Sequence[float]) -> float | 
     ]))
 
 
-def _recorded(run: RunResult, check: str) -> DiagnosticsSeries:
-    """The run's per-step diagnostics series, which ``check`` reads; a
-    state-only run has none, and raises DataGapError."""
-    if run.diagnostics is None:
-        raise DataGapError(f"{check} needs per-step diagnostics; the run is state-only")
-    return run.diagnostics
-
-
-def _run_many(configs: Sequence[RunConfig], diagnostics: bool = True) -> list[RunResult]:
-    """Run a batch of configurations one after another, in input order;
-    ``diagnostics=False`` makes every run state-only (see ``evolve``).
-
-    The runs are small-array loops that hold the interpreter lock, so threads
-    would only add contention.
+def _run_many(runs: Iterable[tuple]) -> list[tuple[Snapshot, ...]]:
+    """The landed snapshots of each run, given as the arguments of
+    ``landings``, for checks that read only snapshots or final fields. The
+    runs go one after another, in input order: they are small-array loops
+    that hold the interpreter lock, so threads would only add contention.
     """
-    return [run_simulation(c, diagnostics=diagnostics) for c in configs]
+    return [tuple(landings(*run)) for run in runs]
 
 
-def run_ladder(
-    base: RunConfig, n_ladder: Sequence[int], diagnostics: bool = True
-) -> list[RunResult]:
-    """Rerun one configuration across at least two grid resolutions (same
-    domain), which must strictly increase: the ladder reports read the last
-    run as the finest. Refused before anything runs otherwise.
-    ``diagnostics`` is passed to ``_run_many``."""
+def _final_fields(configs: Sequence[RunConfig]) -> list[np.ndarray]:
+    """The final v of the run of each of ``configs``."""
+    runs = ((c.grid, init_field(c.grid, c.init), c.scheme, c.final_time, c.snapshot_times)
+            for c in configs)
+    return [snaps[-1].field_v.values for snaps in _run_many(runs)]
+
+
+def _ladder_configs(base: RunConfig, n_ladder: Sequence[int]) -> list[RunConfig]:
+    """``base`` on at least two grid resolutions (same domain), which must
+    strictly increase: the ladder reports read the last run as the finest."""
     if len(n_ladder) < 2 or any(a >= b for a, b in zip(n_ladder, n_ladder[1:])):
         raise ValueError(
             f"a ladder needs at least two cell counts, strictly increasing, got {list(n_ladder)}"
         )
-    configs = [
+    return [
         replace(base, grid=build_grid(base.grid.x_min, base.grid.x_max, int(n)))
         for n in n_ladder
     ]
-    return _run_many(configs, diagnostics)
+
+
+def run_ladder(base: RunConfig, n_ladder: Sequence[int]) -> list[RunResult]:
+    """Recording runs of ``base`` on the grids of ``_ladder_configs``; a bad
+    ladder is refused before anything runs."""
+    return [run_simulation(c) for c in _ladder_configs(base, n_ladder)]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,7 @@ class BalanceReport:
 
 def lp_balance_residual(run: RunResult, alpha: float) -> BalanceReport:
     """|N_a(t) - N_a(0) + int_0^t (D_a + S_a) ds| with trapezoid time quadrature."""
-    diag = _recorded(run, "the power balance")
+    diag = run.diagnostics
     if alpha not in diag.alphas:
         raise DataGapError(
             f"alpha = {alpha} was not recorded; available: {diag.alphas}"
@@ -225,7 +224,7 @@ def mass_balance_identity(run: RunResult) -> MassBalanceReport:
     midpoint-collocated prefix integral, so the residual isolates the time
     discretization and closes at second order in dt.
     """
-    diag = _recorded(run, "mass balance")
+    diag = run.diagnostics
     if 0.0 not in diag.alphas:
         raise DataGapError("mass balance needs alpha = 0 diagnostics")
     if diag["time"].size < 2:
@@ -272,7 +271,7 @@ class SupMonitorReport:
 def sup_principle_monitor(run: RunResult) -> SupMonitorReport:
     """Watch sup u(t) against sup u(0) + SUP_MONITOR_TOL; a violation is
     reported, never raised."""
-    diag = _recorded(run, "the sup monitor")
+    diag = run.diagnostics
     s0 = float(diag["sup_u"][0])
     excess = diag["sup_u"] - s0
     worst = float(np.max(excess))
@@ -539,14 +538,9 @@ def kruzhkov_residual(cfg: RunConfig) -> EntropyReport:
     levels = _default_levels(u_from_v(v0))
     sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels, grid.n_cells))
     source = cfg.scheme.source_enabled
-
-    def take(snap):
+    times = dense_snapshot_times(grid, cfg.final_time)
+    for snap in landings(grid, v0, cfg.scheme, cfg.final_time, times):
         sums.add(snap.time, snap.u, snap.p.cell_values if source else None)
-
-    evolve(
-        grid, v0, cfg.scheme, cfg.final_time, dense_snapshot_times(grid, cfg.final_time),
-        on_snapshot=take, diagnostics=False,
-    )
     return _entropy_report(grid, levels, sums)
 
 
@@ -617,7 +611,6 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
     covers every sample's window, and e^(C(T) t) must not overflow.
     """
     if not (math.isfinite(R) and R > 0.0):
-        # an empty window would certify nothing yet pass
         raise DomainError(f"stability window radius R must be finite and positive, got {R}")
     sample_times = tuple(t for t in cfg_u.snapshot_times if t > 0.0)
     if not sample_times:
@@ -630,6 +623,9 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
     if cfg_u.grid != cfg_w.grid:
         raise DomainError("stability comparison needs a shared grid")
     grid = cfg_u.grid
+    if R <= grid.dx / 2:
+        # the window |x| < R may hold no cell centre: it would certify nothing yet pass
+        raise DomainError(f"stability window radius R = {R:g} must exceed dx/2 = {grid.dx / 2:g}")
     half_domain = min(-grid.x_min, grid.x_max)
     start_u, start_w = (init_field(grid, c.init) for c in (cfg_u, cfg_w))
     # sup u at t = 0, as the first diagnostics row records it
@@ -645,10 +641,10 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
             f"widened window radius {reach:.4g} exceeds the domain "
             f"[{grid.x_min}, {grid.x_max}]; enlarge the domain or shrink R/T"
         )
-    runs = [
-        evolve(grid, start, c.scheme, T, sample_times, diagnostics=False)
+    runs = _run_many(
+        (grid, start, c.scheme, T, sample_times)
         for start, c in ((start_u, cfg_u), (start_w, cfg_w))
-    ]
+    )
     initial_gap = np.abs(u_from_v(start_u) - u_from_v(start_w))
     abs_x = np.abs(grid.centers)
 
@@ -656,8 +652,8 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
         """The L1 norm of ``gap`` over |x| < radius."""
         return float(np.sum(gap[abs_x < radius]) * grid.dx)
 
-    # evolve also lands T when it is not a sample time: pair the samples only
-    pairs = zip(*(r.snapshots[: len(sample_times)] for r in runs))
+    # the runs also land T when it is not a sample time: pair the samples only
+    pairs = zip(*(snaps[: len(sample_times)] for snaps in runs))
     measured = tuple(l1_in(np.abs(a.u - b.u), R) for a, b in pairs)
     grow = [math.exp(c_of_t * t) for t in sample_times]
     bound = tuple(g * l1_in(initial_gap, R + c0 * t) for g, t in zip(grow, sample_times))
@@ -728,13 +724,13 @@ def grid_convergence(base: RunConfig, n_ladder: Sequence[int]) -> ConvergenceRep
     ns = [int(n) for n in n_ladder]
     if any(a <= 0 or b % a for a, b in zip(ns, ns[1:])):
         raise ValueError(f"grid ladder must be positive and nested, got {ns}")
-    runs = run_ladder(base, ns, diagnostics=False)
-    dists = []
-    for coarse, fine in zip(runs, runs[1:]):
-        factor = fine.grid.n_cells // coarse.grid.n_cells
-        restricted = restrict_to_coarse(fine.final_state.values, factor)
-        dists.append(l1_distance(coarse.grid.dx, restricted, coarse.final_state.values))
-    return _convergence("grid", ns, dists, [r.grid.dx for r in runs[:-1]])
+    configs = _ladder_configs(base, ns)
+    finals = _final_fields(configs)
+    dists = [
+        l1_distance(c.grid.dx, restrict_to_coarse(fine, fine.size // coarse.size), coarse)
+        for c, coarse, fine in zip(configs, finals, finals[1:])
+    ]
+    return _convergence("grid", ns, dists, [c.grid.dx for c in configs[:-1]])
 
 
 def epsilon_convergence(
@@ -758,11 +754,9 @@ def epsilon_convergence(
             f"got {base.grid.n_cells}"
         )
     configs = [replace(base, scheme=replace(base.scheme, epsilon=e)) for e in (0.0, *eps)]
-    runs = _run_many(configs, diagnostics=False)
-    limit, viscous = runs[0], runs[1:]
+    limit, *finals = _final_fields(configs)
     dx = base.grid.dx
-    finals = [r.final_state.values for r in viscous]
-    dists = [l1_distance(dx, f, limit.final_state.values) for f in finals]
+    dists = [l1_distance(dx, f, limit) for f in finals]
     cauchy = [l1_distance(dx, a, b) for a, b in zip(finals, finals[1:])]
     return _convergence("epsilon", eps, dists, eps, cauchy=tuple(cauchy))
 
@@ -808,13 +802,13 @@ def riemann_initial(grid: GridSpec, v_left: float, v_right: float, x0: float = 0
 def _riemann_run(grid: GridSpec, states: tuple, final_time: float) -> np.ndarray:
     """Final v of a pure Burgers run (source and viscosity off) from the
     Riemann data ``states`` = (v_left, v_right). Such data touch the
-    boundary by design, so the boundary-flux warning that ``evolve`` gives
-    user runs is silenced here."""
+    boundary by design, so the boundary-flux warning that every run gives
+    is silenced here."""
     cfg = SchemeConfig(epsilon=0.0, source_enabled=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryFluxWarning)
-        run = evolve(grid, riemann_initial(grid, *states), cfg, final_time, diagnostics=False)
-    return run.final_state.values
+        [snaps] = _run_many([(grid, riemann_initial(grid, *states), cfg, final_time)])
+    return snaps[-1].field_v.values
 
 
 @dataclass(frozen=True)
@@ -908,7 +902,9 @@ def mms_convergence() -> ConvergenceReport:
     scheme = SchemeConfig(epsilon=MMS_EPSILON, forcing=mms_forcing(MMS_EPSILON))
     grid = build_grid(*ORACLE_DOMAIN, MMS_LADDER[0])
     base = RunConfig(grid, InitialDataSpec.gaussian(), scheme, ORACLE_FINAL_TIME)
-    runs = run_ladder(base, MMS_LADDER, diagnostics=False)
-    exact = [mms_solution(ORACLE_FINAL_TIME, r.grid.centers) for r in runs]
-    errors = [l1_distance(r.grid.dx, r.final_state.values, e) for r, e in zip(runs, exact)]
-    return _convergence("mms", MMS_LADDER, errors, [r.grid.dx for r in runs])
+    configs = _ladder_configs(base, MMS_LADDER)
+    errors = [
+        l1_distance(c.grid.dx, v, mms_solution(ORACLE_FINAL_TIME, c.grid.centers))
+        for c, v in zip(configs, _final_fields(configs))
+    ]
+    return _convergence("mms", MMS_LADDER, errors, [c.grid.dx for c in configs])

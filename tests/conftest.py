@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import exprabelo.solver
-import exprabelo.verifiers
 from exprabelo import InitialDataSpec, RunConfig, SchemeConfig, build_grid, prefix_integral
 from exprabelo.scheme import interface_fluxes
 from exprabelo.grid_field import V_TINY
@@ -60,14 +59,13 @@ def perturbed_gaussian() -> InitialDataSpec:
 
 @pytest.fixture
 def no_evolve(monkeypatch):
-    """Fail the test if anything runs a simulation: every run, the CLI's and
-    the verifiers' own, goes through ``evolve`` in one of these modules."""
+    """Fail the test if anything runs a simulation: every run, recorded by
+    ``evolve`` or streamed by ``landings``, goes through ``solver._march``."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("rejected input ran a simulation")
 
-    monkeypatch.setattr(exprabelo.solver, "evolve", no_run)
-    monkeypatch.setattr(exprabelo.verifiers, "evolve", no_run)
+    monkeypatch.setattr(exprabelo.solver, "_march", no_run)
 
 
 @pytest.fixture(scope="session")

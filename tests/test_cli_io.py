@@ -1177,6 +1177,7 @@ ZERO_WIDTH = (MINIMAL.replace("x_min = -8", "x_min = -5e-324")
 
 # the exit-status contract on input that parses but that the arithmetic cannot
 # use: (config text or None, command, status, a phrase of the status lines).
+# The config's path goes last, and also where the command names {cfg}.
 # 0 passes, 1 is a failed verification, 2 is unusable input with no output.
 # Where numpy overflows on the way, the program's own check names the value,
 # and no numpy warning escapes (the suite turns warnings into errors).
@@ -1201,16 +1202,22 @@ ZERO_WIDTH = (MINIMAL.replace("x_min = -8", "x_min = -5e-324")
         # refused outright, before any page is touched
         (MINIMAL.replace("n_cells = 64", "n_cells = 1000000000000000"), ["simulate"], 2,
          "Unable to allocate 7.11 PiB"),
+        # on 64 cells over [-8, 8] the window |x| < dx/2 holds no cell centre
+        (MINIMAL + "run.snapshots = 0.25\n", ["verify", "stability", "--cfg2", "{cfg}",
+                                              "--R", "0.125"], 2, "must exceed dx/2 = 0.125"),
     ],
     ids=["zero initial norm", "v underflows", "positive norms", "expansion shock",
          "profile overflows", "v overflows", "flux overflows", "blow-up", "width underflows",
-         "count past 2^53", "burgers count past 2^53", "allocation refused"],
+         "count past 2^53", "burgers count past 2^53", "allocation refused",
+         "stability window of no cell"],
 )
 def test_hostile_input_gets_its_documented_exit_status(tmp_path, capsys, text, command,
                                                        status, says):
-    argv = command if text is None else [*command, _write_cfg(tmp_path, text=text)]
+    if text is not None:
+        cfg = _write_cfg(tmp_path, text=text)
+        command = [*(a.format(cfg=cfg) for a in command), cfg]
     out = tmp_path / "out"
-    assert dispatch([*argv, "--out", str(out)]) == status
+    assert dispatch([*command, "--out", str(out)]) == status
     err = capsys.readouterr().err
     assert says in err
     assert out.exists() == (status != 2)

@@ -37,6 +37,7 @@ from exprabelo.solver import (
     _RowBuffers,
     RunConfig,
     evolve,
+    landings,
     record_diagnostics,
     run_simulation,
 )
@@ -500,17 +501,14 @@ def test_outputs_are_bitwise_golden(case):
     assert _output_digest(run) == GOLDEN_DIGESTS[case], golden_host_note()
 
 
-def test_snapshot_hook_receives_the_golden_snapshots():
-    # a hook that only records what it is handed must see exactly the
-    # snapshots the stock golden run keeps, and change no other output
-    seen = []
+def test_landings_yield_the_golden_snapshots():
+    # streamed, the snapshots are exactly those the stock golden run keeps
     base = stock_config(256, final_time=0.5, snapshot_times=(0.0, 0.25, 0.5))
-    run = evolve(base.grid, init_field(base.grid, base.init), base.scheme, base.final_time,
-                 base.snapshot_times, base.diagnostic_alphas, on_snapshot=seen.append)
-    assert run.snapshots == ()
-    assert [snap.time for snap in seen] == [0.0, 0.25, 0.5]
-    assert _output_digest(replace(run, snapshots=tuple(seen))) == GOLDEN_DIGESTS["stock"], (
-        golden_host_note())
+    landed = tuple(landings(base.grid, init_field(base.grid, base.init), base.scheme,
+                            base.final_time, base.snapshot_times))
+    assert [snap.time for snap in landed] == [0.0, 0.25, 0.5]
+    run = replace(run_simulation(base), snapshots=landed)
+    assert _output_digest(run) == GOLDEN_DIGESTS["stock"], golden_host_note()
 
 
 def test_a_golden_mismatch_names_three_kernel_facts_or_unknown(monkeypatch, tmp_path):
@@ -521,12 +519,9 @@ def test_a_golden_mismatch_names_three_kernel_facts_or_unknown(monkeypatch, tmp_
     assert host_kernels() == ", ".join([*facts[:2], "OpenBLAS unknown"])
 
 
-def test_final_state_of_a_hook_run_names_where_the_snapshots_went():
-    base = stock_config(64, final_time=0.125)
-    run = evolve(base.grid, init_field(base.grid, base.init), base.scheme, base.final_time,
-                 on_snapshot=lambda snap: None)
-    with pytest.raises(DataGapError, match="the snapshots went to on_snapshot"):
-        run.final_state
+def stream(*args):
+    """The snapshots ``landings`` yields for ``args``, as a tuple."""
+    return tuple(landings(*args))
 
 
 # (epsilon, flux, source_enabled, forced) of the state-only parity runs: both
@@ -547,53 +542,64 @@ def test_state_only_run_matches_a_recording_run_bitwise(monkeypatch, case, leaky
     # on [-2, 2] the gaussian starts at e^-4 on the edges and leaks out
     grid = GridSpec(x_min=-2.0, x_max=2.0, n_cells=128) if leaky else stock_config(128).grid
     v0 = FieldV(np.exp(-grid.centers**2), 0.0)
-    # steps and flux evaluations, keyed by the mode of the run in progress:
-    # a state-only run still reuses each state's fluxes in the next step
+    # steps and flux evaluations, keyed by the run in progress: a streamed
+    # run still reuses each state's fluxes in the next step
     calls = Counter()
     for module, name in ((exprabelo.solver, "step"), (exprabelo.solver, "interface_fluxes"),
                          (exprabelo.scheme, "interface_fluxes")):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name, diagnostics] += 1
+            calls[_name, run] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     runs, warned = {}, {}
-    for diagnostics in (True, False):
+    for run in (evolve, stream):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            runs[diagnostics] = evolve(grid, v0, scheme, 0.5, (0.0, 0.25, 0.5),
-                                       diagnostics=diagnostics)
-        warned[diagnostics] = [(w.category, str(w.message)) for w in caught]
-    recorded, state_only = runs[True], runs[False]
+            runs[run] = run(grid, v0, scheme, 0.5, (0.0, 0.25, 0.5))
+        warned[run] = [(w.category, str(w.message)) for w in caught]
+    recorded, state_only = runs[evolve], runs[stream]
 
-    assert state_only.diagnostics is None
     steps = recorded.diagnostics["time"].size - 1
-    assert calls["step", False] == calls["step", True] == steps
-    assert calls["interface_fluxes", False] == calls["interface_fluxes", True] == 2 * steps + 1
-    assert state_only.final_state.values.tobytes() == recorded.final_state.values.tobytes()
-    assert len(state_only.snapshots) == len(recorded.snapshots) == 3
-    for a, b in zip(state_only.snapshots, recorded.snapshots):
+    assert calls["step", stream] == calls["step", evolve] == steps
+    assert calls["interface_fluxes", stream] == calls["interface_fluxes", evolve] == 2 * steps + 1
+    assert state_only[-1].field_v.values.tobytes() == recorded.final_state.values.tobytes()
+    assert len(state_only) == len(recorded.snapshots) == 3
+    for a, b in zip(state_only, recorded.snapshots):
         assert a.time == b.time
         assert a.field_v.values.tobytes() == b.field_v.values.tobytes()
         assert a.u.tobytes() == b.u.tobytes()
         assert a.p.interface_values.tobytes() == b.p.interface_values.tobytes()
         assert a.p.cell_values.tobytes() == b.p.cell_values.tobytes()
-    assert warned[False] == warned[True]
-    assert [c for c, _ in warned[True]] == [BoundaryFluxWarning] * leaky
+    assert warned[stream] == warned[evolve]
+    assert [c for c, _ in warned[evolve]] == [BoundaryFluxWarning] * leaky
 
 
 def test_state_only_run_keeps_the_finite_boundary_flux_check(monkeypatch):
-    # both modes check each state's boundary flux in evolve, with one message
+    # evolve and landings check each state's boundary flux in their one
+    # loop, with one message
     def overflowing(v, flux, ws=None):
         ws.flux.fill(math.inf)
         return ws.flux
 
     monkeypatch.setattr(exprabelo.solver, "interface_fluxes", overflowing)
-    for diagnostics in (True, False):
+    cfg = stock_config(64, final_time=0.125)
+    for run in (evolve, stream):
         with pytest.raises(StateError, match="non-finite boundary flux at t = 0$"):
-            run_simulation(stock_config(64, final_time=0.125), diagnostics=diagnostics)
+            run(cfg.grid, init_field(cfg.grid, cfg.init), cfg.scheme, cfg.final_time)
+
+
+@pytest.mark.parametrize("run", [evolve, stream], ids=["evolve", "landings"])
+def test_boundary_flux_warning_points_at_the_caller(run):
+    # the warning is given inside the loop's generator; it must name the
+    # line that asked for the run, not a line of solver.py
+    grid = GridSpec(x_min=-2.0, x_max=2.0, n_cells=64)
+    v0 = riemann_initial(grid, v_left=2.0, v_right=1.0)
+    with pytest.warns(BoundaryFluxWarning) as caught:
+        run(grid, v0, SchemeConfig(source_enabled=False), 0.5)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_traced_functions_exist_and_evolve_calls_them_through_module_bindings(monkeypatch):

@@ -34,7 +34,7 @@ from exprabelo.errors import (
 from exprabelo.grid_field import GridSpec, InitialDataSpec, build_grid, init_field, u_from_v
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig
-from exprabelo.solver import RunConfig, evolve, run_simulation
+from exprabelo.solver import RunConfig, evolve, landings, run_simulation
 from exprabelo.verifiers import (
     EPSILON_LADDER,
     EPSILON_LADDER_MIN_CELLS,
@@ -215,15 +215,6 @@ def test_source_free_mass_balance_closes_on_the_dissipation_alone(epsilon, bound
     assert not mass_balance_identity(relabelled).passed
 
 
-def test_budget_checks_refuse_a_state_only_run():
-    # a state-only run has no diagnostics series for these checks to read
-    run = run_simulation(stock_config(64, final_time=0.1), diagnostics=False)
-    for check in (lambda r: lp_balance_residual(r, 1.0), mass_balance_identity,
-                  sup_principle_monitor):
-        with pytest.raises(DataGapError, match="the run is state-only"):
-            check(run)
-
-
 def test_power_balance_refuses_an_underflowed_initial_norm():
     # v <= e^-300, so v^3 <= e^-900 underflows to 0: the relative residual
     # has no denominator. alpha = 0 and 1 keep a positive norm and pass.
@@ -325,7 +316,7 @@ def test_kruzhkov_rejects_viscous_runs(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("a viscous configuration was run before its rejection")
 
-    monkeypatch.setattr(exprabelo.verifiers, "evolve", no_run)
+    monkeypatch.setattr(exprabelo.solver, "_march", no_run)
     with pytest.raises(ValueError):
         kruzhkov_residual(stock_config(n_cells=64, final_time=0.125, epsilon=1e-2))
 
@@ -600,11 +591,8 @@ def v_form_certificate(grid, v0, scheme, final_time, levels):
     ``dense_snapshot_times``."""
     sums = _HatSums(grid, 0.0, final_time, v_form_kruzhkov_pair(levels))
     source = scheme.source_enabled
-
-    def take(snap):
+    for snap in landings(grid, v0, scheme, final_time, dense_snapshot_times(grid, final_time)):
         sums.add(snap.time, snap.field_v.values, snap.p.cell_values if source else None)
-
-    evolve(grid, v0, scheme, final_time, dense_snapshot_times(grid, final_time), on_snapshot=take)
     return _entropy_report(grid, tuple(levels), sums)
 
 
@@ -683,13 +671,14 @@ def test_stability_runs_both_configs_to_the_first_configs_final_time(monkeypatch
     cfg_u = stock_config(n_cells=64, final_time=0.25, snapshot_times=(0.125, 0.25))
     cfg_w = stock_config(n_cells=64, epsilon=1e-2, final_time=3.0, init=perturbed_gaussian())
     ends = []
+    march = exprabelo.solver._march
 
-    def recorded_run(*args, **kwargs):
-        run = evolve(*args, **kwargs)
-        ends.append(run.final_state.time)
-        return run
+    def recorded_march(*args, **kwargs):
+        for state in march(*args, **kwargs):
+            yield state
+        ends.append(state[0].time)
 
-    monkeypatch.setattr(exprabelo.verifiers, "evolve", recorded_run)
+    monkeypatch.setattr(exprabelo.solver, "_march", recorded_march)
     report = l1_stability_check(cfg_u, cfg_w, R=2.0)
     assert ends == [0.25, 0.25]
     assert report == l1_stability_check(cfg_u, replace(cfg_w, final_time=0.25), R=2.0)
@@ -721,12 +710,20 @@ def test_stability_rejects_an_overflowing_envelope(no_evolve):
         l1_stability_check(cfg, cfg, R=1000.0)
 
 
-@pytest.mark.parametrize("R", [0.0, -1.0, math.nan, math.inf])
-def test_stability_rejects_an_empty_or_undefined_window(no_evolve, R):
-    # the window |x| < R is empty for R <= 0: the certificate would check
-    # nothing and pass
+UNDEFINED_WINDOWS = (0.0, -1.0, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("R, match", [
+    *((R, "finite and positive") for R in UNDEFINED_WINDOWS),
+    # dx = 0.25: the cell centres nearest 0 sit at +-dx/2 = +-0.125
+    (0.0625, r"must exceed dx/2 = 0\.125"),
+    (0.125, r"must exceed dx/2 = 0\.125"),
+], ids=[*map(str, UNDEFINED_WINDOWS), "quarter cell", "half cell"])
+def test_stability_rejects_an_empty_or_undefined_window(no_evolve, R, match):
+    # the window |x| < R holds no cell centre for R <= dx/2 (for R <= 0 it
+    # is empty outright): the certificate would check nothing and pass
     cfg = stock_config(n_cells=64, final_time=0.25, snapshot_times=(0.0, 0.25))
-    with pytest.raises(DomainError, match="finite and positive"):
+    with pytest.raises(DomainError, match=match):
         l1_stability_check(cfg, cfg, R=R)
 
 
