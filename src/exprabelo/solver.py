@@ -26,11 +26,11 @@ CHAIN_MAX_POWER = 4
 
 
 def _normalize_alphas(alphas) -> tuple:
-    """The distinct alphas as sorted floats, which fixes the diagnostics
-    column order. Raises ValueError when there are none, when one is
-    negative or not finite, or when two share a ``%g`` tag, which names
-    their diagnostics columns and report files."""
-    alphas = tuple(sorted({float(a) for a in alphas}))
+    """The distinct alphas as sorted floats, -0 folded into 0, which fixes
+    the diagnostics column order. Raises ValueError when there are none,
+    when one is negative or not finite, or when two share a ``%g`` tag,
+    which names their diagnostics columns and report files."""
+    alphas = tuple(sorted({float(a) + 0.0 for a in alphas}))
     if not alphas:
         raise ValueError("diagnostic_alphas must be non-empty")
     tags = {}
@@ -142,8 +142,9 @@ class DiagnosticsSeries:
         return self.columns[name]
 
     def of(self, name: str, alpha: float) -> np.ndarray:
-        """The column ``name`` of the block of ``alpha``, ``<name>_a<alpha>``."""
-        return self.columns[f"{name}_a{alpha:g}"]
+        """The column ``name`` of the block of ``alpha``, ``<name>_a<alpha>``,
+        -0 read as 0."""
+        return self.columns[f"{name}_a{alpha + 0.0:g}"]
 
     @classmethod
     def from_rows(cls, rows: list, alphas: tuple) -> "DiagnosticsSeries":

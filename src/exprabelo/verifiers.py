@@ -308,12 +308,14 @@ def _hat_integral(a, b, c, w: float):
     return _hat_antideriv(b, c, w) - _hat_antideriv(a, c, w)
 
 
-class _HatSums:
+def _hat_sums(grid: GridSpec, pair, t0: float, t_end: float, samples) -> tuple[np.ndarray, float]:
     """Weak-form values of a batch of entropy pairs against the square family
     of ENTROPY_HATS x ENTROPY_HATS tensor-product hats interior to
-    (t0, t_end) x (x_min, x_max), accumulated one time sample at a time.
+    (t0, t_end) x (x_min, x_max), and the common integral of phi.
 
-    Each value approximates
+    ``samples`` yields ``(time, u, P or None)`` from t0 to t_end, each
+    sample at most ``_max_sample_gap`` after the previous one. Each value
+    approximates
 
       int int (eta(u) dphi/dt + q(u) dphi/dx - eta'(u) P phi) dx dt
       + int eta(u(t0, x)) phi(t0, x) dx
@@ -321,14 +323,15 @@ class _HatSums:
     using cellwise-constant u per slab between samples (endpoint average in
     time) and exact integration of the piecewise-linear phi. ``pair(u)``
     returns the (pairs, n) blocks eta(u), q(u) and eta'(u); they need only
-    be valid until the next call, and ``_HatSums`` only reads them, so a
-    pair may reuse its buffers or return read-only arrays. Each sample is
-    projected onto the x-hats at once and only the previous sample's
-    projections are kept, so memory is O(pairs * n) whatever the number of
-    samples. The first sample's eta is copied, and eta - eta0 and eta' P
-    are formed in one (pairs, n) work array, so a sample allocates no
-    block of that size. Nonnegative values are what an entropy solution
-    must produce.
+    be valid until the next call, and they are only read, so a pair may
+    reuse its buffers or return read-only arrays. Each sample is projected
+    onto the x-hats at once and only the previous sample's projections are
+    kept, so memory is O(pairs * n) whatever the number of samples, and
+    ``samples`` may be a generator that keeps nothing. The first sample's
+    eta is copied, and eta - eta0 and eta' P are formed in one (pairs, n)
+    work array, so a sample allocates no block of that size. The values
+    come as a (pairs, x-hats, t-hats) array; nonnegative values are what an
+    entropy solution must produce.
 
     eta enters relative to the first sample: the time hats telescope, so of
     eta(u(t0)) only its product with phi(t_end) remains, and cells where u
@@ -336,81 +339,64 @@ class _HatSums:
     stock 4096-cell values to rounding, since the far field's large
     |u - k| cancels in the sums.
     """
-
-    def __init__(self, grid: GridSpec, t0: float, t_end: float, pair):
-        if not t_end > t0:
-            raise SparseSnapshotsError("sample times must increase")
-        ifc = grid.interfaces
-        self.max_gap = _max_sample_gap(grid.dx, t_end - t0)
-        self.pair = pair
-        hats = np.arange(1, ENTROPY_HATS + 1)
-        self.w_t = (t_end - t0) / (ENTROPY_HATS + 1)
-        self.c_t = t0 + hats * self.w_t
-        w_x = float(ifc[-1] - ifc[0]) / (ENTROPY_HATS + 1)
-        c_x = float(ifc[0]) + hats * w_x
-        left, right = ifc[:-1, None], ifc[1:, None]
-        self.ihx = _hat_integral(left, right, c_x, w_x)  # (cells, x-hats)
-        self.dhx = _hat_at(right, c_x, w_x) - _hat_at(left, c_x, w_x)
-        self.phi_mass = self.w_t * w_x
-        self.eta0 = None
-        self.work = None  # (pairs, n) scratch for eta - eta0 and eta' P
-        self.sums = None  # (pairs, x-hats, t-hats), without the eta(u(t0)) term
-        # time, t-hat values and antiderivatives, and projections of the last sample
-        self.prev = None
-
-    def add(self, time: float, u: np.ndarray, p: np.ndarray | None = None) -> None:
-        """Take the sample u (and P) at ``time``, which must follow the
-        previous sample by at most ``_max_sample_gap``."""
-        eta, q, eta_prime = self.pair(u)
-        if self.prev is None:
-            self.eta0 = eta.copy()
-            self.work = np.empty(eta.shape)
-            self.sums = np.zeros((len(eta), self.ihx.shape[1], self.c_t.size))
-        f = q @ self.dhx
+    if not t_end > t0:
+        raise SparseSnapshotsError("sample times must increase")
+    ifc = grid.interfaces
+    max_gap = _max_sample_gap(grid.dx, t_end - t0)
+    hats = np.arange(1, ENTROPY_HATS + 1)
+    w_t = (t_end - t0) / (ENTROPY_HATS + 1)
+    c_t = t0 + hats * w_t
+    w_x = float(ifc[-1] - ifc[0]) / (ENTROPY_HATS + 1)
+    c_x = float(ifc[0]) + hats * w_x
+    left, right = ifc[:-1, None], ifc[1:, None]
+    ihx = _hat_integral(left, right, c_x, w_x)  # (cells, x-hats)
+    dhx = _hat_at(right, c_x, w_x) - _hat_at(left, c_x, w_x)
+    # time, t-hat values and antiderivatives, and projections of the last sample
+    prev = None
+    for time, u, p in samples:
+        eta, q, eta_prime = pair(u)
+        if prev is None:
+            eta0 = eta.copy()
+            work = np.empty(eta.shape)  # scratch for eta - eta0 and eta' P
+            sums = np.zeros((len(eta), ihx.shape[1], c_t.size))  # without the eta(u(t0)) term
+        f = q @ dhx
         if p is not None:
-            f -= np.multiply(eta_prime, p, out=self.work) @ self.ihx
-        e = np.subtract(eta, self.eta0, out=self.work) @ self.ihx
-        ht = _hat_at(time, self.c_t, self.w_t)
-        at = _hat_antideriv(time, self.c_t, self.w_t)
-        if self.prev is not None:
-            t_prev, ht_prev, at_prev, e_prev, f_prev = self.prev
+            f -= np.multiply(eta_prime, p, out=work) @ ihx
+        e = np.subtract(eta, eta0, out=work) @ ihx
+        ht = _hat_at(time, c_t, w_t)
+        at = _hat_antideriv(time, c_t, w_t)
+        if prev is not None:
+            t_prev, ht_prev, at_prev, e_prev, f_prev = prev
             if not time > t_prev:
                 raise SparseSnapshotsError(f"sample time {time:.6g} does not follow {t_prev:.6g}")
-            if time - t_prev > self.max_gap * (1.0 + 1e-9):
+            if time - t_prev > max_gap * (1.0 + 1e-9):
                 raise SparseSnapshotsError(
                     f"snapshot spacing {time - t_prev:.3e} exceeds min(dx, w_t / 2) = "
-                    f"{self.max_gap:.3e}; record denser snapshots"
+                    f"{max_gap:.3e}; record denser snapshots"
                 )
-            self.sums += 0.5 * (e_prev + e)[:, :, None] * (ht - ht_prev)
-            self.sums += 0.5 * (f_prev + f)[:, :, None] * (at - at_prev)
-        self.prev = (time, ht, at, e, f)
-
-    def add_rows(self, times: np.ndarray, u_matrix: np.ndarray, p_matrix) -> None:
-        for i, t in enumerate(times.tolist()):
-            self.add(t, u_matrix[i], None if p_matrix is None else p_matrix[i])
-
-    def values(self) -> np.ndarray:
-        """The (pairs, x-hats, t-hats) weak-form values."""
-        ht_end = self.prev[1]
-        return self.sums + (self.eta0 @ self.ihx)[:, :, None] * ht_end
+            sums += 0.5 * (e_prev + e)[:, :, None] * (ht - ht_prev)
+            sums += 0.5 * (f_prev + f)[:, :, None] * (at - at_prev)
+        prev = (time, ht, at, e, f)
+    return sums + (eta0 @ ihx)[:, :, None] * prev[1], w_t * w_x
 
 
-def _samples(
-    grid: GridSpec, times, u_matrix, p_matrix
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Times, u and P (or None) as float arrays, checked for one row of u
-    and of P per time."""
+def _samples(grid: GridSpec, times, u_matrix, p_matrix) -> tuple[float, float, list]:
+    """The first and last time of an explicit space-time sample, and its
+    rows ``(time, u, P or None)`` as ``_hat_sums`` takes them, checked for
+    one row of u and of P per time."""
     times = np.asarray(times, dtype=np.float64)
     u_matrix = np.asarray(u_matrix, dtype=np.float64)
     if times.ndim != 1 or times.size < 2:
         raise SparseSnapshotsError("need at least two snapshots in time")
     if u_matrix.shape != (times.size, grid.n_cells):
         raise SparseSnapshotsError("u sample shape does not match times x cells")
-    if p_matrix is not None:
+    if p_matrix is None:
+        p_matrix = [None] * times.size
+    else:
         p_matrix = np.asarray(p_matrix, dtype=np.float64)
         if p_matrix.shape != u_matrix.shape:
             raise SparseSnapshotsError("P sample shape does not match times x cells")
-    return times, u_matrix, p_matrix
+    return float(times[0]), float(times[-1]), list(zip(times.tolist(), u_matrix, p_matrix))
 
 
 def entropy_weak_values(
@@ -423,16 +409,14 @@ def entropy_weak_values(
     eta_prime: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, float]:
     """Weak-form values of one entropy pair on an explicit space-time sample
-    of u (and P), as ``_HatSums`` computes them; the return includes the
+    of u (and P), as ``_hat_sums`` computes them; the return includes the
     common integral of phi for tolerance scaling."""
-    times, u_matrix, p_matrix = _samples(grid, times, u_matrix, p_matrix)
 
     def pair(u):
         return eta(u)[None], flux_q(u)[None], eta_prime(u)[None]
 
-    sums = _HatSums(grid, float(times[0]), float(times[-1]), pair)
-    sums.add_rows(times, u_matrix, p_matrix)
-    return sums.values()[0].ravel(), sums.phi_mass
+    values, phi_mass = _hat_sums(grid, pair, *_samples(grid, times, u_matrix, p_matrix))
+    return values[0].ravel(), phi_mass
 
 
 @dataclass(frozen=True)
@@ -487,9 +471,13 @@ def _kruzhkov_pair(levels: tuple, n_cells: int):
     return pair
 
 
-def _entropy_report(grid: GridSpec, levels: tuple, sums: _HatSums) -> EntropyReport:
-    minima = tuple(float(m) for m in sums.values().min(axis=(1, 2)))
-    tol = ENTROPY_C_TOL * grid.dx * sums.phi_mass
+def _entropy_report(grid: GridSpec, levels: tuple, pair, t0: float, t_end: float,
+                    samples) -> EntropyReport:
+    """The certificate of ``pair`` at ``levels`` on ``samples``, as ``_hat_sums``
+    takes them."""
+    values, phi_mass = _hat_sums(grid, pair, t0, t_end, samples)
+    minima = tuple(float(m) for m in values.min(axis=(1, 2)))
+    tol = ENTROPY_C_TOL * grid.dx * phi_mass
     min_value = min(minima)
     return EntropyReport(
         levels=levels,
@@ -513,13 +501,9 @@ def kruzhkov_on_field(
     """Kruzhkov certificate on an explicit space-time sample of u (and P),
     with times strictly increasing at most ``_max_sample_gap`` apart. The
     default levels come from the first row."""
-    times, u_matrix, p_matrix = _samples(grid, times, u_matrix, p_matrix)
-    levels = _default_levels(u_matrix[0]) if levels is None else tuple(float(k) for k in levels)
-    sums = _HatSums(
-        grid, float(times[0]), float(times[-1]), _kruzhkov_pair(levels, grid.n_cells)
-    )
-    sums.add_rows(times, u_matrix, p_matrix)
-    return _entropy_report(grid, levels, sums)
+    t0, t_end, rows = _samples(grid, times, u_matrix, p_matrix)
+    levels = _default_levels(rows[0][1]) if levels is None else tuple(float(k) for k in levels)
+    return _entropy_report(grid, levels, _kruzhkov_pair(levels, grid.n_cells), t0, t_end, rows)
 
 
 def kruzhkov_residual(cfg: RunConfig) -> EntropyReport:
@@ -536,12 +520,14 @@ def kruzhkov_residual(cfg: RunConfig) -> EntropyReport:
     grid = cfg.grid
     v0 = init_field(grid, cfg.init)
     levels = _default_levels(u_from_v(v0))
-    sums = _HatSums(grid, 0.0, cfg.final_time, _kruzhkov_pair(levels, grid.n_cells))
+    pair = _kruzhkov_pair(levels, grid.n_cells)
     source = cfg.scheme.source_enabled
     times = dense_snapshot_times(grid, cfg.final_time)
-    for snap in landings(grid, v0, cfg.scheme, cfg.final_time, times):
-        sums.add(snap.time, snap.u, snap.p.cell_values if source else None)
-    return _entropy_report(grid, levels, sums)
+    samples = (
+        (snap.time, snap.u, snap.p.cell_values if source else None)
+        for snap in landings(grid, v0, cfg.scheme, cfg.final_time, times)
+    )
+    return _entropy_report(grid, levels, pair, 0.0, cfg.final_time, samples)
 
 
 def expansion_shock_field(

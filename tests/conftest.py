@@ -161,9 +161,9 @@ def reference_diagnostics_row(grid, fv, p, flux, cfg, dt, alphas):
 
 def v_form_kruzhkov_pair(levels):
     """The Kruzhkov pairs of the law the scheme conserves, v_t + (v^2/2)_x =
-    -v P, one row per level k, laid out as the u-form pairs that ``_HatSums``
-    takes but fed v: |v - k|, sgn(v - k)(v^2 - k^2)/2 and the source weight
-    sgn(v - k) v in place of eta'(u)."""
+    -v P, one row per level k, laid out as the u-form pairs that
+    ``verifiers._hat_sums`` takes but fed v: |v - k|, sgn(v - k)(v^2 -
+    k^2)/2 and the source weight sgn(v - k) v in place of eta'(u)."""
     k = np.array(levels, dtype=np.float64)[:, None]
 
     def pair(v):

@@ -1187,6 +1187,7 @@ ZERO_WIDTH = (MINIMAL.replace("x_min = -8", "x_min = -5e-324")
         (UNDERFLOW, ["verify", "balance"], 2, "alpha = 2 needs a positive initial norm"),
         (MINIMAL + "init.amplitude = -746\n", ["simulate"], 2, "max v must be positive"),
         (UNDERFLOW + "diag.alphas = 0, 1\n", ["verify", "balance"], 0, "(pass)"),
+        (MINIMAL + "diag.alphas = -0, 1\n", ["verify", "balance"], 0, "(pass)"),
         (None, ["verify", "entropy", "--fixture", "expansion-shock"], 1, "(FAIL)"),
         (TINY_SIGMA, ["simulate"], 2, "max v must be positive"),
         (MINIMAL + "init.amplitude = 800\n", ["simulate"], 2, "FieldV values must be finite"),
@@ -1206,9 +1207,9 @@ ZERO_WIDTH = (MINIMAL.replace("x_min = -8", "x_min = -5e-324")
         (MINIMAL + "run.snapshots = 0.25\n", ["verify", "stability", "--cfg2", "{cfg}",
                                               "--R", "0.125"], 2, "must exceed dx/2 = 0.125"),
     ],
-    ids=["zero initial norm", "v underflows", "positive norms", "expansion shock",
-         "profile overflows", "v overflows", "flux overflows", "blow-up", "width underflows",
-         "count past 2^53", "burgers count past 2^53", "allocation refused",
+    ids=["zero initial norm", "v underflows", "positive norms", "negative zero alpha",
+         "expansion shock", "profile overflows", "v overflows", "flux overflows", "blow-up",
+         "width underflows", "count past 2^53", "burgers count past 2^53", "allocation refused",
          "stability window of no cell"],
 )
 def test_hostile_input_gets_its_documented_exit_status(tmp_path, capsys, text, command,

@@ -383,6 +383,16 @@ def test_run_simulation_normalizes_diagnostic_alphas():
         "lp_a0", "lp_a1", "lp_a2"]
 
 
+def test_negative_zero_alpha_is_alpha_zero():
+    # -0 == 0, but "%g" tags it a-0: it must name the alpha = 0 columns
+    run = run_simulation(stock_config(n_cells=64, final_time=0.25, alphas=(-0.0, 1)))
+    assert run.diagnostics.alphas == (0.0, 1.0)
+    assert math.copysign(1.0, run.diagnostics.alphas[0]) == 1.0
+    assert [name for name in run.diagnostics.columns if name.startswith("lp_")] == [
+        "lp_a0", "lp_a1"]
+    assert run.diagnostics.of("lp", -0.0) is run.diagnostics["lp_a0"]
+
+
 def test_evolve_normalizes_alphas_as_run_config_does():
     # evolve sorts and dedupes the alphas itself, so a direct call writes
     # the columns of a RunConfig run, and rejects colliding %g tags
@@ -509,6 +519,28 @@ def test_landings_yield_the_golden_snapshots():
     assert [snap.time for snap in landed] == [0.0, 0.25, 0.5]
     run = replace(run_simulation(base), snapshots=landed)
     assert _output_digest(run) == GOLDEN_DIGESTS["stock"], golden_host_note()
+
+
+# The equation is invariant under v(t, x) -> lam v(lam t, x), and so is the
+# scheme: flux, P, source, CFL step, landing and implicit solve all scale
+# exactly in IEEE arithmetic when lam is a power of two. So this pin holds on
+# any host, whatever its exp, log and BLAS kernels, and it fails on a term
+# that does not scale like the PDE (-P for -v P, eps v_xx for eps v v_xx).
+@pytest.mark.parametrize("lam", [2.0, 8.0, 0.25])
+@pytest.mark.parametrize("flux", ["godunov", "rusanov"])
+@pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+@pytest.mark.parametrize("n_cells, half_width", [(256, 8.0), (240, 7.5)])
+def test_rescaled_data_give_the_rescaled_run_bit_for_bit(n_cells, half_width, epsilon, flux,
+                                                         lam):
+    grid = GridSpec(x_min=-half_width, x_max=half_width, n_cells=n_cells)
+    cfg = SchemeConfig(epsilon=epsilon, flux=flux)
+    v0 = init_field(grid, InitialDataSpec.gaussian())
+    base = evolve(grid, v0, cfg, 1.0, (0.25, 0.5))
+    scaled = evolve(grid, FieldV(lam * v0.values), cfg, 1.0 / lam, (0.25 / lam, 0.5 / lam))
+    assert [s.time for s in scaled.snapshots] == [s.time / lam for s in base.snapshots]
+    for a, b in zip(base.snapshots, scaled.snapshots):
+        assert (lam * a.field_v.values).tobytes() == b.field_v.values.tobytes()
+    assert (base.diagnostics["dt"] / lam).tobytes() == scaled.diagnostics["dt"].tobytes()
 
 
 def test_a_golden_mismatch_names_three_kernel_facts_or_unknown(monkeypatch, tmp_path):

@@ -38,13 +38,14 @@ from exprabelo.solver import RunConfig, evolve, landings, run_simulation
 from exprabelo.verifiers import (
     EPSILON_LADDER,
     EPSILON_LADDER_MIN_CELLS,
-    _HatSums,
     _chord_speed,
     _default_levels,
     _entropy_report,
     _hat_at,
     _hat_integral,
+    _hat_sums,
     _kruzhkov_pair,
+    _samples,
     burgers_riemann_oracle,
     burgers_sanity,
     dense_snapshot_times,
@@ -321,6 +322,13 @@ def test_kruzhkov_rejects_viscous_runs(monkeypatch):
         kruzhkov_residual(stock_config(n_cells=64, final_time=0.125, epsilon=1e-2))
 
 
+def test_kruzhkov_refuses_a_zero_span_before_it_runs(no_evolve):
+    # the weak-form sums check (t0, t_end) before they draw the first
+    # streamed sample, so a T = 0 run is refused and never started
+    with pytest.raises(SparseSnapshotsError, match="sample times must increase"):
+        kruzhkov_residual(stock_config(n_cells=64, final_time=0.0))
+
+
 def test_kruzhkov_ignores_the_config_snapshot_times():
     # the certificate samples the run at its own dense times
     base = stock_config(n_cells=64, final_time=0.25)
@@ -363,16 +371,20 @@ def test_hat_sums_allocate_no_block_per_sample():
     u = rng.uniform(-4.0, 0.0, (3, grid.n_cells))
     p = rng.uniform(0.0, 1.0, (3, grid.n_cells))
     times = dense_snapshot_times(grid, 1.0)[:3]
-    sums = _HatSums(grid, 0.0, 1.0, _kruzhkov_pair(levels, grid.n_cells))
-    sums.add(times[0], u[0], p[0])
-    sums.add(times[1], u[1], p[1])
-    tracemalloc.start()
-    try:
-        sums.add(times[2], u[2], p[2])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < len(levels) * grid.n_cells * 8
+    peaks = []
+
+    def samples():  # traces the sums' work on the third sample
+        yield times[0], u[0], p[0]
+        yield times[1], u[1], p[1]
+        tracemalloc.start()
+        try:
+            yield times[2], u[2], p[2]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    _hat_sums(grid, _kruzhkov_pair(levels, grid.n_cells), 0.0, 1.0, samples())
+    assert peaks[0] < len(levels) * grid.n_cells * 8
 
 
 @pytest.mark.parametrize("with_p", [False, True])
@@ -391,9 +403,7 @@ def test_hat_sums_only_read_the_pair_blocks(with_p):
 
     values = []
     for pair in (direct, read_only):
-        sums = _HatSums(grid, float(times[0]), float(times[-1]), pair)
-        sums.add_rows(times, u, p)
-        values.append(sums.values().tobytes())
+        values.append(_hat_sums(grid, pair, *_samples(grid, times, u, p))[0].tobytes())
     assert values[0] == values[1]
 
 
@@ -589,11 +599,13 @@ def v_form_certificate(grid, v0, scheme, final_time, levels):
     """The certificate of the v-form Kruzhkov pairs at the v levels
     ``levels``, through the same weak-form sums, on a run streamed at
     ``dense_snapshot_times``."""
-    sums = _HatSums(grid, 0.0, final_time, v_form_kruzhkov_pair(levels))
     source = scheme.source_enabled
-    for snap in landings(grid, v0, scheme, final_time, dense_snapshot_times(grid, final_time)):
-        sums.add(snap.time, snap.field_v.values, snap.p.cell_values if source else None)
-    return _entropy_report(grid, tuple(levels), sums)
+    samples = (
+        (snap.time, snap.field_v.values, snap.p.cell_values if source else None)
+        for snap in landings(grid, v0, scheme, final_time, dense_snapshot_times(grid, final_time))
+    )
+    return _entropy_report(grid, tuple(levels), v_form_kruzhkov_pair(levels), 0.0, final_time,
+                           samples)
 
 
 def test_riemann_shock_v_form_certificate_holds_at_2048_cells():
