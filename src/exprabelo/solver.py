@@ -1,7 +1,8 @@
-"""Time integration driver: one time loop, ``_march``, with two consumers.
+"""Time integration driver: one time loop, ``_march``, with three consumers.
 ``evolve`` keeps snapshots at exact requested times and a per-step
 diagnostics series recording the quantities the budget verifiers consume;
-``landings`` streams the snapshots and keeps nothing.
+``landings`` streams the snapshots and keeps nothing; and the entropy
+certificate, ``verifiers.kruzhkov_residual``, samples the states it needs.
 """
 
 from __future__ import annotations
@@ -257,21 +258,24 @@ class RunResult:
         return self.snapshots[-1].field_v  # evolve always lands a final snapshot
 
 
-def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, snapshot_times):
+def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, snapshot_times,
+           max_dt: float = math.inf):
     """March v0 to final_time, landing exactly on every requested snapshot
     time, and yield ``(fv, p, flux, dt, landed)`` for the initial state and
     after every step: the state, its prefix integral P and interface fluxes
     F, the step that reached it (0 at first), and whether it lands on a
     snapshot time or the final time.
 
-    The CFL-stable step is shortened (never stretched) to hit snapshot times
-    and the final time, so landed timestamps equal the requests bitwise.
-    Each state's P and F are computed once, as it arrives, and its boundary
-    flux |F_1/2| + |F_n+1/2| must be finite; the next ``step`` takes P and F
-    as arguments and evaluates only its later stages. A
-    ``BoundaryFluxWarning``, pointing at the caller of ``evolve`` or
-    ``landings``, is given at the end when the boundary flux's maximum
-    exceeds ``BOUNDARY_LEAK_THRESHOLD``.
+    Each step is the CFL-stable one, capped at ``max_dt`` (no cap by
+    default, so ``evolve`` and ``landings`` step at the CFL step itself),
+    then shortened (never stretched) to hit snapshot times and the final
+    time, so landed timestamps equal the requests bitwise. Each state's P
+    and F are computed once, as it arrives, and its boundary flux
+    |F_1/2| + |F_n+1/2| must be finite; the next ``step`` takes P and F as
+    arguments and evaluates only its later stages. A
+    ``BoundaryFluxWarning``, pointing at the frame that iterates the
+    consumer of this generator, is given at the end when the boundary
+    flux's maximum exceeds ``BOUNDARY_LEAK_THRESHOLD``.
     """
     events = sorted(set(_snapshot_times(final_time, snapshot_times)) | {float(final_time)})
     if v0.time != 0.0:
@@ -293,7 +297,7 @@ def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, sna
             if not events:
                 break
         target = events[0]
-        dt = cfl_dt(grid, fv, p, cfg)
+        dt = min(cfl_dt(grid, fv, p, cfg), max_dt)
         landing = fv.time + dt >= target
         if landing:
             dt = target - fv.time

@@ -17,6 +17,7 @@ from .errors import BoundaryFluxWarning, DataGapError, DomainError, SparseSnapsh
 from .grid_field import (
     V_TINY, FieldV, GridSpec, InitialDataSpec, build_grid, init_field, u_from_v,
 )
+from . import solver
 from .scheme import SchemeConfig
 from .solver import RunConfig, RunResult, Snapshot, landings, run_simulation
 
@@ -313,8 +314,10 @@ def _hat_sums(grid: GridSpec, pair, t0: float, t_end: float, samples) -> tuple[n
     of ENTROPY_HATS x ENTROPY_HATS tensor-product hats interior to
     (t0, t_end) x (x_min, x_max), and the common integral of phi.
 
-    ``samples`` yields ``(time, u, P or None)`` from t0 to t_end, each
-    sample at most ``_max_sample_gap`` after the previous one. Each value
+    ``samples`` yields ``(time, u, P or None)``, the first at t0 and the
+    last at t_end, each at most ``_max_sample_gap`` after the previous one;
+    a stream that does not span [t0, t_end] raises
+    ``SparseSnapshotsError``. Each value
     approximates
 
       int int (eta(u) dphi/dt + q(u) dphi/dx - eta'(u) P phi) dx dt
@@ -354,6 +357,8 @@ def _hat_sums(grid: GridSpec, pair, t0: float, t_end: float, samples) -> tuple[n
     # time, t-hat values and antiderivatives, and projections of the last sample
     prev = None
     for time, u, p in samples:
+        if prev is None and time != t0:
+            raise SparseSnapshotsError(f"first sample at {time:.6g} is not at t0 = {t0:.6g}")
         eta, q, eta_prime = pair(u)
         if prev is None:
             eta0 = eta.copy()
@@ -377,6 +382,10 @@ def _hat_sums(grid: GridSpec, pair, t0: float, t_end: float, samples) -> tuple[n
             sums += 0.5 * (e_prev + e)[:, :, None] * (ht - ht_prev)
             sums += 0.5 * (f_prev + f)[:, :, None] * (at - at_prev)
         prev = (time, ht, at, e, f)
+    if prev is None:
+        raise SparseSnapshotsError("no samples")
+    if prev[0] != t_end:
+        raise SparseSnapshotsError(f"last sample at {prev[0]:.6g} is not at t_end = {t_end:.6g}")
     return sums + (eta0 @ ihx)[:, :, None] * prev[1], w_t * w_x
 
 
@@ -506,14 +515,49 @@ def kruzhkov_on_field(
     return _entropy_report(grid, levels, _kruzhkov_pair(levels, grid.n_cells), t0, t_end, rows)
 
 
+def _certificate_samples(cfg: RunConfig, v0: FieldV):
+    """The samples ``kruzhkov_residual`` takes from the run of ``cfg``:
+    ``(time, u, P or None)`` of the initial state, of the states landed on
+    the time-hat knots, and between them of the fewest states that keep the
+    samples at most the ``_max_sample_gap`` apart.
+
+    The run steps at its CFL step capped at the gap, so a state lies at
+    most the gap past the one before it. Each state is held back one step:
+    when the next lies more than the gap past the last sample, the held one
+    becomes a sample. ``step`` and ``prefix_integral`` return fresh arrays,
+    so holding a state copies nothing, and u is taken only of samples.
+    """
+    source = cfg.scheme.source_enabled
+    gap = _max_sample_gap(cfg.grid.dx, cfg.final_time)
+    knots = np.linspace(0.0, cfg.final_time, ENTROPY_HATS + 2)
+
+    def sample(fv, p):
+        return fv.time, u_from_v(fv), p.cell_values if source else None
+
+    last = held = None
+    for fv, p, _, _, landed in solver._march(cfg.grid, v0, cfg.scheme, cfg.final_time, knots,
+                                             max_dt=gap):
+        if held is not None and fv.time - last > gap:
+            yield sample(*held)
+            last = held[0].time
+        held = (fv, p)
+        if landed:
+            yield sample(fv, p)
+            last, held = fv.time, None
+
+
 def kruzhkov_residual(cfg: RunConfig) -> EntropyReport:
     """Kruzhkov certificate for an inviscid configuration.
 
-    Runs ``cfg`` with snapshots at ``dense_snapshot_times`` in place of its
-    own and streams each one into the weak-form sums as it lands, so no
-    snapshot is kept. The levels come from the initial u. The
-    nonlocal term enters with the run's own P when the source is active;
-    source-free runs are certified against the plain conservation law.
+    Runs ``cfg`` to its final time, ignoring its snapshot times, and streams
+    the samples of ``_certificate_samples`` into the weak-form sums as they
+    arrive, so no state is kept past the next step. The run lands on the
+    time-hat knots j T / (ENTROPY_HATS + 1), so no sample slab straddles a
+    kink of a time hat, and otherwise steps at the scheme's own CFL step
+    wherever that is below ``_max_sample_gap``. The levels come from the
+    initial u. The nonlocal term enters with the run's own P when the
+    source is active; source-free runs are certified against the plain
+    conservation law.
     """
     if cfg.scheme.epsilon != 0.0:
         raise ValueError("the entropy certificate applies to epsilon = 0 runs")
@@ -521,13 +565,7 @@ def kruzhkov_residual(cfg: RunConfig) -> EntropyReport:
     v0 = init_field(grid, cfg.init)
     levels = _default_levels(u_from_v(v0))
     pair = _kruzhkov_pair(levels, grid.n_cells)
-    source = cfg.scheme.source_enabled
-    times = dense_snapshot_times(grid, cfg.final_time)
-    samples = (
-        (snap.time, snap.u, snap.p.cell_values if source else None)
-        for snap in landings(grid, v0, cfg.scheme, cfg.final_time, times)
-    )
-    return _entropy_report(grid, levels, pair, 0.0, cfg.final_time, samples)
+    return _entropy_report(grid, levels, pair, 0.0, cfg.final_time, _certificate_samples(cfg, v0))
 
 
 def expansion_shock_field(

@@ -60,7 +60,8 @@ def perturbed_gaussian() -> InitialDataSpec:
 @pytest.fixture
 def no_evolve(monkeypatch):
     """Fail the test if anything runs a simulation: every run, recorded by
-    ``evolve`` or streamed by ``landings``, goes through ``solver._march``."""
+    ``evolve``, streamed by ``landings`` or sampled by the entropy
+    certificate, goes through ``solver._march``."""
 
     def no_run(*args, **kwargs):
         raise AssertionError("rejected input ran a simulation")

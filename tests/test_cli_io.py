@@ -706,7 +706,7 @@ CLI_RESULT_GOLDEN = {
         0,
         "verify entropy: {tmp}/minimal.cfg min weak value -1.528e-03 vs tolerance -1.235e-01 "
         "(pass)\n",
-        {"entropy.report": "e54b5552d1a970ff4c813702d3b968d070a85315acb324b0cb84d2f891441269"},
+        {"entropy.report": "1fa9e6d3ca82c2fc0e0b3cedfd2df26e75c00fff4bfbccc88820f3f9c8cf98e8"},
     ),
     "verify-entropy-fixture": (
         1,
@@ -757,7 +757,7 @@ def test_cli_reports_status_lines_and_exit_codes_are_golden(tmp_path, capsys):
 # entropy.report of the stock gaussian at 4096 cells and T = 1, the size at
 # which the certificate's (levels x cells) work arrays, 229 KB each, lie
 # above the allocator's mmap threshold; the goldens above stay below it
-ENTROPY_4096_GOLDEN = "e7d0c7eeba6301815a18c4f112a9a20c9ec68633d4907e45148b47d012922daf"
+ENTROPY_4096_GOLDEN = "408508f300b9855a7d54d06da226d71397f7afbb3ad275085cf3331255042219"
 
 
 def test_entropy_report_at_4096_cells_is_golden(tmp_path, capsys):
