@@ -89,12 +89,12 @@ class SchemeConfig:
 class Workspace:
     """Preallocated float64 buffers of the scheme for one grid size.
 
-    ``evolve`` makes one per run and hands it to every ``step`` and to its
-    own flux evaluation of each new state, so the hot loop allocates only
-    each new field and its prefix integral. Called without one, the public
-    functions build their own, which keeps a single arithmetic path. The
-    buffers carry no state from call to call: whatever a call reads, its
-    caller passes in.
+    ``solver._march``, the one time loop, makes one per run and hands it
+    to every ``step`` and to its own flux evaluation of each new state, so
+    the hot loop allocates only each new field and its prefix integral.
+    Called without one, the public functions build their own, which keeps
+    a single arithmetic path. The buffers carry no state from call to
+    call: whatever a call reads, its caller passes in.
     """
 
     def __init__(self, n_cells: int):

@@ -268,11 +268,12 @@ def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, sna
 
     Each step is the CFL-stable one, capped at ``max_dt`` (no cap by
     default, so ``evolve`` and ``landings`` step at the CFL step itself),
-    then shortened (never stretched) to hit snapshot times and the final
-    time, so landed timestamps equal the requests bitwise. Each state's P
-    and F are computed once, as it arrives, and its boundary flux
-    |F_1/2| + |F_n+1/2| must be finite; the next ``step`` takes P and F as
-    arguments and evaluates only its later stages. A
+    then shortened, or stretched by at most 4 ulps of the event time, to
+    hit snapshot times and the final time: landed timestamps equal the
+    requests bitwise, and no sliver step follows an ulp short of an event.
+    Each state's P and F are computed once, as it arrives, and its
+    boundary flux |F_1/2| + |F_n+1/2| must be finite; the next ``step``
+    takes P and F as arguments and evaluates only its later stages. A
     ``BoundaryFluxWarning``, pointing at the frame that iterates the
     consumer of this generator, is given at the end when the boundary
     flux's maximum exceeds ``BOUNDARY_LEAK_THRESHOLD``.
@@ -298,7 +299,7 @@ def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, sna
                 break
         target = events[0]
         dt = min(cfl_dt(grid, fv, p, cfg), max_dt)
-        landing = fv.time + dt >= target
+        landing = fv.time + dt >= target - 4 * math.ulp(target)
         if landing:
             dt = target - fv.time
         fv = step(grid, fv, cfg, dt, p, ws, flux)

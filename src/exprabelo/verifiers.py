@@ -6,8 +6,10 @@ and exact Riemann oracles for the source-free (pure Burgers) limit.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
@@ -19,7 +21,7 @@ from .grid_field import (
 )
 from . import solver
 from .scheme import SchemeConfig
-from .solver import RunConfig, RunResult, Snapshot, landings, run_simulation
+from .solver import RunConfig, RunResult, landings, run_simulation
 
 SQRT_PI = math.sqrt(math.pi)
 EPSILON_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -87,20 +89,17 @@ def observed_order(values: Sequence[float], widths: Sequence[float]) -> float | 
     ]))
 
 
-def _run_many(runs: Iterable[tuple]) -> list[tuple[Snapshot, ...]]:
-    """The landed snapshots of each run, given as the arguments of
-    ``landings``, for checks that read only snapshots or final fields. The
-    runs go one after another, in input order: they are small-array loops
-    that hold the interpreter lock, so threads would only add contention.
-    """
-    return [tuple(landings(*run)) for run in runs]
+def _run_many(runs: Iterable[tuple]) -> list[np.ndarray]:
+    """The final v of each run, given as the arguments of ``landings``. The
+    runs go one after another, in input order, and of each only its last
+    landed snapshot is kept."""
+    return [deque(landings(*run), maxlen=1)[0].field_v.values for run in runs]
 
 
 def _final_fields(configs: Sequence[RunConfig]) -> list[np.ndarray]:
     """The final v of the run of each of ``configs``."""
-    runs = ((c.grid, init_field(c.grid, c.init), c.scheme, c.final_time, c.snapshot_times)
-            for c in configs)
-    return [snaps[-1].field_v.values for snaps in _run_many(runs)]
+    return _run_many((c.grid, init_field(c.grid, c.init), c.scheme, c.final_time,
+                      c.snapshot_times) for c in configs)
 
 
 def _ladder_configs(base: RunConfig, n_ladder: Sequence[int]) -> list[RunConfig]:
@@ -665,10 +664,8 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
             f"widened window radius {reach:.4g} exceeds the domain "
             f"[{grid.x_min}, {grid.x_max}]; enlarge the domain or shrink R/T"
         )
-    runs = _run_many(
-        (grid, start, c.scheme, T, sample_times)
-        for start, c in ((start_u, cfg_u), (start_w, cfg_w))
-    )
+    runs = [landings(grid, start, c.scheme, T, sample_times)
+            for start, c in ((start_u, cfg_u), (start_w, cfg_w))]
     initial_gap = np.abs(u_from_v(start_u) - u_from_v(start_w))
     abs_x = np.abs(grid.centers)
 
@@ -676,9 +673,10 @@ def l1_stability_check(cfg_u: RunConfig, cfg_w: RunConfig, R: float) -> Stabilit
         """The L1 norm of ``gap`` over |x| < radius."""
         return float(np.sum(gap[abs_x < radius]) * grid.dx)
 
-    # the runs also land T when it is not a sample time: pair the samples only
-    pairs = zip(*(snaps[: len(sample_times)] for snaps in runs))
-    measured = tuple(l1_in(np.abs(a.u - b.u), R) for a, b in pairs)
+    # the runs step side by side, measured as they land (zip would leave the
+    # second unfinished, without its warning); T lands even when not sampled
+    pairs = itertools.zip_longest(*runs)
+    measured = tuple(l1_in(np.abs(a.u - b.u), R) for a, b in pairs if a.time <= sample_times[-1])
     grow = [math.exp(c_of_t * t) for t in sample_times]
     bound = tuple(g * l1_in(initial_gap, R + c0 * t) for g, t in zip(grow, sample_times))
     wide = [R + c_of_t * t for t in sample_times]
@@ -831,8 +829,8 @@ def _riemann_run(grid: GridSpec, states: tuple, final_time: float) -> np.ndarray
     cfg = SchemeConfig(epsilon=0.0, source_enabled=False)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryFluxWarning)
-        [snaps] = _run_many([(grid, riemann_initial(grid, *states), cfg, final_time)])
-    return snaps[-1].field_v.values
+        [v] = _run_many([(grid, riemann_initial(grid, *states), cfg, final_time)])
+    return v
 
 
 @dataclass(frozen=True)

@@ -401,6 +401,24 @@ def test_certified_run_is_the_simulated_run_where_the_gap_does_not_bind(monkeypa
     assert p.tobytes() == run.snapshots[-1].p.cell_values.tobytes()
 
 
+@pytest.mark.parametrize("n_cells", [1024, 2048])
+def test_certificate_takes_no_sliver_step_where_the_gap_binds(monkeypatch, n_cells):
+    # at T = 0.05 two steps capped at the gap w_t / 2 from a knot can stop
+    # an ulp short of the next; landing there must not take a step of ~1e-17
+    cfg = stock_config(n_cells, final_time=0.05)
+    dts = []
+    march = exprabelo.solver._march
+
+    def recorded_march(*args, **kwargs):
+        for state in march(*args, **kwargs):
+            dts.append(state[3])
+            yield state
+
+    monkeypatch.setattr(exprabelo.solver, "_march", recorded_march)
+    kruzhkov_residual(cfg)
+    assert min(dts[1:]) >= 1e-6 * _max_sample_gap(cfg.grid.dx, 0.05)
+
+
 def test_no_evolve_catches_a_certificate_run(no_evolve):
     with pytest.raises(AssertionError, match="rejected input ran a simulation"):
         kruzhkov_residual(stock_config(n_cells=64, final_time=0.25))
@@ -787,6 +805,31 @@ def test_stability_runs_both_configs_to_the_first_configs_final_time(monkeypatch
     assert report == l1_stability_check(cfg_u, replace(cfg_w, final_time=0.25), R=2.0)
 
 
+def traced_peak(check) -> int:
+    """The peak of the memory that tracemalloc traces while ``check()`` runs."""
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stability_memory_does_not_grow_with_the_sample_count():
+    # both runs step side by side, and only the pair just landed is kept
+    grid = build_grid(-16.0, 16.0, 2048)
+
+    def check(n_samples):
+        times = tuple(np.linspace(0.0, 1.0, n_samples + 1)[1:])
+        cfg_u = RunConfig(grid, InitialDataSpec.gaussian(), snapshot_times=times)
+        l1_stability_check(cfg_u, replace(cfg_u, init=perturbed_gaussian()), R=2.0)
+
+    check(4)  # one-time allocations
+    few, many = (traced_peak(lambda: check(n)) for n in (4, 160))
+    # keeping every landing of both runs takes about 24x
+    assert many <= 1.5 * few
+
+
 def test_stability_rejects_mismatched_grids(no_evolve):
     cfg_a = stock_config(n_cells=128, final_time=0.25, snapshot_times=(0.0, 0.25))
     cfg_b = stock_config(n_cells=64, final_time=0.25, snapshot_times=(0.0, 0.25))
@@ -883,6 +926,23 @@ def test_epsilon_convergence_small_ladder():
     assert report.monotone
     # reported, not gated: first order in eps before the breaking time
     assert report.order is not None and 0.5 < report.order < 1.5
+
+
+def test_sweep_memory_does_not_grow_with_snapshot_times():
+    # a sweep reads only each run's final field, so the snapshot times it
+    # lands on keep nothing
+    def sweeps(n_snapshots):
+        def config(n_cells, final_time):
+            times = tuple(np.linspace(0.0, final_time, n_snapshots + 1)[1:])
+            return stock_config(n_cells, final_time=final_time, snapshot_times=times)
+
+        grid_convergence(config(512, 0.25), (512, 1024))
+        epsilon_convergence(config(EPSILON_LADDER_MIN_CELLS, 0.1), ladder=(1e-1, 3e-2))
+
+    sweeps(0)  # one-time allocations
+    bare, snapped = (traced_peak(lambda: sweeps(n)) for n in (0, 40))
+    # keeping every landing of every run takes about 15x
+    assert snapped <= 1.5 * bare
 
 
 @settings(max_examples=200, deadline=None)
