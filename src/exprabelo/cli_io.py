@@ -21,7 +21,9 @@ import numpy as np
 from .errors import ConfigError
 from .grid_field import PRESET_DEFAULTS, InitialDataSpec, build_grid
 from .scheme import FLUXES, SchemeConfig
-from .solver import DiagnosticsSeries, RunConfig, RunResult, Snapshot, run_simulation
+from .solver import (
+    DiagnosticsSeries, RunConfig, RunResult, Snapshot, run_diagnostics, run_simulation,
+)
 from .verifiers import (
     BalanceReport,
     ConvergenceReport,
@@ -359,7 +361,7 @@ def _cmd_verify_balance(args) -> int:
         raise ConfigError("verify balance needs alpha = 0 in diag.alphas for the mass balance")
     # an empty --ladder= is a ladder of no rungs, which run_ladder refuses
     runs = (
-        [run_simulation(cfg)] if args.ladder is None
+        [run_diagnostics(cfg)] if args.ladder is None
         else run_ladder(cfg, _parse_list(args.ladder, int))
     )
     reports = [lp_balance_ladder(runs, a) for a in cfg.diagnostic_alphas]

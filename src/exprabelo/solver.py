@@ -1,8 +1,10 @@
-"""Time integration driver: one time loop, ``_march``, with three consumers.
+"""Time integration: one time loop, ``_march``, with four consumers.
 ``evolve`` keeps snapshots at exact requested times and a per-step
 diagnostics series recording the quantities the budget verifiers consume;
+``run_diagnostics`` records the same series and keeps no snapshot;
 ``landings`` streams the snapshots and keeps nothing; and the entropy
 certificate, ``verifiers.kruzhkov_residual``, samples the states it needs.
+A kept snapshot holds v alone: u and P are derived from it when read.
 """
 
 from __future__ import annotations
@@ -76,14 +78,27 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """State at one instant, self-contained for serialization: cell centers,
-    v, u = ln v (a read-only array, floored only where v underflows) and P."""
+    """State at one instant, self-contained for serialization. It keeps v
+    and its grid; the cell centers, u = ln v (a read-only array, floored
+    only where v underflows) and P are computed from them on each read, by
+    the functions that computed them during the run, so they carry the
+    run's bits."""
 
     time: float
-    x: np.ndarray
+    grid: GridSpec
     field_v: FieldV
-    u: np.ndarray
-    p: NonlocalP
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.grid.centers
+
+    @property
+    def u(self) -> np.ndarray:
+        return u_from_v(self.field_v)
+
+    @property
+    def p(self) -> NonlocalP:
+        return prefix_integral(self.grid, self.field_v)
 
 
 # diagnostics.csv columns in file order: the fixed columns, then one block
@@ -148,10 +163,16 @@ class DiagnosticsSeries:
         return self.columns[f"{name}_a{alpha + 0.0:g}"]
 
     @classmethod
-    def from_rows(cls, rows: list, alphas: tuple) -> "DiagnosticsSeries":
-        """Transpose rows laid out like ``column_names(alphas)`` into a series."""
-        data = np.ascontiguousarray(np.array(rows, dtype=np.float64).T)
-        columns = dict(zip(column_names(alphas), data))
+    def from_rows(cls, rows, alphas: tuple) -> "DiagnosticsSeries":
+        """Transpose rows laid out like ``column_names(alphas)``, a list of
+        rows or a 2-D array with one row per time, into a series."""
+        return cls.from_columns(np.ascontiguousarray(np.asarray(rows, dtype=np.float64).T), alphas)
+
+    @classmethod
+    def from_columns(cls, columns, alphas: tuple) -> "DiagnosticsSeries":
+        """A series of float64 columns given in ``column_names(alphas)``
+        order; the clip counts become integers."""
+        columns = dict(zip(column_names(alphas), columns))
         columns["clip_count"] = columns["clip_count"].astype(np.int64)
         return cls(alphas=tuple(alphas), columns=columns)
 
@@ -236,10 +257,48 @@ def record_diagnostics(
     return row
 
 
+ROW_BLOCK = 128  # diagnostics entries per float64 block of one column
+
+
+class _Recorder:
+    """The diagnostics rows of one run, each copied into float64 as soon as
+    ``record_diagnostics`` makes it: every column fills blocks of
+    ``ROW_BLOCK`` entries, and ``series`` joins them once, at the end."""
+
+    def __init__(self, grid: GridSpec, cfg: SchemeConfig, alphas):
+        self.grid, self.cfg, self.alphas = grid, cfg, _normalize_alphas(alphas)
+        self.buffers = _RowBuffers(grid.n_cells)
+        self.blocks = [[] for _ in column_names(self.alphas)]
+        self.rows = 0
+
+    def record(self, fv: FieldV, p: NonlocalP, flux: np.ndarray, dt: float) -> None:
+        row = record_diagnostics(self.grid, fv, p, flux, self.cfg, dt, self.alphas, self.buffers)
+        k = self.rows % ROW_BLOCK
+        if k == 0:
+            for blocks in self.blocks:
+                blocks.append(np.empty(ROW_BLOCK))
+        for blocks, value in zip(self.blocks, row):
+            blocks[-1][k] = value
+        self.rows += 1
+
+    def series(self) -> DiagnosticsSeries:
+        """The rows as a series. Each column's blocks are dropped as soon
+        as it is joined, so the join holds the rows about once, not twice
+        as one 2-D table joined from the blocks would."""
+        filled = (self.rows - 1) % ROW_BLOCK + 1  # in the last block
+        columns = []
+        for blocks in self.blocks:
+            blocks[-1] = blocks[-1][:filled]
+            columns.append(np.concatenate(blocks))
+            blocks.clear()
+        return DiagnosticsSeries.from_columns(columns, self.alphas)
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Everything a verifier needs: the grid, the scheme that produced the
-    data, snapshots at the requested times, and the per-step diagnostics."""
+    data, snapshots at the requested times (none from ``run_diagnostics``),
+    and the per-step diagnostics."""
 
     grid: GridSpec
     scheme: SchemeConfig
@@ -255,6 +314,8 @@ class RunResult:
 
     @property
     def final_state(self) -> FieldV:
+        if not self.snapshots:
+            raise DataGapError("the run kept no snapshot")
         return self.snapshots[-1].field_v  # evolve always lands a final snapshot
 
 
@@ -315,10 +376,6 @@ def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, sna
         )
 
 
-def _snapshot(grid: GridSpec, fv: FieldV, p: NonlocalP) -> Snapshot:
-    return Snapshot(time=fv.time, x=grid.centers, field_v=fv, u=u_from_v(fv), p=p)
-
-
 def evolve(
     grid: GridSpec,
     v0: FieldV,
@@ -327,30 +384,29 @@ def evolve(
     snapshot_times: tuple = (),
     alphas: tuple = DEFAULT_ALPHAS,
 ) -> RunResult:
-    """Run v0 to final_time as ``_march`` does, keeping a snapshot at every
-    requested time and at the final time, and a diagnostics row, built from
-    each state's own P and F, for the initial state and after every step,
-    with the alphas normalized as in ``_normalize_alphas``."""
-    alphas = _normalize_alphas(alphas)
-    buffers = _RowBuffers(grid.n_cells)
-    rows, snaps = [], []
+    """Run v0 to final_time as ``_march`` does, keeping a snapshot, v alone,
+    at every requested time and at the final time, and a diagnostics row,
+    built from each state's own P and F, for the initial state and after
+    every step, with the alphas normalized as in ``_normalize_alphas``."""
+    recorder, snaps = _Recorder(grid, cfg, alphas), []
     for fv, p, flux, dt, landed in _march(grid, v0, cfg, final_time, snapshot_times):
-        rows.append(record_diagnostics(grid, fv, p, flux, cfg, dt, alphas, buffers))
+        recorder.record(fv, p, flux, dt)
         if landed:
-            snaps.append(_snapshot(grid, fv, p))
-    return RunResult(grid, cfg, tuple(snaps), DiagnosticsSeries.from_rows(rows, alphas))
+            snaps.append(Snapshot(fv.time, grid, fv))
+    return RunResult(grid, cfg, tuple(snaps), recorder.series())
 
 
 def landings(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float,
              snapshot_times: tuple = ()):
     """Yield, in time order, the snapshot of each requested time and of the
-    final time of the run ``evolve`` makes, bitwise, and keep none of them,
-    nor any diagnostics: memory does not grow with the number of snapshots.
+    final time of the run ``evolve`` makes, bitwise (v alone, as ``evolve``
+    keeps it), and keep none of them, nor any diagnostics: memory does not
+    grow with the number of snapshots.
     The boundary-flux warning comes with the last one, when the generator
     is exhausted."""
-    for fv, p, _, _, landed in _march(grid, v0, cfg, final_time, snapshot_times):
+    for fv, _, _, _, landed in _march(grid, v0, cfg, final_time, snapshot_times):
         if landed:
-            yield _snapshot(grid, fv, p)
+            yield Snapshot(fv.time, grid, fv)
 
 
 def run_simulation(cfg: RunConfig) -> RunResult:
@@ -358,3 +414,16 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     v0 = init_field(cfg.grid, cfg.init)
     return evolve(cfg.grid, v0, cfg.scheme, cfg.final_time, cfg.snapshot_times,
                   cfg.diagnostic_alphas)
+
+
+def run_diagnostics(cfg: RunConfig) -> RunResult:
+    """The run of ``run_simulation(cfg)``, with its steps, landings and
+    diagnostics series bit for bit, keeping no snapshot: for checks that
+    read only the diagnostics, so memory does not grow with the number of
+    snapshot times."""
+    recorder = _Recorder(cfg.grid, cfg.scheme, cfg.diagnostic_alphas)
+    v0 = init_field(cfg.grid, cfg.init)
+    for fv, p, flux, dt, _ in _march(cfg.grid, v0, cfg.scheme, cfg.final_time,
+                                      cfg.snapshot_times):
+        recorder.record(fv, p, flux, dt)
+    return RunResult(cfg.grid, cfg.scheme, (), recorder.series())

@@ -21,7 +21,7 @@ from .grid_field import (
 )
 from . import solver
 from .scheme import SchemeConfig
-from .solver import RunConfig, RunResult, landings, run_simulation
+from .solver import RunConfig, RunResult, landings, run_diagnostics
 
 SQRT_PI = math.sqrt(math.pi)
 EPSILON_LADDER = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -116,9 +116,10 @@ def _ladder_configs(base: RunConfig, n_ladder: Sequence[int]) -> list[RunConfig]
 
 
 def run_ladder(base: RunConfig, n_ladder: Sequence[int]) -> list[RunResult]:
-    """Recording runs of ``base`` on the grids of ``_ladder_configs``; a bad
-    ladder is refused before anything runs."""
-    return [run_simulation(c) for c in _ladder_configs(base, n_ladder)]
+    """Recording runs of ``base`` on the grids of ``_ladder_configs``, as
+    ``run_diagnostics`` makes them, with no snapshot; a bad ladder is
+    refused before anything runs."""
+    return [run_diagnostics(c) for c in _ladder_configs(base, n_ladder)]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import ctypes
 import glob
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,16 @@ def perturbed_gaussian() -> InitialDataSpec:
         center2=1.0,
         sigma2=1.0,
     )
+
+
+def traced_peak(check) -> int:
+    """The peak of the memory that tracemalloc traces while ``check()`` runs."""
+    tracemalloc.start()
+    try:
+        check()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

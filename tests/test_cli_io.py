@@ -59,7 +59,7 @@ from exprabelo.verifiers import (
 )
 from exprabelo.solver import evolve
 
-from conftest import cancelling_forcing, golden_host_note, stock_config
+from conftest import cancelling_forcing, golden_host_note, stock_config, traced_peak
 
 MINIMAL = """
 grid.x_min = -8
@@ -775,9 +775,10 @@ RECORDING_RUNS = {"simulate", "verify-balance", "verify-balance-ladder"}
 
 @pytest.mark.parametrize("case", CLI_RESULT_RUNS)
 def test_only_budget_commands_record_diagnostics(tmp_path, monkeypatch, case):
-    # a recording run makes one row for its initial state and one per step
+    # a recording run makes one row for its initial state and one per step,
+    # into one recorder; only simulate's runs keep snapshots
     calls = Counter()
-    for name in ("record_diagnostics", "step", "evolve"):
+    for name in ("record_diagnostics", "step", "evolve", "_Recorder"):
         original = getattr(exprabelo.solver, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -789,8 +790,9 @@ def test_only_budget_commands_record_diagnostics(tmp_path, monkeypatch, case):
     paths = {k: _write_cfg(tmp_path, name=f"{k}.cfg", text=t) for k, t in texts}
     dispatch([a.format(**paths) for a in CLI_RESULT_RUNS[case]] + ["--out", str(tmp_path)])
     if case in RECORDING_RUNS:
-        assert calls["evolve"] >= 1
-        assert calls["record_diagnostics"] == calls["step"] + calls["evolve"]
+        assert calls["_Recorder"] >= 1
+        assert calls["evolve"] == (case == "simulate")
+        assert calls["record_diagnostics"] == calls["step"] + calls["_Recorder"]
     else:
         assert calls["record_diagnostics"] == 0
     assert calls["step"] > 0 or case == "verify-entropy-fixture"
@@ -859,6 +861,27 @@ def test_verify_balance_writes_the_verifiers_reports(tmp_path, ladder):
         assert text == report_text(rep), name
         assert ("order=" in text and "level_cells=64,128,256\n" in text) == bool(ladder), name
     assert code == (0 if all(rep.passed for rep in want) else 1)
+
+
+def test_verify_balance_memory_does_not_grow_with_snapshot_times(tmp_path):
+    # the budgets read only the diagnostics, so the snapshot times the runs
+    # land on keep nothing
+    base = MINIMAL.replace("n_cells = 64", "n_cells = 2048")
+    calls = iter(range(4))
+
+    def check(n_snapshots):
+        text = base
+        if n_snapshots:
+            times = np.linspace(0.0, 0.25, n_snapshots + 1)[1:].tolist()
+            text += f"run.snapshots = {', '.join(map(repr, times))}\n"
+        call = next(calls)
+        cfg = _write_cfg(tmp_path, name=f"run{call}.cfg", text=text)
+        assert dispatch(["verify", "balance", cfg, "--out", str(tmp_path / f"out{call}")]) == 0
+
+    check(0)  # one-time allocations
+    bare, snapped = (traced_peak(lambda: check(n)) for n in (0, 40))
+    # keeping every landed snapshot took about 5.5x
+    assert snapped <= 1.5 * bare
 
 
 def test_verify_entropy_fixture_fails_loudly(tmp_path):

@@ -29,16 +29,19 @@ from exprabelo.errors import (
     ShapeError,
     StateError,
 )
-from exprabelo.grid_field import FieldV, GridSpec, InitialDataSpec, init_field
+from exprabelo.grid_field import FieldV, GridSpec, InitialDataSpec, init_field, u_from_v
 from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig, interface_fluxes
 from exprabelo.solver import (
     DiagnosticsSeries,
     _RowBuffers,
+    ROW_BLOCK,
     RunConfig,
+    column_names,
     evolve,
     landings,
     record_diagnostics,
+    run_diagnostics,
     run_simulation,
 )
 from exprabelo.verifiers import (
@@ -53,6 +56,7 @@ from conftest import (
     host_kernels,
     reference_diagnostics_row,
     stock_config,
+    traced_peak,
 )
 
 
@@ -634,6 +638,17 @@ def test_boundary_flux_warning_points_at_the_caller(run):
     assert [w.filename for w in caught] == [__file__]
 
 
+def test_boundary_flux_warning_of_a_diagnostics_run_points_at_the_caller(monkeypatch):
+    grid = GridSpec(x_min=-2.0, x_max=2.0, n_cells=64)
+    monkeypatch.setattr(exprabelo.solver, "init_field",
+                        lambda g, spec: riemann_initial(g, v_left=2.0, v_right=1.0))
+    cfg = replace(stock_config(64, final_time=0.5), grid=grid,
+                  scheme=SchemeConfig(source_enabled=False))
+    with pytest.warns(BoundaryFluxWarning) as caught:
+        run_diagnostics(cfg)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_traced_functions_exist_and_evolve_calls_them_through_module_bindings(monkeypatch):
     # a call that bypasses the module binding the benchmark's tracer wraps
     # goes unseen (solver.steps would read 0)
@@ -664,3 +679,88 @@ def test_traced_functions_exist_and_evolve_calls_them_through_module_bindings(mo
         "record_diagnostics": rows,
         "interface_fluxes": 2 * steps + 1,
     }
+
+
+@given(
+    n_cells=st.integers(32, 128).map(lambda k: 2 * k),  # x = 0 on an interface
+    two_bump=st.booleans(),
+    cfl=st.sampled_from((0.4, 0.05, 0.02)),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
+)
+@settings(max_examples=25, deadline=None)
+def test_snapshots_and_stored_rows_carry_the_bits_of_the_march(n_cells, two_bump, cfl,
+                                                                fractions):
+    # a snapshot keeps v alone, so its u and P, computed when read, must be
+    # those of the state the march yielded; the rows evolve stores as they
+    # are made, over one or more blocks, must be those record_diagnostics
+    # gives for the same states
+    init = InitialDataSpec.two_bump() if two_bump else InitialDataSpec.gaussian()
+    base = stock_config(n_cells, final_time=0.25, init=init, alphas=(0.0, 0.5, 1.0, 2.0),
+                        snapshot_times=tuple(0.25 * f for f in fractions))
+    cfg = replace(base, scheme=SchemeConfig(cfl=cfl))
+    grid, scheme, alphas = cfg.grid, cfg.scheme, cfg.diagnostic_alphas
+    v0 = init_field(grid, cfg.init)
+    rows, states = [], []
+    for fv, p, flux, dt, landed in exprabelo.solver._march(grid, v0, scheme, cfg.final_time,
+                                                           cfg.snapshot_times):
+        rows.append(record_diagnostics(grid, fv, p, flux, scheme, dt, alphas))
+        if landed:
+            states.append((fv, p))
+    run = run_simulation(cfg)
+    streamed = tuple(landings(grid, v0, scheme, cfg.final_time, cfg.snapshot_times))
+    for snapshots in (run.snapshots, streamed):
+        assert len(snapshots) == len(states)
+        for snap, (fv, p) in zip(snapshots, states):
+            assert snap.time == fv.time
+            assert snap.x is grid.centers
+            assert snap.field_v.values.tobytes() == fv.values.tobytes()
+            assert snap.p.interface_values.tobytes() == p.interface_values.tobytes()
+            assert snap.p.cell_values.tobytes() == p.cell_values.tobytes()
+            assert snap.u.tobytes() == u_from_v(snap.field_v).tobytes()
+    want = DiagnosticsSeries.from_rows(rows, alphas)
+    diagnostics_only = run_diagnostics(cfg)
+    assert diagnostics_only.snapshots == ()
+    for series in (run.diagnostics, diagnostics_only.diagnostics):
+        assert list(series.columns) == list(want.columns)
+        for name, col in want.columns.items():
+            assert series[name].dtype == col.dtype
+            assert series[name].tobytes() == col.tobytes(), name
+
+
+def test_a_kept_snapshot_costs_one_float64_field():
+    # a snapshot keeps v alone; keeping u and P beside it took about 4 fields
+    cfg = stock_config(2048, final_time=0.25)
+    v0 = init_field(cfg.grid, cfg.init)
+
+    def run(n_snapshots):
+        times = tuple(np.linspace(0.0, cfg.final_time, n_snapshots + 1)[1:])
+        evolve(cfg.grid, v0, cfg.scheme, cfg.final_time, times)
+
+    run(0)  # one-time allocations
+    bare, snapped = (traced_peak(lambda: run(n)) for n in (0, 40))
+    assert snapped - bare <= 1.25 * 40 * cfg.grid.n_cells * 8
+
+
+def test_stored_diagnostics_take_at_most_two_float64_per_entry():
+    # each row is copied into float64 as it is made, and each column is
+    # joined alone; rows kept as lists of floats until the end took about
+    # 6 float64 per entry at the peak
+    cfg = replace(stock_config(256), scheme=SchemeConfig(cfl=0.01))
+    v0 = init_field(cfg.grid, cfg.init)
+    rows = {}
+
+    def run(final_time):
+        rows[final_time] = evolve(cfg.grid, v0, cfg.scheme, final_time).diagnostics["time"].size
+
+    run(0.1)  # one-time allocations
+    short, long = (traced_peak(lambda: run(t)) for t in (0.1, 1.0))
+    assert rows[1.0] - rows[0.1] > 8 * ROW_BLOCK
+    entries = (rows[1.0] - rows[0.1]) * len(column_names(cfg.diagnostic_alphas))
+    assert long - short <= 2 * entries * 8
+
+
+def test_final_state_of_a_run_that_kept_no_snapshot_is_a_data_gap():
+    run = run_diagnostics(stock_config(64, final_time=0.125, snapshot_times=(0.0, 0.0625)))
+    assert run.snapshots == ()
+    with pytest.raises(DataGapError, match="kept no snapshot"):
+        run.final_state

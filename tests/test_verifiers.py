@@ -76,6 +76,7 @@ from conftest import (
     perturbed_gaussian,
     semi_discrete_rhs,
     stock_config,
+    traced_peak,
     v_form_kruzhkov_pair,
 )
 
@@ -803,16 +804,6 @@ def test_stability_runs_both_configs_to_the_first_configs_final_time(monkeypatch
     report = l1_stability_check(cfg_u, cfg_w, R=2.0)
     assert ends == [0.25, 0.25]
     assert report == l1_stability_check(cfg_u, replace(cfg_w, final_time=0.25), R=2.0)
-
-
-def traced_peak(check) -> int:
-    """The peak of the memory that tracemalloc traces while ``check()`` runs."""
-    tracemalloc.start()
-    try:
-        check()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_stability_memory_does_not_grow_with_the_sample_count():
