@@ -86,53 +86,22 @@ class SchemeConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
 
 
-class Workspace:
-    """Preallocated float64 buffers of the scheme for one grid size.
-
-    ``solver._march``, the one time loop, makes one per run and hands it
-    to every ``step`` and to its own flux evaluation of each new state, so
-    the hot loop allocates only each new field and its prefix integral.
-    Called without one, the public functions build their own, which keeps
-    a single arithmetic path. The buffers carry no state from call to
-    call: whatever a call reads, its caller passes in.
-    """
-
-    def __init__(self, n_cells: int):
-        n = n_cells
-        self.half_diff = np.empty(n + 1)
-        self.lo = np.empty(n)
-        self.hi = np.empty(n)
-        self.left = np.empty(n + 1)
-        self.right = np.empty(n + 1)
-        self.flux = np.empty(n + 1)
-        self.flux_tmp = np.empty(n + 1)
-        self.rate = np.empty(n)
-        self.source = np.empty(n)
-        self.stage = np.empty(n)
-        self.implicit = np.empty(n)      # second ARS(2,2,2) stage value
-        self.acc = np.empty(n)           # right-hand side of the last stage
-        self.off = np.empty(n)           # off-diagonals and diagonal of the
-        self.diag = np.empty(n)          # implicit viscous solve
-        self.p_interface = np.empty(n + 1)
-        self.p_cells = np.empty(n)
-
-
-# The flux kernels evaluate f(v) = v^2 / 2 as (0.5 v) v into ``out``, using
-# ``a``, ``b`` and ``tmp`` as work arrays (their contents are destroyed).
-def _godunov(a, b, out, tmp):
+# The flux kernels evaluate f(v) = v^2 / 2 as (0.5 v) v; the face states
+# ``a`` and ``b`` are work arrays whose contents they destroy.
+def _godunov(a, b):
     np.maximum(a, 0.0, out=a)
-    np.multiply(a, 0.5, out=out)
+    out = np.multiply(a, 0.5)
     out *= a
     np.minimum(b, 0.0, out=b)
-    np.multiply(b, 0.5, out=tmp)
-    tmp *= b
-    return np.maximum(out, tmp, out=out)
+    np.multiply(b, 0.5, out=a)
+    a *= b
+    return np.maximum(out, a, out=out)
 
 
-def _rusanov(a, b, out, tmp):
-    np.multiply(a, 0.5, out=out)
+def _rusanov(a, b):
+    out = np.multiply(a, 0.5)
     out *= a
-    np.multiply(b, 0.5, out=tmp)
+    tmp = np.multiply(b, 0.5)
     tmp *= b
     out += tmp
     out *= 0.5                      # 0.5 (f(a) + f(b))
@@ -153,9 +122,8 @@ def _pointwise_flux(kernel, a, b):
     a, b = np.broadcast_arrays(
         np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     )
-    out = np.empty(a.shape)
-    kernel(a.copy(), b.copy(), out, np.empty(a.shape))
-    return out[()]
+    # at least 1-d copies: a ufunc on 0-d arrays gives a scalar, not an array
+    return kernel(np.array(a, ndmin=1), np.array(b, ndmin=1)).reshape(a.shape)[()]
 
 
 def godunov_flux(a, b):
@@ -168,47 +136,49 @@ def rusanov_flux(a, b):
     return _pointwise_flux(_rusanov, a, b)
 
 
-def _half_minmod_slopes(v: np.ndarray, ws: Workspace) -> np.ndarray:
+def _half_minmod_slopes(v: np.ndarray) -> np.ndarray:
     """Half of minmod(v_i - v_(i-1), v_(i+1) - v_i) per cell, zero ghosts.
 
     minmod(a, b) is the median of a, b and 0, computed as
     min(max(min(a, b), 0), max(a, b)).
     """
-    d = ws.half_diff
+    d = np.empty(v.size + 1)
     d[0] = 0.5 * v[0]
     np.subtract(v[1:], v[:-1], out=d[1:-1])
     d[1:-1] *= 0.5
     d[-1] = -0.5 * v[-1]
-    lo = np.minimum(d[:-1], d[1:], out=ws.lo)
-    hi = np.maximum(d[:-1], d[1:], out=ws.hi)
+    lo = np.minimum(d[:-1], d[1:])
+    hi = np.maximum(d[:-1], d[1:])
     np.maximum(lo, 0.0, out=lo)
     return np.minimum(lo, hi, out=lo)
 
 
-def face_states(v: np.ndarray, ws: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _left_states(v: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """v_i + s_i on the right face of each cell, after a zero ghost state."""
+    left = np.empty(v.size + 1)
+    left[0] = 0.0
+    np.add(v, s, out=left[1:])
+    return left
+
+
+def face_states(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """States on the left and right of each of the n+1 interfaces.
 
     Interface i+1/2 sees v_i + s_i and v_(i+1) - s_(i+1), where s is half the
     minmod-limited slope; each state lies between the two neighbouring cell
     values, so nonnegative cells give nonnegative states. The ghost cells
-    carry zero value and zero slope. With a workspace the states are
-    ``ws.left`` and ``ws.right``.
+    carry zero value and zero slope.
     """
-    if ws is None:
-        ws = Workspace(v.size)
-    left, right = ws.left, ws.right
-    left[0] = 0.0
+    s = _half_minmod_slopes(v)
+    right = np.empty(v.size + 1)
     right[-1] = 0.0
-    s = _half_minmod_slopes(v, ws)
-    np.add(v, s, out=left[1:])
     np.subtract(v, s, out=right[:-1])
-    return left, right
+    return _left_states(v, s), right
 
 
-def interface_fluxes(v: np.ndarray, flux: str, ws: Workspace | None = None) -> np.ndarray:
+def interface_fluxes(v: np.ndarray, flux: str) -> np.ndarray:
     """Numerical fluxes on the n+1 interfaces, evaluated on ``face_states``
-    (zero ghost states on both sides). With a workspace the result is
-    ``ws.flux``, valid until the next evaluation in that workspace.
+    (zero ghost states on both sides).
 
     When every cell is >= 0 (a NaN fails the test), so is every face state,
     and the Godunov flux never meets the sonic point: max(f(max(a, 0)),
@@ -216,19 +186,13 @@ def interface_fluxes(v: np.ndarray, flux: str, ws: Workspace | None = None) -> n
     bit. That branch skips the right states. Any other field, such as an
     unclipped Heun stage at cfl > 1/2, takes the general kernel.
     """
-    if ws is None:
-        ws = Workspace(v.size)
     if flux == "godunov" and v.min() >= 0.0:
         # upwind on the positive cone: the right states are >= 0 as well
-        left = ws.left
-        left[0] = 0.0
-        np.add(v, _half_minmod_slopes(v, ws), out=left[1:])
-        np.multiply(left, 0.5, out=ws.flux)
-        ws.flux *= left
-    else:
-        left, right = face_states(v, ws)
-        _FLUX_FN[flux](left, right, ws.flux, ws.flux_tmp)
-    return ws.flux
+        left = _left_states(v, _half_minmod_slopes(v))
+        out = np.multiply(left, 0.5)
+        out *= left
+        return out
+    return _FLUX_FN[flux](*face_states(v))
 
 
 def cfl_dt(grid: GridSpec, fv: FieldV, p: NonlocalP, cfg: SchemeConfig) -> float:
@@ -247,38 +211,32 @@ def _rate(
     t: float,
     p_cells: np.ndarray | None,
     cfg: SchemeConfig,
-    ws: Workspace,
     flux: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The explicit rate, flux divergence plus source (forcing included), in
-    ``ws.rate``; ``flux`` and ``p_cells`` are evaluated when not given."""
+    """The explicit rate, flux divergence plus source (forcing included);
+    ``flux`` and ``p_cells`` are evaluated when not given."""
     if flux is None:
-        flux = interface_fluxes(v, cfg.flux, ws)
-    rate = np.subtract(flux[:-1], flux[1:], out=ws.rate)
+        flux = interface_fluxes(v, cfg.flux)
+    rate = np.subtract(flux[:-1], flux[1:])
     rate /= grid.dx
 
     # rate - (v P - g) is rate + ((-v) P + g) bit for bit: (-v) P = -(v P),
     # and x - y = -(y - x) except that both are +0 when x = y. Adding and
     # subtracting +0 differ only on a rate of -0, which no flux difference
     # gives, since no flux kernel returns -0
-    source = ws.source
     if cfg.source_enabled:
         if p_cells is None:
-            _, p_cells = _prefix_arrays(grid, v, ws.p_interface, ws.p_cells)
-        np.multiply(v, p_cells, out=source)
+            _, p_cells = _prefix_arrays(grid, v, np.empty(v.size + 1), np.empty(v.size))
+        source = np.multiply(v, p_cells)
     else:
-        source.fill(0.0)
+        source = np.zeros(v.size)
     if cfg.forcing is not None:
         source -= cfg.forcing(t, grid.centers)
     return np.subtract(rate, source, out=rate)
 
 
 def implicit_viscous_solve(
-    w: np.ndarray,
-    rhs: np.ndarray,
-    coef: float,
-    out: np.ndarray | None = None,
-    ws: Workspace | None = None,
+    w: np.ndarray, rhs: np.ndarray, coef: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve (I - coef diag(w) L) x = rhs, L x_i = x_(i-1) - 2 x_i + x_(i+1)
     with zero ghosts, by LAPACK's tridiagonal ``dgtsv``.
@@ -293,15 +251,11 @@ def implicit_viscous_solve(
     an ``out`` that is not a C-contiguous float64 array gets the solution
     copied in, since LAPACK then solves in a converted copy.
     """
-    if ws is None:
-        ws = Workspace(w.size)
-    if out is None:
-        out = np.empty(w.size)
-    off = np.multiply(w, -coef, out=ws.off)
-    diag = np.multiply(off, -2.0, out=ws.diag)
+    off = np.multiply(w, -coef)
+    diag = np.multiply(off, -2.0)
     diag += 1.0
     off /= diag
-    np.divide(rhs, diag, out=out)
+    out = np.divide(rhs, diag, out=out)
     diag.fill(1.0)
     x = _dgtsv()(off[1:], diag, off[:-1], out, overwrite_d=1, overwrite_b=1)[3]
     if x is not out:
@@ -309,27 +263,19 @@ def implicit_viscous_solve(
     return out
 
 
-def _implicit_stage(
-    start: np.ndarray, rhs: np.ndarray, coef: float, out: np.ndarray, ws: Workspace
-) -> np.ndarray:
+def _implicit_stage(start: np.ndarray, rhs: np.ndarray, coef: float) -> np.ndarray:
     """Solve x - coef x L x = rhs linearly: freeze the coefficient x at the
     stage's start value, then once more at that first solution. With a single
     frozen solve the step loses its second order in time."""
-    implicit_viscous_solve(start, rhs, coef, out, ws)
-    return implicit_viscous_solve(out, rhs, coef, out, ws)
+    x = implicit_viscous_solve(start, rhs, coef)
+    return implicit_viscous_solve(x, rhs, coef, x)
 
 
 def _imex_step(
-    grid: GridSpec,
-    v: np.ndarray,
-    t: float,
-    e1: np.ndarray,
-    cfg: SchemeConfig,
-    dt: float,
-    ws: Workspace,
-    out: np.ndarray,
+    grid: GridSpec, v: np.ndarray, t: float, e1: np.ndarray, cfg: SchemeConfig, dt: float
 ) -> np.ndarray:
-    """One ARS(2,2,2) step into ``out``, given the explicit rate ``e1`` = E(v).
+    """One ARS(2,2,2) step, given the explicit rate ``e1`` = E(v), which it
+    overwrites.
 
     Write V(r, c) for the solution x of x - c dt eps x D+D-x = r (see
     ``_implicit_stage``). With g = GAMMA and d = DELTA:
@@ -339,18 +285,18 @@ def _imex_step(
     is evaluated at time t + g dt.
     """
     coef = cfg.epsilon * dt / (grid.dx * grid.dx)
-    acc = np.multiply(e1, DELTA * dt, out=ws.acc)
+    acc = np.multiply(e1, DELTA * dt)
     acc += v
-    r2 = np.multiply(e1, GAMMA * dt, out=ws.stage)
+    r2 = np.multiply(e1, GAMMA * dt, out=e1)
     r2 += v
-    v2 = _implicit_stage(v, r2, GAMMA * coef, ws.implicit, ws)
-    k2 = np.subtract(v2, r2, out=ws.stage)
+    v2 = _implicit_stage(v, r2, GAMMA * coef)
+    k2 = np.subtract(v2, r2, out=r2)
     k2 *= (1.0 - GAMMA) / GAMMA                      # (1 - g) dt K2
     acc += k2
-    e2 = _rate(grid, v2, t + GAMMA * dt, None, cfg, ws)
+    e2 = _rate(grid, v2, t + GAMMA * dt, None, cfg)
     e2 *= (1.0 - DELTA) * dt
     acc += e2
-    return _implicit_stage(v2, acc, GAMMA * coef, out, ws)
+    return _implicit_stage(v2, acc, GAMMA * coef)
 
 
 def step(
@@ -359,7 +305,6 @@ def step(
     cfg: SchemeConfig,
     dt: float,
     p: NonlocalP | None = None,
-    ws: Workspace | None = None,
     flux: np.ndarray | None = None,
 ) -> FieldV:
     """Advance one step of size dt; the nonlocal operator is rebuilt per stage.
@@ -369,9 +314,7 @@ def step(
 
     ``p`` and ``flux``, when given, must be the prefix integral of ``fv``
     and its ``interface_fluxes`` under ``cfg.flux``; the first stage then
-    uses them instead of evaluating them again. ``flux`` may be ``ws.flux``
-    itself, which the first stage reads before the second overwrites it.
-    ``ws`` is the run's workspace (a fresh one when omitted).
+    reads them instead of evaluating them again, and leaves them as they are.
 
     Negative entries of the result are set to zero and counted on the
     returned field's ``clip_count``; v = 0 itself is admissible. At epsilon
@@ -382,22 +325,19 @@ def step(
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if ws is None:
-        ws = Workspace(grid.n_cells)
 
     v, t = fv.values, fv.time
-    r1 = _rate(grid, v, t, None if p is None else p.cell_values, cfg, ws, flux)
-    out = np.empty(v.size)
+    r1 = _rate(grid, v, t, None if p is None else p.cell_values, cfg, flux)
     if cfg.epsilon > 0.0:
-        _imex_step(grid, v, t, r1, cfg, dt, ws, out)
+        out = _imex_step(grid, v, t, r1, cfg, dt)
     else:
-        stage = np.multiply(r1, dt, out=ws.stage)
+        stage = np.multiply(r1, dt, out=r1)
         stage += v
-        r2 = _rate(grid, stage, t + dt, None, cfg, ws)
+        r2 = _rate(grid, stage, t + dt, None, cfg)
         r2 *= dt
         r2 += stage
         r2 *= 0.5
-        np.multiply(v, 0.5, out=out)
+        out = np.multiply(v, 0.5)
         out += r2                        # 0.5 v + 0.5 (stage + dt r2)
     # a minimum >= 0 (not NaN) and a finite maximum clear the output in two
     # reductions; only a field that fails them is scanned cell by cell

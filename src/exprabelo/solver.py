@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BoundaryFluxWarning, DataGapError, ShapeError, StateError
 from .grid_field import V_TINY, FieldV, GridSpec, InitialDataSpec, init_field, u_from_v
 from .nonlocal_op import NonlocalP, prefix_integral
-from .scheme import SchemeConfig, Workspace, cfl_dt, interface_fluxes, step
+from .scheme import SchemeConfig, cfl_dt, interface_fluxes, step
 
 BOUNDARY_LEAK_THRESHOLD = 1e-8
 DEFAULT_ALPHAS = (0.0, 1.0, 2.0)
@@ -177,20 +177,6 @@ class DiagnosticsSeries:
         return cls(alphas=tuple(alphas), columns=columns)
 
 
-class _RowBuffers:
-    """Work arrays of ``record_diagnostics`` for one grid size, one row each
-    whatever the alphas: v and one power of v, zero-padded by one ghost on
-    each side, their forward differences, and the power times P."""
-
-    def __init__(self, n_cells: int):
-        n = n_cells
-        self.v_pad = np.zeros(n + 2)
-        self.dv = np.empty(n + 1)
-        self.power_pad = np.zeros(n + 2)
-        self.dw = np.empty(n + 1)
-        self.weighted = np.empty(n)
-
-
 def record_diagnostics(
     grid: GridSpec,
     fv: FieldV,
@@ -199,15 +185,13 @@ def record_diagnostics(
     cfg: SchemeConfig,
     dt: float,
     alphas: tuple = DEFAULT_ALPHAS,
-    buffers: _RowBuffers | None = None,
 ) -> list:
     """Compute one diagnostics row for the current state, laid out like
     ``column_names(alphas)``.
 
     ``p`` and ``flux`` are the state's prefix integral and interface fluxes;
     the row reads the boundary flux |F_1/2| + |F_n+1/2| from ``flux`` and
-    evaluates no fluxes itself. ``buffers`` are the run's work arrays (fresh
-    ones when omitted).
+    evaluates no fluxes itself.
 
     The alphas are taken one at a time in one power row. An integer power
     v^k, k = a + 1 up to ``CHAIN_MAX_POWER``, is the product v v ... v taken
@@ -216,8 +200,6 @@ def record_diagnostics(
     column's bits depend only on its own alpha; every other alpha takes
     ``np.power``. ``lp_a0`` is the mass sum itself.
     """
-    if buffers is None:
-        buffers = _RowBuffers(grid.n_cells)
     v = fv.values
     dx = grid.dx
     imax = int(v.argmax())
@@ -228,30 +210,28 @@ def record_diagnostics(
     row = [fv.time, float(dt), sup_u, sup_u_x, mass, boundary,
            float(p.interface_values[0]), float(p.interface_values[-1]), fv.clip_count]
 
-    # the power row is zero-padded by one ghost on each side, so its D+ is
-    # the forward difference over every interface
-    pad = buffers.power_pad
+    # D+ of a row zero-padded by one ghost on each side: the forward
+    # difference over every interface
     if cfg.epsilon > 0.0:
-        buffers.v_pad[1:-1] = v
-        dv = np.subtract(buffers.v_pad[1:], buffers.v_pad[:-1], out=buffers.dv)
+        dv = np.diff(v, prepend=0.0, append=0.0)
     power, held = v, 1.0  # power holds v^held; None after np.power
     for a in alphas:
         k = a + 1.0
         if not (k.is_integer() and k <= CHAIN_MAX_POWER):
-            power, held = np.power(v, k, out=pad[1:-1]), None
+            power, held = np.power(v, k), None
         else:
             if held != k - 1.0:
                 power, held = v, 1.0
             while held < k:
-                power, held = np.multiply(power, v, out=pad[1:-1]), held + 1.0
+                power, held = power * v, held + 1.0
         lp = mass if power is v else float(np.add.reduce(power)) * dx
         diss = src = 0.0
         if cfg.epsilon > 0.0:
-            dpow = dv if power is v else np.subtract(pad[1:], pad[:-1], out=buffers.dw)
-            s = float(np.add.reduce(np.multiply(dpow, dv, out=buffers.dw)))
+            dpow = dv if power is v else np.diff(power, prepend=0.0, append=0.0)
+            s = float(np.add.reduce(dpow * dv))
             diss = cfg.epsilon * (a + 1.0) * s / dx
         if cfg.source_enabled:
-            s = float(np.add.reduce(np.multiply(power, p.cell_values, out=buffers.weighted)))
+            s = float(np.add.reduce(power * p.cell_values))
             src = (a + 1.0) * s * dx
         row += (lp, diss, src)
     return row
@@ -267,12 +247,11 @@ class _Recorder:
 
     def __init__(self, grid: GridSpec, cfg: SchemeConfig, alphas):
         self.grid, self.cfg, self.alphas = grid, cfg, _normalize_alphas(alphas)
-        self.buffers = _RowBuffers(grid.n_cells)
         self.blocks = [[] for _ in column_names(self.alphas)]
         self.rows = 0
 
     def record(self, fv: FieldV, p: NonlocalP, flux: np.ndarray, dt: float) -> None:
-        row = record_diagnostics(self.grid, fv, p, flux, self.cfg, dt, self.alphas, self.buffers)
+        row = record_diagnostics(self.grid, fv, p, flux, self.cfg, dt, self.alphas)
         k = self.rows % ROW_BLOCK
         if k == 0:
             for blocks in self.blocks:
@@ -343,12 +322,11 @@ def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, sna
     if v0.time != 0.0:
         raise ValueError("initial field must carry time = 0")
 
-    ws = Workspace(grid.n_cells)
     fv, dt, landing = v0, 0.0, events[0] == 0.0
     max_boundary = 0.0
     while True:
         p = prefix_integral(grid, fv)
-        flux = interface_fluxes(fv.values, cfg.flux, ws)
+        flux = interface_fluxes(fv.values, cfg.flux)
         boundary = float(abs(flux[0]) + abs(flux[-1]))
         if not math.isfinite(boundary):
             raise StateError(f"non-finite boundary flux at t = {fv.time:.6g}")
@@ -363,7 +341,7 @@ def _march(grid: GridSpec, v0: FieldV, cfg: SchemeConfig, final_time: float, sna
         landing = fv.time + dt >= target - 4 * math.ulp(target)
         if landing:
             dt = target - fv.time
-        fv = step(grid, fv, cfg, dt, p, ws, flux)
+        fv = step(grid, fv, cfg, dt, p, flux)
         if landing:  # step has checked the values; relabel them, not rescan
             fv = FieldV._checked(fv.values, target, fv.clip_count)
 

@@ -859,19 +859,13 @@ class RiemannCheck:
         )
 
 
-def burgers_sanity(n_cells: int = 1024) -> RiemannCheck:
-    """Run both stock Riemann problems on ORACLE_DOMAIN to ORACLE_FINAL_TIME
-    at one resolution and measure their errors.
-
-    The shock from SHOCK_STATES sits at the computed mid-value crossing,
-    searched beyond the reach of the erosion wave the zero-inflow boundary
-    sends in from the left; of several crossings the rightmost counts. The
-    fan from FAN_STATES is measured in L1 against ``burgers_riemann_oracle``.
-    """
-    grid = build_grid(*ORACLE_DOMAIN, n_cells)
-    x, t = grid.centers, ORACLE_FINAL_TIME
+def _shock_error(grid: GridSpec, v: np.ndarray, t: float) -> float:
+    """Distance at time t from the shock of SHOCK_STATES in ``v`` to the
+    exact one. The shock in ``v`` sits at the mid-value crossing, searched
+    beyond the reach of the erosion wave the zero-inflow boundary sends in
+    from the left; of several crossings the rightmost counts."""
     v_left, v_right = SHOCK_STATES
-    v = _riemann_run(grid, SHOCK_STATES, t)
+    x = grid.centers
     # the crossing level halfway between the states: the chord speed's
     # formula, but a level on the jump, which stays if the speed changes
     mid = 0.5 * (v_left + v_right)
@@ -881,13 +875,41 @@ def burgers_sanity(n_cells: int = 1024) -> RiemannCheck:
         raise DomainError("no mid-value crossing found; shock left the window")
     i = hits[-1]
     pos = x[i] + (v[i] - mid) / (v[i] - v[i + 1]) * grid.dx
-    fan = _riemann_run(grid, FAN_STATES, t)
-    return RiemannCheck(
-        n_cells=n_cells,
-        dx=grid.dx,
-        shock_position_error=abs(pos - _chord_speed(v_left, v_right) * t),
-        rarefaction_l1_error=l1_distance(grid.dx, fan, burgers_riemann_oracle(*FAN_STATES, t, x)),
-    )
+    return abs(pos - _chord_speed(v_left, v_right) * t)
+
+
+def _fan_error(grid: GridSpec, v: np.ndarray, t: float) -> float:
+    """L1 distance at time t from ``v`` to the exact fan of FAN_STATES."""
+    return l1_distance(grid.dx, v, burgers_riemann_oracle(*FAN_STATES, t, grid.centers))
+
+
+def burgers_sanity(n_cells: int = 1024) -> RiemannCheck:
+    """Run both stock Riemann problems on ORACLE_DOMAIN to ORACLE_FINAL_TIME
+    at one resolution and measure their errors: ``_shock_error`` for the
+    shock from SHOCK_STATES and ``_fan_error`` for the fan from FAN_STATES.
+
+    Raises DomainError, before any run, on a grid so coarse that Riemann
+    data that never move would pass the shock or the fan half of the check:
+    below 22 cells for the shock, up to 160 for the fan.
+    """
+    grid = build_grid(*ORACLE_DOMAIN, n_cells)
+    t = ORACLE_FINAL_TIME
+
+    def measured(field) -> RiemannCheck:  # field(states): v at time t
+        return RiemannCheck(n_cells=n_cells, dx=grid.dx,
+                            shock_position_error=_shock_error(grid, field(SHOCK_STATES), t),
+                            rarefaction_l1_error=_fan_error(grid, field(FAN_STATES), t))
+
+    unmoved = measured(lambda states: riemann_initial(grid, *states).values)
+    if (unmoved.shock_position_error <= unmoved.shock_tol
+            or unmoved.rarefaction_l1_error <= unmoved.rarefaction_tol):
+        raise DomainError(
+            f"burgers-sanity cannot fail on {n_cells} cells: Riemann data that never move "
+            f"score shock error {unmoved.shock_position_error:.3g} (tol {unmoved.shock_tol:.3g}) "
+            f"and rarefaction error {unmoved.rarefaction_l1_error:.3g} "
+            f"(tol {unmoved.rarefaction_tol:.3g})"
+        )
+    return measured(lambda states: _riemann_run(grid, states, t))
 
 
 # -- manufactured smooth solution v*(t, x) = e^(-t) e^(-x^2) ----------------

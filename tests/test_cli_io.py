@@ -1037,6 +1037,37 @@ def test_burgers_sanity_subcommand(tmp_path):
     assert float(rep["burgers.shock_position_error"]) <= float(rep["burgers.shock_tol"])
 
 
+# on [-8, 8] at T = 1, Riemann data that never move score a fan L1 error of
+# 0.5, within 5 dx up to 160 cells, and a shock error of 1.5, within 2 dx
+# below 22 cells; such a grid is refused before any run
+@pytest.mark.parametrize("cells", [20, 160])
+def test_burgers_sanity_refuses_a_grid_on_which_it_cannot_fail(tmp_path, capsys, no_evolve,
+                                                               cells):
+    out = tmp_path / "out"
+    assert dispatch(["burgers-sanity", "--cells", str(cells), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: burgers-sanity cannot fail on {cells} cells")
+    assert not out.exists()
+
+
+# burgers.report as it was before the coarse-grid refusal, taken with numpy
+# 2.4.6 on x86-64 Linux; 162 cells is the coarsest grid that is not refused
+BURGERS_GOLDEN = {
+    256: "2055da5a05be57cbd4d5e1729ac04814d6927ca0622a496e9bda0e42eb573961",
+    1024: "7890baace2683bc75fce0bab1d0302c92283c64c6b26ae9c85366d31de3f7b9e",
+}
+
+
+@pytest.mark.parametrize("cells", [162, *BURGERS_GOLDEN])
+def test_burgers_sanity_keeps_its_reports_on_finer_grids(tmp_path, capsys, cells):
+    out = tmp_path / "out"
+    assert dispatch(["burgers-sanity", "--cells", str(cells), "--out", str(out)]) == 0
+    assert capsys.readouterr().err.endswith("(pass)\n")
+    if cells in BURGERS_GOLDEN:
+        digest = hashlib.sha256((out / "burgers.report").read_bytes()).hexdigest()
+        assert digest == BURGERS_GOLDEN[cells], golden_host_note()
+
+
 @pytest.mark.parametrize("radius", ["0", "-1", "nan"])
 def test_verify_stability_rejects_an_empty_window(tmp_path, radius):
     cfg = _write_cfg(tmp_path)

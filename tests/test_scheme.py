@@ -25,7 +25,7 @@ from exprabelo import (
     step,
 )
 from exprabelo.grid_field import InitialDataSpec, init_field
-from exprabelo.scheme import DELTA, Workspace, _rate, face_states, implicit_viscous_solve
+from exprabelo.scheme import DELTA, _rate, face_states, implicit_viscous_solve
 from exprabelo.solver import DiagnosticsSeries, evolve, record_diagnostics
 from exprabelo.verifiers import ORACLE_DOMAIN, ORACLE_FINAL_TIME, mms_forcing, mms_solution
 
@@ -578,7 +578,7 @@ def test_rate_equals_flux_divergence_plus_negated_source_bitwise(seed, n, forced
                        source_enabled=source_enabled)
     flux_div, source, _ = semi_discrete_rhs(g, fv, p, cfg)
     expected = flux_div + source
-    got = _rate(g, fv.values, fv.time, None, cfg, Workspace(n))
+    got = _rate(g, fv.values, fv.time, None, cfg)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -613,28 +613,6 @@ def test_stepped_field_is_checked_in_step_only(monkeypatch):
     assert exc.value.time == 1e-3
 
 
-def test_shared_workspace_matches_a_fresh_one_bitwise():
-    # a run's workspace carries its buffers from call to call; what the last
-    # call left in them may not leak into results
-    rng = np.random.default_rng(83)
-    g = build_grid(-2.0, 2.0, 32)
-    fv = FieldV(rng.uniform(0.5, 1.5, 32), 0.0)
-    p = prefix_integral(g, fv)
-    godunov = SchemeConfig(epsilon=1e-2)
-    rusanov = SchemeConfig(flux="rusanov")
-    dt = 0.5 * cfl_dt(g, fv, p, godunov)
-    ws = Workspace(g.n_cells)
-    interface_fluxes(fv.values, godunov.flux, ws)  # godunov fluxes of fv in ws
-    other = step(g, fv, rusanov, dt, p, ws)
-    first = step(g, fv, godunov, dt, p, ws)
-    kept = first.values.copy()
-    second = step(g, first, godunov, dt, None, ws)
-    assert np.array_equal(first.values, kept)
-    assert np.array_equal(first.values, step(g, fv, godunov, dt, p).values)
-    assert np.array_equal(other.values, step(g, fv, rusanov, dt).values)
-    assert np.array_equal(second.values, step(g, first, godunov, dt).values)
-
-
 def _negative_cell_state(g):
     """A state with one negative cell, so that the Godunov flux takes its
     general kernel rather than the upwind branch; such a field is never
@@ -653,22 +631,37 @@ def _negative_cell_state(g):
     ids=["godunov", "rusanov", "godunov-viscous", "rusanov-viscous", "mms"],
 )
 def test_handed_p_and_flux_give_a_fresh_step_bitwise(cfg, state):
-    # the run loop hands each state's P and interface fluxes to the step, the
-    # fluxes as the workspace's own buffer; the step must equal one that
-    # evaluates both itself, in a fresh workspace
+    # the run loop hands each state's P and interface fluxes to the step; the
+    # step must equal one that evaluates both itself
     g = build_grid(-4.0, 4.0, 64)
     fv = FieldV(np.exp(-g.centers**2), 0.0) if state == "positive" else _negative_cell_state(g)
     assert (fv.values.min() < 0.0) == (state == "negative-cell")
     dt = 0.4 * g.dx / float(fv.values.max())
-    ws = Workspace(g.n_cells)
-    step(g, FieldV(np.full(g.n_cells, 2.0), 0.0), cfg, dt, None, ws)  # leave other data in ws
     p = prefix_integral(g, fv)
-    flux = interface_fluxes(fv.values, cfg.flux, ws)
-    assert flux is ws.flux
-    handed = step(g, fv, cfg, dt, p, ws, flux)
+    flux = interface_fluxes(fv.values, cfg.flux)
+    handed = step(g, fv, cfg, dt, p, flux)
     fresh = step(g, fv, cfg, dt)
     assert handed.values.tobytes() == fresh.values.tobytes()
     assert handed.clip_count == fresh.clip_count
+
+
+@pytest.mark.parametrize(
+    "cfg", [SchemeConfig(), SchemeConfig(flux="rusanov", epsilon=1e-2)], ids=["heun", "imex"]
+)
+@pytest.mark.parametrize("state", ["positive", "negative-cell"])
+def test_step_only_reads_the_handed_p_and_flux(cfg, state):
+    # every result is a fresh array: a step leaves the P and fluxes it is
+    # handed as they were, and no flux evaluation returns the array of another
+    g = build_grid(-4.0, 4.0, 64)
+    fv = FieldV(np.exp(-g.centers**2), 0.0) if state == "positive" else _negative_cell_state(g)
+    p = prefix_integral(g, fv)
+    flux = interface_fluxes(fv.values, cfg.flux)
+    again = interface_fluxes(fv.values, cfg.flux)
+    assert again is not flux and not np.shares_memory(again, flux)
+    kept = [a.tobytes() for a in (p.interface_values, p.cell_values, flux)]
+    step(g, fv, cfg, 0.4 * g.dx / float(fv.values.max()), p, flux)
+    assert [a.tobytes() for a in (p.interface_values, p.cell_values, flux)] == kept
+    assert flux.tobytes() == again.tobytes()
 
 
 def test_step_rejects_bad_dt():

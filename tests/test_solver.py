@@ -34,7 +34,6 @@ from exprabelo.nonlocal_op import prefix_integral
 from exprabelo.scheme import SchemeConfig, interface_fluxes
 from exprabelo.solver import (
     DiagnosticsSeries,
-    _RowBuffers,
     ROW_BLOCK,
     RunConfig,
     column_names,
@@ -196,25 +195,9 @@ def test_one_row_recorder_gives_the_block_rows_bitwise(v, alphas, epsilon, sourc
     p = prefix_integral(grid, fv)
     cfg = SchemeConfig(epsilon=epsilon, source_enabled=source_enabled)
     flux = interface_fluxes(fv.values, cfg.flux)
-    buffers = _RowBuffers(v.size)
-    for _ in range(2):  # the second row runs on the buffers the first left behind
-        row = record_diagnostics(grid, fv, p, flux, cfg, 1e-3, alphas, buffers)
-        ref = reference_diagnostics_row(grid, fv, p, flux, cfg, 1e-3, alphas)
-        assert np.array(row).view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
-
-
-def test_row_buffers_hold_five_rows_whatever_the_alphas():
-    grid = GridSpec(-2.0, 2.0, 64)
-    fv = FieldV(np.linspace(0.0, 2.0, 64), 0.0)
-    p = prefix_integral(grid, fv)
-    cfg = SchemeConfig(epsilon=1e-2)
-    flux = interface_fluxes(fv.values, cfg.flux)
-    held = []
-    for alphas in ((1.0,), (0.0, 0.5, 1.0, 2.0, 3.0)):
-        buffers = _RowBuffers(grid.n_cells)
-        record_diagnostics(grid, fv, p, flux, cfg, 0.0, alphas, buffers)
-        held.append(sum(a.nbytes for a in vars(buffers).values()))
-    assert held[0] == held[1] <= 5 * (grid.n_cells + 2) * 8
+    row = record_diagnostics(grid, fv, p, flux, cfg, 1e-3, alphas)
+    ref = reference_diagnostics_row(grid, fv, p, flux, cfg, 1e-3, alphas)
+    assert np.array(row).view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
 
 
 def test_snapshots_land_bitwise_on_requested_times(stock_run_256):
@@ -616,9 +599,8 @@ def test_state_only_run_matches_a_recording_run_bitwise(monkeypatch, case, leaky
 def test_state_only_run_keeps_the_finite_boundary_flux_check(monkeypatch):
     # evolve and landings check each state's boundary flux in their one
     # loop, with one message
-    def overflowing(v, flux, ws=None):
-        ws.flux.fill(math.inf)
-        return ws.flux
+    def overflowing(v, flux):
+        return np.full(v.size + 1, math.inf)
 
     monkeypatch.setattr(exprabelo.solver, "interface_fluxes", overflowing)
     cfg = stock_config(64, final_time=0.125)
@@ -757,6 +739,26 @@ def test_stored_diagnostics_take_at_most_two_float64_per_entry():
     assert rows[1.0] - rows[0.1] > 8 * ROW_BLOCK
     entries = (rows[1.0] - rows[0.1]) * len(column_names(cfg.diagnostic_alphas))
     assert long - short <= 2 * entries * 8
+
+
+def test_a_run_holds_at_most_eighteen_fields_at_its_peak():
+    # every stage computes into arrays it allocates and drops; a pool of
+    # work buffers held for the whole run peaked at 22-29 fields here
+    n = 2048
+    viscous = stock_config(n, epsilon=1e-2, final_time=0.05)
+    v0 = init_field(viscous.grid, viscous.init)
+    exprabelo.scheme.step(viscous.grid, v0, viscous.scheme, 1e-3)  # loads LAPACK untraced
+
+    def stream():
+        for _ in landings(viscous.grid, v0, SchemeConfig(), 0.05):
+            pass
+
+    peaks = {
+        "landings": traced_peak(stream),
+        "evolve": traced_peak(lambda: evolve(viscous.grid, v0, SchemeConfig(), 0.05)),
+        "viscous evolve": traced_peak(lambda: evolve(viscous.grid, v0, viscous.scheme, 0.05)),
+    }
+    assert {name: peak / (n * 8) for name, peak in peaks.items() if peak > 18 * n * 8} == {}
 
 
 def test_final_state_of_a_run_that_kept_no_snapshot_is_a_data_gap():
